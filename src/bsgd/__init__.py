@@ -3,73 +3,4 @@ discrete Lebesgue spaces, with the Banach-space machinery (duality maps,
 Bregman distances), forward models, noise models, stopping rules, and a
 rate-verification harness."""
 
-from .array_io import read_array, write_array
-from .forward import (
-    BenchmarkProblem,
-    ForwardProblem,
-    SchlierenProblem,
-    StabilityParams,
-    build_benchmark,
-    build_schlieren_problem,
-    estimate_lipschitz_Lmax,
-    estimate_tcc_gamma,
-    make_interleaved_batches,
-    schlieren_adjoint_apply,
-    schlieren_apply,
-    schlieren_derivative_apply,
-)
-from .geometry import (
-    DualVector,
-    GeometryParams,
-    GridVector,
-    bregman_distance,
-    conjugate_exponent,
-    duality_map,
-    inverse_duality_map,
-    lr_norm,
-    pairing,
-    product_norm,
-)
-from .noise import (
-    NoiseSpec,
-    add_gaussian,
-    add_impulsive,
-    add_salt_pepper,
-    apply_noise,
-    noise_level,
-)
-from .phantoms import make_phantom
-from .radon import RadonSystem, build_radon
-from .rates import (
-    DescentConstants,
-    MarginAudit,
-    NoisyRateStudy,
-    PolyakReport,
-    RateFit,
-    descent_margin_audit,
-    fit_exact_rate,
-    noisy_rate_study,
-    theoretical_contraction_factor,
-    verify_polyak,
-)
-from .solver import (
-    IterationRecord,
-    NoisyRunParams,
-    SGDRun,
-    SolverConfig,
-    StoppingRule,
-    a_priori_stop_index,
-    check_step_admissibility,
-    full_gradient,
-    history_to_csv,
-    objective_value,
-    omega_for_margin_fraction,
-    relative_error,
-    run_landweber,
-    run_sgd,
-    sgd_step,
-    step_schedule,
-    stochastic_gradient,
-)
-
 __version__ = "0.1.0"

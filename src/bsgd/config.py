@@ -5,7 +5,9 @@ canonical writer always emits the full key set, so parse -> serialize ->
 parse is the identity and two semantically equal configs serialize to
 byte-identical text.  A run manifest is the same document plus a [result]
 section, which the parser ignores; any manifest is therefore a valid
-config that reproduces its run.
+config that reproduces its run.  Any other section or key outside the
+schema is rejected, so a misspelled key fails instead of running on a
+default.
 """
 
 from __future__ import annotations
@@ -186,13 +188,17 @@ def parse_config(source) -> RunConfig:
         if not read:
             raise FileNotFoundError(f"config file not found: {source}")
     kwargs = {}
-    for section, entries in _SCHEMA.items():
-        if not parser.has_section(section):
+    for section in parser.sections():
+        if section == "result":
             continue
-        for key, attr, conv in entries:
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                kwargs[attr] = conv(raw) if conv is not str else raw
+        if section not in _SCHEMA:
+            raise ValueError(f"unknown config section [{section}]")
+        entries = {key: (attr, conv) for key, attr, conv in _SCHEMA[section]}
+        for key in parser.options(section):
+            if key not in entries:
+                raise ValueError(f"unknown key {key!r} in config section [{section}]")
+            attr, conv = entries[key]
+            kwargs[attr] = conv(parser.get(section, key))
     return RunConfig(**kwargs)
 
 

@@ -106,9 +106,6 @@ class ForwardProblem:
     def adjoint_apply(self, i: int, x: GridVector, g) -> DualVector:
         raise NotImplementedError
 
-    def apply_all(self, x: GridVector) -> list[GridVector]:
-        return [self.apply_block(i, x) for i in range(self.n_blocks)]
-
     def _check_block(self, i: int) -> None:
         if not 0 <= i < self.n_blocks:
             raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")

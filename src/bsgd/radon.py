@@ -7,6 +7,11 @@ coordinate s along sigma.  Detector centers are equispaced midpoints of a
 uniform partition of [-1, 1].  Matrix entries are the exact lengths of the
 ray segment inside each pixel, obtained by clipping the ray against the
 pixel's axis-aligned slabs.
+
+Assembly clips only the (detector, pixel) pairs whose detector lies within
+one spacing of the pixel's shadow on sigma.  The length cutoff still decides
+which entries exist, so the matrices equal those of clipping every pair, and
+no dense detectors x pixels table is formed.
 """
 
 from __future__ import annotations
@@ -65,8 +70,10 @@ class RadonSystem:
 def _slab_interval(p0, direction, lo, hi):
     """t-interval where p0 + t*direction lies in [lo, hi) (one coordinate).
 
-    The degenerate (edge-parallel) branch is half-open so that a ray lying
-    exactly on a shared pixel edge is counted in one pixel, not both.
+    The degenerate (edge-parallel) branch is half-open, but that does not make
+    a ray lying on a shared pixel edge count in exactly one pixel: callers pass
+    hi = lo + dx and lo = hi - dy, which differ from the neighbour's edge in
+    floating point, so such a ray may count in both pixels or in neither.
     """
     if abs(direction) > 1e-15:
         t1 = (lo - p0) / direction
@@ -80,23 +87,35 @@ def _slab_interval(p0, direction, lo, hi):
 
 def _angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matrix:
     c, s = np.cos(theta), np.sin(theta)
+    n_det, n_pix = detector_s.size, x_lo.size
+    # Candidates: detectors within one spacing of the pixel's shadow [u-w, u+w]
+    # on sigma, so rounding in the band can only add pairs, never drop one.
+    ds = 2.0 / n_det
+    u = 0.5 * ((x_lo + x_hi) * c + (y_lo + y_hi) * s)
+    w = 0.5 * ((x_hi - x_lo) * abs(c) + (y_hi - y_lo) * abs(s))
+    first = np.clip(np.floor((u - w - detector_s[0]) / ds) - 1, 0, n_det).astype(np.intp)
+    last = np.clip(np.ceil((u + w - detector_s[0]) / ds) + 1, -1, n_det - 1).astype(np.intp)
+    counts = np.maximum(last - first + 1, 0)
+    pix = np.repeat(np.arange(n_pix), counts)
+    det = np.arange(pix.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
     # ray: (detector_s*c, detector_s*s) + t*(-s, c); direction is unit length
-    p0x = (detector_s * c)[:, None]
-    p0y = (detector_s * s)[:, None]
-    tx_lo, tx_hi = _slab_interval(p0x, -s, x_lo[None, :], x_hi[None, :])
-    ty_lo, ty_hi = _slab_interval(p0y, c, y_lo[None, :], y_hi[None, :])
+    tx_lo, tx_hi = _slab_interval((detector_s * c)[det], -s, x_lo[pix], x_hi[pix])
+    ty_lo, ty_hi = _slab_interval((detector_s * s)[det], c, y_lo[pix], y_hi[pix])
     lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
-    lengths = np.where(lengths > _LENGTH_CUTOFF, lengths, 0.0)
-    mat = sparse.csr_matrix(lengths)
-    mat.eliminate_zeros()
-    return mat
+    keep = np.flatnonzero(lengths > _LENGTH_CUTOFF)
+    keep = keep[np.argsort(det[keep], kind="stable")]  # CSR order: (detector, pixel)
+    indptr = np.zeros(n_det + 1, dtype=np.int32)
+    np.cumsum(np.bincount(det[keep], minlength=n_det), out=indptr[1:])
+    return sparse.csr_matrix((lengths[keep], pix[keep].astype(np.int32), indptr),
+                             shape=(n_det, n_pix))
 
 
 def build_radon(image_shape, n_angles: int, n_detectors: int) -> RadonSystem:
     """Assemble per-angle matrices for equidistant angles {0, pi/n, ...}.
 
-    Deterministic given its inputs; matrices are assembled once and meant to
-    be shared read-only afterwards.
+    Only candidate pairs are clipped (module docstring), so peak memory stays
+    near the size of the final CSR arrays.  Deterministic given its inputs;
+    matrices are assembled once and meant to be shared read-only afterwards.
     """
     rows, cols = int(image_shape[0]), int(image_shape[1])
     if rows <= 0 or cols <= 0:

@@ -77,3 +77,13 @@ def test_default_mu0_lookup():
     assert cfg.resolved_mu0() == 0.5
     auto = dataclasses.replace(cfg, mu0=0.0)
     assert auto.resolved_mu0() > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solver]\nepoch = 5\n", r"'epoch'.*\[solver\]"),
+    ("[solver]\nmu_0 = 3\n", r"'mu_0'.*\[solver\]"),
+    ("[solvr]\nepochs = 5\n", r"section \[solvr\]"),
+])
+def test_unknown_keys_and_sections_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)

@@ -1,9 +1,35 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from bsgd.radon import build_radon
+from bsgd.radon import _LENGTH_CUTOFF, _slab_interval, build_radon
+
+
+def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
+    """Reference assembly: clip every (detector, pixel) pair of a dense table."""
+    c, s = np.cos(theta), np.sin(theta)
+    # ray: (detector_s*c, detector_s*s) + t*(-s, c); direction is unit length
+    p0x = (detector_s * c)[:, None]
+    p0y = (detector_s * s)[:, None]
+    tx_lo, tx_hi = _slab_interval(p0x, -s, x_lo[None, :], x_hi[None, :])
+    ty_lo, ty_hi = _slab_interval(p0y, c, y_lo[None, :], y_hi[None, :])
+    lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
+    lengths = np.where(lengths > _LENGTH_CUTOFF, lengths, 0.0)
+    mat = sparse.csr_matrix(lengths)
+    mat.eliminate_zeros()
+    return mat
+
+
+def pixel_slabs(rows, cols):
+    """Pixel slab bounds, formed with the same operations as build_radon."""
+    dx, dy = 2.0 / cols, 2.0 / rows
+    jj, ii = np.meshgrid(np.arange(cols), np.arange(rows))
+    x_lo = -1.0 + jj.ravel() * dx
+    y_hi = 1.0 - ii.ravel() * dy
+    return x_lo, x_lo + dx, y_hi - dy, y_hi
 
 
 def quadrature_ray_length(s, theta, xlo, xhi, ylo, yhi, n=400_000):
@@ -87,3 +113,40 @@ def test_input_validation():
         build_radon((4, 4), 0, 5)
     with pytest.raises(ValueError, match="at least one"):
         build_radon((4, 4), 3, 0)
+
+
+@pytest.mark.parametrize("shape, n_angles, n_detectors, angle_indices", [
+    ((9, 9), 5, 11, None),
+    ((12, 12), 7, 19, None),
+    ((16, 16), 10, 23, None),
+    ((32, 32), 30, 45, None),
+    ((20, 33), 13, 40, None),
+    ((5, 5), 3, 1, None),
+    # full scale: at theta = 0 and pi/2 five rays lie exactly on pixel edges
+    ((110, 110), 180, 155, (0, 45, 90, 135)),
+])
+def test_band_assembly_is_bitwise_the_dense_oracle(shape, n_angles, n_detectors,
+                                                   angle_indices):
+    system = build_radon(shape, n_angles, n_detectors)
+    slabs = pixel_slabs(*shape)
+    for a in angle_indices or range(n_angles):
+        got = system.matrices[a]
+        want = dense_angle_matrix(system.angles[a], system.detector_s, *slabs)
+        assert got.indices.dtype == want.indices.dtype
+        assert got.indptr.dtype == want.indptr.dtype
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_full_scale_assembly_peak_memory_near_matrix_size():
+    tracemalloc.start()
+    try:
+        system = build_radon((110, 110), 180, 155)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                    for m in system.matrices)
+    assert sum(m.nnz for m in system.matrices) == 3_668_024
+    assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
