@@ -91,8 +91,8 @@ def _solver_config(cfg: RunConfig, delta: float | None) -> SolverConfig:
         (1 if cfg.algorithm == "landweber" else n_blocks)
     return SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
                         mu0=cfg.resolved_mu0(), step_decay_exponent=cfg.decay,
-                        batch_size=cfg.batch_size, max_epochs=cfg.epochs,
-                        seed=cfg.solver_seed, stopping=stopping, mode=cfg.mode,
+                        max_epochs=cfg.epochs, seed=cfg.solver_seed,
+                        stopping=stopping, mode=cfg.mode,
                         record_every=record_every)
 
 

@@ -16,6 +16,8 @@ import configparser
 import io
 from dataclasses import dataclass, fields
 
+from .solver import mode_exponents
+
 __all__ = ["RunConfig", "parse_config", "serialize_config", "default_mu0"]
 
 
@@ -158,16 +160,13 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.algorithm not in ("sgd", "landweber"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.stopping not in ("max_epochs", "a_priori", "oracle_best"):
+        if self.stopping not in ("max_epochs", "a_priori"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
 
     def resolved_pq(self) -> tuple[float, float]:
         if self.p > 0 and self.q > 0:
             return self.p, self.q
-        if self.mode == "theory":
-            p = max(self.r_x, 2.0)
-            return p, p
-        return self.r_x, self.r_y
+        return mode_exponents(self.mode, self.r_x, self.r_y)
 
     def resolved_mu0(self) -> float:
         if self.mu0 > 0:

@@ -9,15 +9,23 @@ Adjoints are plain matrix transposes: with the unit-cell duality pairing
 <f, g> = sum f_j g_j the transpose is the exact adjoint between the discrete
 L^r spaces and their duals.  A smoothed (Laplacian-preconditioned) adjoint
 would be a preconditioner here, not an adjoint, and is not implemented.
+
+Each problem has one raw-array kernel for the SGD step,
+``block_residual_gradient``: a single forward pass gives the block residual,
+and the gradient F_i'(x)* J_q(residual) reuses that pass.  The solver loop
+calls only the kernel.  ``apply_block``, ``derivative_apply`` and
+``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
+wrappers; the record diagnostics and the constant estimators use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import DualVector, GridVector, lr_norm
+from .geometry import DualVector, GeometryParams, GridVector, _duality_map_raw, lr_norm
 from .radon import RadonSystem
 
 __all__ = [
@@ -106,6 +114,16 @@ class ForwardProblem:
     def adjoint_apply(self, i: int, x: GridVector, g) -> DualVector:
         raise NotImplementedError
 
+    def block_residual_gradient(self, i: int, x: np.ndarray, y_i: np.ndarray,
+                                gy: GeometryParams) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (F_i(x) - y_i, F_i'(x)* J(F_i(x) - y_i)) from one forward pass.
+
+        ``gy`` holds the data-space exponents (r, p) of the duality map J.
+        Arrays in, arrays out: no wrapper is built and nothing is validated;
+        the caller checks finiteness.
+        """
+        raise NotImplementedError
+
     def _check_block(self, i: int) -> None:
         if not 0 <= i < self.n_blocks:
             raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
@@ -114,7 +132,7 @@ class ForwardProblem:
 def schlieren_apply(system: RadonSystem, batch, x: GridVector) -> GridVector:
     """Componentwise square of the stacked line integrals over the batch."""
     _check_image(system, x)
-    proj = np.stack([system.project(a, x.values) for a in batch])
+    proj = _project_batch(system, batch, x.values)
     return GridVector(proj * proj)
 
 
@@ -123,8 +141,8 @@ def schlieren_derivative_apply(system: RadonSystem, batch, x: GridVector,
     """Derivative action: 2 * (R x) * (R h), stacked over the batch."""
     _check_image(system, x)
     _check_image(system, h)
-    px = np.stack([system.project(a, x.values) for a in batch])
-    ph = np.stack([system.project(a, h.values) for a in batch])
+    px = _project_batch(system, batch, x.values)
+    ph = _project_batch(system, batch, h.values)
     return GridVector(2.0 * px * ph)
 
 
@@ -136,11 +154,21 @@ def schlieren_adjoint_apply(system: RadonSystem, batch, x: GridVector, g) -> Dua
         raise ValueError(
             f"data block shape {gv.shape} != {(len(batch), system.n_detectors)}"
         )
+    px = _project_batch(system, batch, x.values)
+    return DualVector(_back_project_batch(system, batch, px, gv))
+
+
+def _project_batch(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
+    return np.stack([system.project(a, x) for a in batch])
+
+
+def _back_project_batch(system: RadonSystem, batch, px: np.ndarray,
+                        g: np.ndarray) -> np.ndarray:
+    """R^T (2 * px * g), accumulated angle by angle in batch order."""
     out = np.zeros(system.image_shape[0] * system.image_shape[1])
     for row, a in enumerate(batch):
-        px = system.project(a, x.values)
-        out += system.back_project(a, 2.0 * px * gv[row])
-    return DualVector(out.reshape(system.image_shape))
+        out += system.back_project(a, 2.0 * px[row] * g[row])
+    return out.reshape(system.image_shape)
 
 
 def _check_image(system: RadonSystem, x: GridVector) -> None:
@@ -171,6 +199,14 @@ class SchlierenProblem(ForwardProblem):
     def adjoint_apply(self, i, x, g):
         self._check_block(i)
         return schlieren_adjoint_apply(self.system, self.batches[i], x, g)
+
+    def block_residual_gradient(self, i, x, y_i, gy):
+        # schlieren_apply, then schlieren_adjoint_apply on its projections
+        batch = self.batches[i]
+        px = _project_batch(self.system, batch, x)
+        resid = px * px - y_i
+        w = _duality_map_raw(resid, gy.r, gy.p)
+        return resid, _back_project_batch(self.system, batch, px, w)
 
 
 def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:
@@ -211,26 +247,43 @@ class BenchmarkProblem(ForwardProblem):
     def domain_shape(self):
         return (self.dim,)
 
+    @cached_property
+    def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(index array, diagonal entries) per block, built once."""
+        idxs = [np.asarray(b, dtype=np.intp) for b in self.batches]
+        return [(idx, self.diag[idx]) for idx in idxs]
+
+    def _value(self, d, xv):
+        return d * (xv + self.beta * xv * xv)
+
+    def _slope(self, d, xv):
+        return d * (1.0 + 2.0 * self.beta * xv)
+
     def apply_block(self, i, x):
         self._check_block(i)
-        idx = self.batches[i]
-        xv = x.values[idx]
-        return GridVector(self.diag[idx] * (xv + self.beta * xv * xv))
+        idx, d = self._blocks[i]
+        return GridVector(self._value(d, x.values[idx]))
 
     def derivative_apply(self, i, x, h):
         self._check_block(i)
-        idx = self.batches[i]
-        slope = self.diag[idx] * (1.0 + 2.0 * self.beta * x.values[idx])
-        return GridVector(slope * h.values[idx])
+        idx, d = self._blocks[i]
+        return GridVector(self._slope(d, x.values[idx]) * h.values[idx])
 
     def adjoint_apply(self, i, x, g):
         self._check_block(i)
-        idx = self.batches[i]
+        idx, d = self._blocks[i]
         gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
-        slope = self.diag[idx] * (1.0 + 2.0 * self.beta * x.values[idx])
         out = np.zeros(self.dim)
-        out[idx] = slope * gv
+        out[idx] = self._slope(d, x.values[idx]) * gv
         return DualVector(out)
+
+    def block_residual_gradient(self, i, x, y_i, gy):
+        idx, d = self._blocks[i]
+        xv = x[idx]
+        resid = self._value(d, xv) - y_i
+        grad = np.zeros(self.dim)
+        grad[idx] = self._slope(d, xv) * _duality_map_raw(resid, gy.r, gy.p)
+        return resid, grad
 
 
 def build_benchmark(dim: int, diag_min: float, diag_max: float,

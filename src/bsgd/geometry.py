@@ -177,7 +177,8 @@ def _lr_norm_raw(vals: np.ndarray, r: float) -> float:
     if not r > 1:
         raise ValueError(f"exponent must exceed 1 (or be inf), got {r}")
     if r == 2.0:
-        return float(np.linalg.norm(vals))
+        # np.linalg.norm's own formula for a real vector, minus its dispatch
+        return math.sqrt(vals.dot(vals))
     return float(np.sum(np.abs(vals) ** r) ** (1.0 / r))
 
 

@@ -17,6 +17,7 @@ no dense detectors x pixels table is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -62,9 +63,14 @@ class RadonSystem:
         """Line integrals at one angle; returns (n_detectors,)."""
         return self.matrices[angle_index] @ np.asarray(image).ravel()
 
+    @cached_property
+    def transposes(self) -> tuple[sparse.csc_matrix, ...]:
+        """Per-angle transposes, built once; each shares its matrix's arrays."""
+        return tuple(m.T for m in self.matrices)
+
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
-        return self.matrices[angle_index].T @ np.asarray(sino).ravel()
+        return self.transposes[angle_index] @ np.asarray(sino).ravel()
 
 
 def _slab_interval(p0, direction, lo, hi):

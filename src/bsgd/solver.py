@@ -6,6 +6,13 @@ duality map per step.  Block sampling draws one uniform per iteration from
 a counter-based Philox stream keyed by the run seed and maps it to
 ``min(int(u * N), N - 1)``; the protocol is fixed so that independent
 reimplementations can follow the same path.
+
+SGD and Landweber share one iteration loop, and it runs on plain float64
+arrays: a step is one call of the problem's ``block_residual_gradient``
+kernel (the mean over all blocks for Landweber), the dual update and the
+inverse duality map, with raw finiteness checks in place of the wrappers'.
+``GridVector``/``DualVector`` wrappers are built only for the history
+records, the snapshots and the returned ``SGDRun``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from .geometry import (
     DualVector,
     GeometryParams,
     GridVector,
+    _duality_map_raw,
+    _lr_norm_raw,
     bregman_distance,
     conjugate_exponent,
     duality_map,
@@ -29,6 +38,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "mode_exponents",
     "StoppingRule",
     "SolverConfig",
     "IterationRecord",
@@ -54,6 +64,8 @@ logger = logging.getLogger(__name__)
 _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
 _MODE_TOL = 1e-9
+_MODE_RULES = {"theory": "p = max(r_X, 2) and q = p",
+               "practice": "p = r_X and q = r_Y"}
 
 
 @lru_cache(maxsize=None)
@@ -61,18 +73,29 @@ def _geometry(r: float, p: float) -> GeometryParams:
     return GeometryParams.for_lebesgue(r, p)
 
 
+def mode_exponents(mode: str, r_X: float, r_Y: float) -> tuple[float, float]:
+    """Gauge powers (p, q) of a mode: theory uses p = max(r_X, 2), q = p;
+    practice uses p = r_X, q = r_Y."""
+    if mode == "theory":
+        p = max(r_X, 2.0)
+        return p, p
+    if mode == "practice":
+        return r_X, r_Y
+    raise ValueError(f"unknown mode {mode!r}; expected theory or practice")
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """max_epochs: fixed budget; a_priori: largest k with
-    delta^p * sum of steps <= gamma_budget; oracle_best: fixed budget,
-    result is the best iterate along the trajectory."""
+    delta^p * sum of steps <= gamma_budget.  Either way the run also
+    returns the best iterate along the trajectory."""
 
     kind: str = "max_epochs"
     delta: float | None = None
     gamma_budget: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("max_epochs", "a_priori", "oracle_best"):
+        if self.kind not in ("max_epochs", "a_priori"):
             raise ValueError(f"unknown stopping rule {self.kind!r}")
         if self.kind == "a_priori":
             if self.delta is None or self.delta <= 0:
@@ -89,7 +112,6 @@ class SolverConfig:
     q: float
     mu0: float
     step_decay_exponent: float = 0.0
-    batch_size: int | None = None
     max_epochs: int = 100
     seed: int = 0
     stopping: StoppingRule = field(default_factory=StoppingRule)
@@ -109,32 +131,17 @@ class SolverConfig:
                         ("p", self.p), ("q", self.q)):
             if not e > 1:
                 raise ValueError(f"{name} must exceed 1, got {e}")
-        if self.mode == "theory":
-            if abs(self.p - max(self.r_X, 2.0)) > _MODE_TOL or abs(self.q - self.p) > _MODE_TOL:
-                raise ValueError(
-                    f"theory mode requires p = max(r_X, 2) and q = p, "
-                    f"got p={self.p}, q={self.q} for r_X={self.r_X}"
-                )
-        elif self.mode == "practice":
-            if abs(self.p - self.r_X) > _MODE_TOL or abs(self.q - self.r_Y) > _MODE_TOL:
-                raise ValueError(
-                    f"practice mode requires p = r_X and q = r_Y, "
-                    f"got p={self.p}, q={self.q} for r_X={self.r_X}, r_Y={self.r_Y}"
-                )
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}; expected theory or practice")
+        p, q = mode_exponents(self.mode, self.r_X, self.r_Y)
+        if abs(self.p - p) > _MODE_TOL or abs(self.q - q) > _MODE_TOL:
+            raise ValueError(
+                f"{self.mode} mode requires {_MODE_RULES[self.mode]}, got "
+                f"p={self.p}, q={self.q} for r_X={self.r_X}, r_Y={self.r_Y}"
+            )
 
     @classmethod
     def make(cls, mode: str, r_X: float, r_Y: float, mu0: float, **kwargs) -> "SolverConfig":
-        """Fill (p, q) from the mode: theory uses p = max(r_X, 2), q = p;
-        practice uses p = r_X, q = r_Y."""
-        if mode == "theory":
-            p = max(r_X, 2.0)
-            q = p
-        elif mode == "practice":
-            p, q = r_X, r_Y
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        """Fill (p, q) from the mode, see :func:`mode_exponents`."""
+        p, q = mode_exponents(mode, r_X, r_Y)
         return cls(r_X=r_X, r_Y=r_Y, p=p, q=q, mu0=mu0, mode=mode, **kwargs)
 
     def geometry_x(self) -> GeometryParams:
@@ -215,6 +222,17 @@ def objective_value(problem, x: GridVector, y_obs, q: float, r_Y: float) -> floa
     return total / problem.n_blocks
 
 
+def _require_finite(vals: np.ndarray) -> None:
+    """The check a GridVector/DualVector would make, on a raw array."""
+    if not np.isfinite(vals).all():
+        raise ValueError("vector entries must be finite (no NaN/Inf)")
+
+
+def _check_domain(problem, x: GridVector) -> None:
+    if x.shape != problem.domain_shape:
+        raise ValueError(f"iterate shape {x.shape} != {problem.domain_shape}")
+
+
 def stochastic_gradient(problem, x: GridVector, y_obs, block_index: int,
                         q: float, r_Y: float) -> DualVector:
     """One-block gradient F_i'(x)* J_q(F_i(x) - y_i)."""
@@ -222,18 +240,27 @@ def stochastic_gradient(problem, x: GridVector, y_obs, block_index: int,
         raise IndexError(
             f"block index {block_index} out of range [0, {problem.n_blocks})"
         )
-    gy = _geometry(r_Y, q)
-    resid = problem.apply_block(block_index, x) - y_obs[block_index]
-    return problem.adjoint_apply(block_index, x, duality_map(resid, gy))
+    _check_domain(problem, x)
+    resid, grad = problem.block_residual_gradient(
+        block_index, x.values, y_obs[block_index].values, _geometry(r_Y, q))
+    _require_finite(resid)
+    return DualVector(grad)
+
+
+def _mean_gradient(problem, x: np.ndarray, y: list, gy: GeometryParams) -> np.ndarray:
+    acc = None
+    for i in range(problem.n_blocks):
+        resid, g = problem.block_residual_gradient(i, x, y[i], gy)
+        _require_finite(resid)
+        acc = g if acc is None else acc + g
+    return acc / problem.n_blocks
 
 
 def full_gradient(problem, x: GridVector, y_obs, q: float, r_Y: float) -> DualVector:
     """Mean of all block gradients; the Landweber update direction."""
-    acc = None
-    for i in range(problem.n_blocks):
-        g = stochastic_gradient(problem, x, y_obs, i, q, r_Y)
-        acc = g.values.copy() if acc is None else acc + g.values
-    return DualVector(acc / problem.n_blocks)
+    _check_domain(problem, x)
+    y = [yi.values for yi in y_obs]
+    return DualVector(_mean_gradient(problem, x.values, y, _geometry(r_Y, q)))
 
 
 def sgd_step(dual_state: DualVector, g: DualVector, mu: float,
@@ -331,12 +358,20 @@ def a_priori_stop_index(delta: float, mu0: float, decay: float, Gamma: float,
         start += chunk
 
 
-def relative_error(x: GridVector, x_truth: GridVector) -> float:
-    """Relative l^2 error ||x_truth - x||_2 / ||x_truth||_2."""
-    denom = float(np.linalg.norm(x_truth.values))
+def _truth_norm(x_truth: GridVector) -> float:
+    denom = _lr_norm_raw(x_truth.values.ravel(), 2.0)
     if denom == 0.0:
         raise ValueError("ground truth must be nonzero")
-    return float(np.linalg.norm(x_truth.values - x.values)) / denom
+    return denom
+
+
+def _relative_error_raw(x: np.ndarray, truth: np.ndarray, denom: float) -> float:
+    return _lr_norm_raw((truth - x).ravel(), 2.0) / denom
+
+
+def relative_error(x: GridVector, x_truth: GridVector) -> float:
+    """Relative l^2 error ||x_truth - x||_2 / ||x_truth||_2."""
+    return _relative_error_raw(x.values, x_truth.values, _truth_norm(x_truth))
 
 
 def _full_diagnostics(problem, x, y_obs, q, r_Y):
@@ -348,9 +383,15 @@ def _full_diagnostics(problem, x, y_obs, q, r_Y):
     return psi, residual
 
 
-def _make_record(problem, x, y_obs, config, k, mu, batch, psi_pre, truth, gx):
+def _make_record(problem, x: GridVector, y_obs, config, k, mu, batch, resid,
+                 rel, gx) -> IterationRecord:
+    """Record of iterate x; ``resid`` is the sampled block's residual at the
+    pre-step iterate (None on the k = 0 record and for Landweber) and
+    ``rel`` the relative error of x (None without ground truth)."""
     psi, residual = _full_diagnostics(problem, x, y_obs, config.q, config.r_Y)
-    rel = relative_error(x, truth) if truth is not None else None
+    psi_pre = None if resid is None else \
+        _lr_norm_raw(resid.ravel(), config.r_Y) ** config.q / config.q
+    truth = problem.x_truth
     breg = bregman_distance(x, truth, gx) if truth is not None else None
     return IterationRecord(k=k, mu=mu, batch_index=batch, psi=psi,
                            residual=residual, rel_l2_error=rel,
@@ -394,29 +435,31 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
     truth = problem.x_truth
 
     if x0 is None:
-        x = GridVector(np.zeros(problem.domain_shape))
-    elif isinstance(x0, GridVector):
-        x = x0
-    else:
-        x = GridVector(np.broadcast_to(np.asarray(x0, dtype=np.float64),
-                                       problem.domain_shape).copy())
-    xi = duality_map(x, gx)
-    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.max(np.abs(xi.values))))
+        x0 = GridVector(np.zeros(problem.domain_shape))
+    elif not isinstance(x0, GridVector):
+        x0 = GridVector(np.broadcast_to(np.asarray(x0, dtype=np.float64),
+                                        problem.domain_shape).copy())
+    xi0 = duality_map(x0, gx)
+    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.max(np.abs(xi0.values))))
 
     total = _total_iterations(config, iters_per_epoch)
     _warn_if_inadmissible(problem, config, max(total, 1))
 
+    # raw arrays from here on; rel is the relative error of the current x
+    x, xi = x0.values, xi0.values
+    y = [yi.values for yi in y_obs]
+    rel = None
     if truth is not None:
-        best_kind = "rel_l2_error"
-        best_metric = relative_error(x, truth)
+        truth_v, truth_norm = truth.values, _truth_norm(truth)
+        rel = _relative_error_raw(x, truth_v, truth_norm)
+    history = [_make_record(problem, x0, y_obs, config, 0, None, None, None,
+                            rel, gx)]
+    if truth is not None:
+        best_kind, best_metric = "rel_l2_error", rel
     else:
-        best_kind = "residual"
-        _, best_metric = _full_diagnostics(problem, x, y_obs, config.q, config.r_Y)
+        best_kind, best_metric = "residual", history[0].residual
     best_x, best_k = x, 0
-
-    history = [_make_record(problem, x, y_obs, config, 0, None, None, None,
-                            truth, gx)]
-    snapshots = [(0, x, xi)] if collect_snapshots else []
+    snapshots = [(0, x0, xi0)] if collect_snapshots else []
     diverged = False
     diverged_at = None
 
@@ -424,42 +467,43 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         i = sample_block()
         mu = step_schedule(config.mu0, config.step_decay_exponent, k)
         if i is None:
-            grad = full_gradient(problem, x, y_obs, config.q, config.r_Y)
-            psi_pre = None
+            resid = None
+            grad = _mean_gradient(problem, x, y, gy)
         else:
-            resid = problem.apply_block(i, x) - y_obs[i]
-            psi_pre = lr_norm(resid, config.r_Y) ** config.q / config.q
-            grad = problem.adjoint_apply(i, x, duality_map(resid, gy))
+            resid, grad = problem.block_residual_gradient(i, x, y[i], gy)
+            _require_finite(resid)
+        _require_finite(grad)
 
-        new_vals = xi.values - mu * grad.values
-        if not np.isfinite(new_vals).all() or np.max(np.abs(new_vals)) > guard:
+        new_xi = xi - mu * grad
+        if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
             diverged = True
             diverged_at = k
-            history.append(_make_record(problem, x, y_obs, config, k, mu, i,
-                                        psi_pre, truth, gx))
+            history.append(_make_record(problem, GridVector(x), y_obs, config,
+                                        k, mu, i, resid, rel, gx))
             logger.warning("iterate diverged at iteration %d; aborting run", k)
             break
-        xi = DualVector(new_vals)
-        x = inverse_duality_map(xi, gx)
+        xi = new_xi
+        x = _duality_map_raw(xi, gx.r_star, gx.p_star)
+        _require_finite(x)
 
         if truth is not None:
-            metric = relative_error(x, truth)
-            if metric < best_metric:
-                best_metric, best_x, best_k = metric, x, k
+            rel = _relative_error_raw(x, truth_v, truth_norm)
+            if rel < best_metric:
+                best_metric, best_x, best_k = rel, x, k
 
         is_record = (config.record_every is not None
                      and k % config.record_every == 0) or k == total
         if is_record:
-            history.append(_make_record(problem, x, y_obs, config, k, mu, i,
-                                        psi_pre, truth, gx))
-            if truth is None:
-                metric = history[-1].residual
-                if metric < best_metric:
-                    best_metric, best_x, best_k = metric, x, k
+            xg = GridVector(x)
+            history.append(_make_record(problem, xg, y_obs, config, k, mu, i,
+                                        resid, rel, gx))
+            if truth is None and history[-1].residual < best_metric:
+                best_metric, best_x, best_k = history[-1].residual, x, k
             if collect_snapshots:
-                snapshots.append((k, x, xi))
+                snapshots.append((k, xg, DualVector(xi)))
 
-    return SGDRun(history=history, final_x=x, final_dual=xi, best_x=best_x,
+    return SGDRun(history=history, final_x=GridVector(x),
+                  final_dual=DualVector(xi), best_x=GridVector(best_x),
                   best_k=best_k, best_metric=best_metric,
                   best_metric_kind=best_kind, diverged=diverged,
                   diverged_at=diverged_at, iters_per_epoch=iters_per_epoch,

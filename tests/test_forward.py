@@ -12,7 +12,14 @@ from bsgd.forward import (
     schlieren_apply,
     schlieren_derivative_apply,
 )
-from bsgd.geometry import DualVector, GridVector, lr_norm, pairing
+from bsgd.geometry import (
+    DualVector,
+    GeometryParams,
+    GridVector,
+    duality_map,
+    lr_norm,
+    pairing,
+)
 
 
 def dense_matrix(system, batch):
@@ -249,3 +256,42 @@ class TestEstimators:
                 lin = lr_norm(problem.derivative_apply(i, x, x - xt), 2.0)
                 assert (1.0 - gamma_hat) * fgap <= lin * (1.0 + 1e-9) + 1e-12
                 assert lin <= (1.0 + gamma_hat) * fgap * (1.0 + 1e-9) + 1e-12
+
+
+class TestBlockResidualGradient:
+    """The raw kernel gives the bytes of apply_block followed by adjoint_apply."""
+
+    def _check(self, problem, x, y, gy):
+        for i in range(problem.n_blocks):
+            resid, grad = problem.block_residual_gradient(i, x.values, y[i].values, gy)
+            want_resid = problem.apply_block(i, x) - y[i]
+            want_grad = problem.adjoint_apply(i, x, duality_map(want_resid, gy))
+            assert resid.shape == want_resid.shape
+            assert resid.tobytes() == want_resid.values.tobytes()
+            assert grad.shape == want_grad.shape
+            assert grad.tobytes() == want_grad.values.tobytes()
+
+    @pytest.mark.parametrize("r_y,q", [(2.0, 2.0), (1.5, 1.5), (1.1, 2.0), (3.0, 2.0)])
+    def test_schlieren(self, small_schlieren, rng, r_y, q):
+        p = small_schlieren
+        x = GridVector(p.x_truth.values + 0.1 * rng.standard_normal(p.domain_shape))
+        y = [GridVector(b.values + 0.05 * rng.standard_normal(b.shape))
+             for b in p.y_exact]
+        self._check(p, x, y, GeometryParams.for_lebesgue(r_y, q))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("r_y,q", [(2.0, 2.0), (1.5, 1.5), (1.1, 2.0)])
+    def test_benchmark(self, rng, beta, r_y, q):
+        p = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        x = GridVector(rng.standard_normal(40))
+        y = [GridVector(b.values + 0.05 * rng.standard_normal(b.shape))
+             for b in p.y_exact]
+        self._check(p, x, y, GeometryParams.for_lebesgue(r_y, q))
+
+    def test_zero_residual_gives_zero_gradient(self, small_schlieren):
+        p = small_schlieren
+        gy = GeometryParams.for_lebesgue(1.5, 1.5)
+        for i in range(p.n_blocks):
+            resid, grad = p.block_residual_gradient(i, p.x_truth.values,
+                                                    p.y_exact[i].values, gy)
+            assert np.all(resid == 0.0) and np.all(grad == 0.0)

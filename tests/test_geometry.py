@@ -5,6 +5,7 @@ import pytest
 
 from bsgd.geometry import (
     DualVector,
+    _lr_norm_raw,
     GeometryParams,
     GridVector,
     bregman_distance,
@@ -281,3 +282,14 @@ class TestVectors:
     def test_shape_product_matches_size(self):
         v = GridVector(np.zeros((3, 4)))
         assert v.size == 12 and int(np.prod(v.shape)) == v.size
+
+
+@pytest.mark.parametrize("n", [1, 40, 2_790, 12_100])
+def test_r2_norm_is_bitwise_numpy_norm(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        v = scale * rng.standard_normal(n)
+        assert repr(_lr_norm_raw(v, 2.0)) == repr(float(np.linalg.norm(v)))
+    if n == 12_100:
+        image = GridVector(v.reshape(110, 110))
+        assert repr(lr_norm(image, 2.0)) == repr(float(np.linalg.norm(image.values)))

@@ -150,3 +150,15 @@ def test_full_scale_assembly_peak_memory_near_matrix_size():
                     for m in system.matrices)
     assert sum(m.nnz for m in system.matrices) == 3_668_024
     assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
+
+
+def test_back_project_uses_cached_transposes_sharing_the_matrices():
+    system = build_radon((16, 16), 10, 23)
+    v = np.random.default_rng(5).standard_normal(23)
+    assert system.transposes is system.transposes
+    for a in range(system.n_angles):
+        mat, tr = system.matrices[a], system.transposes[a]
+        assert system.back_project(a, v).tobytes() == (mat.T @ v).tobytes()
+        assert np.shares_memory(tr.data, mat.data)
+        assert np.shares_memory(tr.indices, mat.indices)
+        assert np.shares_memory(tr.indptr, mat.indptr)

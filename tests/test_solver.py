@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,16 @@ from bsgd.geometry import (
     DualVector,
     GeometryParams,
     GridVector,
+    bregman_distance,
     duality_map,
+    inverse_duality_map,
     lr_norm,
     pairing,
 )
 from bsgd.noise import add_gaussian, noise_level
 from bsgd.solver import (
+    IterationRecord,
+    SGDRun,
     SolverConfig,
     StoppingRule,
     a_priori_stop_index,
@@ -482,3 +487,309 @@ class TestNoisyRunParams:
 
         with pytest.raises(ValueError):
             NoisyRunParams(delta=0.0, gamma_budget=1.0, omega=1.0, nu=1.0)
+
+
+def first_draw_of_block(seed, n_blocks, block):
+    """Iteration k at which run_sgd's sampler first draws ``block``."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    k = 0
+    while True:
+        k += 1
+        if min(int(gen.random() * n_blocks), n_blocks - 1) == block:
+            return k
+
+
+class TestNonFiniteAndDivergence:
+    """A non-finite residual or primal iterate raises; a finite dual step
+    above the guard ends the run on the divergence path."""
+
+    def _spiked(self, problem, coord, value):
+        """Exact data with one entry moved to ``value``; returns it and its block."""
+        y = [v.values.copy() for v in problem.y_exact]
+        for i, idx in enumerate(problem.batches):
+            if coord in idx:
+                y[i][idx.index(coord)] = value
+                return [GridVector(v) for v in y], i
+        raise AssertionError("coordinate not in any block")
+
+    def _late_seed(self, n_blocks, block):
+        """A sampler seed whose first draw of ``block`` comes after epoch 1."""
+        return next(s for s in range(100)
+                    if first_draw_of_block(s, n_blocks, block) > n_blocks)
+
+    def test_primal_overflow_mid_run_raises(self):
+        # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6, far below the
+        # 1e12 guard; the spike pushes xi there on the first draw of its block
+        base = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        problem = BenchmarkProblem(base.diag, 0.0, base.batches,
+                                   [GridVector(np.zeros(5))] * 4)
+        y, block = self._spiked(problem, 7, 1e7)
+        seed = self._late_seed(problem.n_blocks, block)
+        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                                max_epochs=1, seed=seed, record_every=1)
+        before = run_sgd(problem, y, cfg, x0=0.01)
+        assert not before.diverged and len(before.history) == problem.n_blocks + 1
+        with pytest.raises(ValueError, match="finite"):
+            run_sgd(problem, y, dataclasses.replace(cfg, max_epochs=10), x0=0.01)
+
+    def test_residual_overflow_mid_run_raises(self):
+        # beta > 0: the spike moves xi_j to ~2e3, far inside the guard, and
+        # x_j = xi_j^50 ~ 1e165 is finite, but its square in F overflows
+        base = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        problem = BenchmarkProblem(base.diag, 0.05, base.batches,
+                                   [GridVector(np.zeros(5))] * 4)
+        y, block = self._spiked(problem, 7, 4.0e3)
+        seed = self._late_seed(problem.n_blocks, block)
+        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                                max_epochs=1, seed=seed, record_every=None)
+        before = run_sgd(problem, y, cfg, x0=0.01)
+        assert not before.diverged and np.isfinite(before.final_x.values).all()
+        with pytest.raises(ValueError, match="finite"):
+            run_sgd(problem, y, dataclasses.replace(cfg, max_epochs=10), x0=0.01)
+
+    @pytest.mark.parametrize("record_every", [1, None])
+    def test_finite_step_above_guard_diverges(self, record_every):
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        y, block = self._spiked(problem, 12, 1e13)
+        cfg = hilbert_config(max_epochs=10, seed=9, record_every=record_every)
+        k = first_draw_of_block(9, problem.n_blocks, block)
+        assert k > 1
+        run = run_sgd(problem, y, cfg, x0=0.0)
+        assert run.diverged and run.diverged_at == k
+        assert run.n_iterations == k and run.history[-1].k == k
+        assert run.history[-1].batch_index == block
+        expected_ks = list(range(k + 1)) if record_every == 1 else [0, k]
+        assert [rec.k for rec in run.history] == expected_ks
+        # the run keeps the last iterate that passed the guard
+        assert np.max(np.abs(run.final_dual.values)) < 1e12
+
+
+# Oracle: the wrapper-based iteration loop as it stood before the loop moved
+# to raw arrays, with the helpers it called.  Every vector is a validated
+# GridVector/DualVector and every norm goes through np.linalg.norm; the raw
+# loop must reproduce it bit for bit.
+
+def _oracle_relative_error(x, x_truth):
+    denom = float(np.linalg.norm(x_truth.values))
+    return float(np.linalg.norm(x_truth.values - x.values)) / denom
+
+
+def _oracle_full_diagnostics(problem, x, y_obs, q, r_Y):
+    norms = np.array([lr_norm(problem.apply_block(i, x) - y_obs[i], r_Y)
+                      for i in range(problem.n_blocks)])
+    psi = float(np.sum(norms**q)) / (q * problem.n_blocks)
+    residual = float(np.sum(norms**q) ** (1.0 / q))
+    return psi, residual
+
+
+def _oracle_make_record(problem, x, y_obs, config, k, mu, batch, psi_pre,
+                        truth, gx):
+    psi, residual = _oracle_full_diagnostics(problem, x, y_obs, config.q,
+                                             config.r_Y)
+    rel = _oracle_relative_error(x, truth) if truth is not None else None
+    breg = bregman_distance(x, truth, gx) if truth is not None else None
+    return IterationRecord(k=k, mu=mu, batch_index=batch, psi=psi,
+                           residual=residual, rel_l2_error=rel,
+                           bregman_to_truth=breg, psi_batch_pre=psi_pre)
+
+
+def _oracle_stochastic_gradient(problem, x, y_obs, i, q, r_Y):
+    gy = GeometryParams.for_lebesgue(r_Y, q)
+    resid = problem.apply_block(i, x) - y_obs[i]
+    return problem.adjoint_apply(i, x, duality_map(resid, gy))
+
+
+def _oracle_full_gradient(problem, x, y_obs, q, r_Y):
+    acc = None
+    for i in range(problem.n_blocks):
+        g = _oracle_stochastic_gradient(problem, x, y_obs, i, q, r_Y)
+        acc = g.values.copy() if acc is None else acc + g.values
+    return DualVector(acc / problem.n_blocks)
+
+
+def _oracle_loop(problem, y_obs, config, x0, sample_block, iters_per_epoch,
+                 collect_snapshots):
+    gx = config.geometry_x()
+    gy = config.geometry_y()
+    truth = problem.x_truth
+    if x0 is None:
+        x = GridVector(np.zeros(problem.domain_shape))
+    elif isinstance(x0, GridVector):
+        x = x0
+    else:
+        x = GridVector(np.broadcast_to(np.asarray(x0, dtype=np.float64),
+                                       problem.domain_shape).copy())
+    xi = duality_map(x, gx)
+    guard = 1e12 * max(1.0, float(np.max(np.abs(xi.values))))
+    if config.stopping.kind == "a_priori":
+        total = a_priori_stop_index(config.stopping.delta, config.mu0,
+                                    config.step_decay_exponent,
+                                    config.stopping.gamma_budget, config.p)
+    else:
+        total = config.max_epochs * iters_per_epoch
+
+    if truth is not None:
+        best_kind = "rel_l2_error"
+        best_metric = _oracle_relative_error(x, truth)
+    else:
+        best_kind = "residual"
+        _, best_metric = _oracle_full_diagnostics(problem, x, y_obs, config.q,
+                                                  config.r_Y)
+    best_x, best_k = x, 0
+    history = [_oracle_make_record(problem, x, y_obs, config, 0, None, None,
+                                   None, truth, gx)]
+    snapshots = [(0, x, xi)] if collect_snapshots else []
+    diverged = False
+    diverged_at = None
+
+    for k in range(1, total + 1):
+        i = sample_block()
+        mu = step_schedule(config.mu0, config.step_decay_exponent, k)
+        if i is None:
+            grad = _oracle_full_gradient(problem, x, y_obs, config.q, config.r_Y)
+            psi_pre = None
+        else:
+            resid = problem.apply_block(i, x) - y_obs[i]
+            psi_pre = lr_norm(resid, config.r_Y) ** config.q / config.q
+            grad = problem.adjoint_apply(i, x, duality_map(resid, gy))
+
+        new_vals = xi.values - mu * grad.values
+        if not np.isfinite(new_vals).all() or np.max(np.abs(new_vals)) > guard:
+            diverged = True
+            diverged_at = k
+            history.append(_oracle_make_record(problem, x, y_obs, config, k, mu,
+                                               i, psi_pre, truth, gx))
+            break
+        xi = DualVector(new_vals)
+        x = inverse_duality_map(xi, gx)
+
+        if truth is not None:
+            metric = _oracle_relative_error(x, truth)
+            if metric < best_metric:
+                best_metric, best_x, best_k = metric, x, k
+
+        is_record = (config.record_every is not None
+                     and k % config.record_every == 0) or k == total
+        if is_record:
+            history.append(_oracle_make_record(problem, x, y_obs, config, k, mu,
+                                               i, psi_pre, truth, gx))
+            if truth is None:
+                metric = history[-1].residual
+                if metric < best_metric:
+                    best_metric, best_x, best_k = metric, x, k
+            if collect_snapshots:
+                snapshots.append((k, x, xi))
+
+    return SGDRun(history=history, final_x=x, final_dual=xi, best_x=best_x,
+                  best_k=best_k, best_metric=best_metric,
+                  best_metric_kind=best_kind, diverged=diverged,
+                  diverged_at=diverged_at, iters_per_epoch=iters_per_epoch,
+                  n_iterations=history[-1].k, snapshots=snapshots)
+
+
+def oracle_run(algorithm, problem, y_obs, config, x0=None,
+               collect_snapshots=False):
+    if algorithm == "landweber":
+        return _oracle_loop(problem, y_obs, config, x0, lambda: None, 1,
+                            collect_snapshots)
+    gen = np.random.Generator(np.random.Philox(config.seed))
+    n = problem.n_blocks
+    return _oracle_loop(problem, y_obs, config, x0,
+                        lambda: min(int(gen.random() * n), n - 1), n,
+                        collect_snapshots)
+
+
+def _record_key(rec):
+    return tuple(repr(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+
+
+def _vector_bytes(v):
+    return v.values.shape, v.values.tobytes()
+
+
+def assert_runs_bitwise_equal(new, old):
+    assert [_record_key(r) for r in new.history] == \
+        [_record_key(r) for r in old.history]
+    for name in ("final_x", "final_dual", "best_x"):
+        assert _vector_bytes(getattr(new, name)) == _vector_bytes(getattr(old, name)), name
+    for name in ("best_k", "best_metric_kind", "diverged", "diverged_at",
+                 "iters_per_epoch", "n_iterations"):
+        assert getattr(new, name) == getattr(old, name), name
+    assert repr(new.best_metric) == repr(old.best_metric)
+    assert len(new.snapshots) == len(old.snapshots)
+    for (k1, x1, xi1), (k2, x2, xi2) in zip(new.snapshots, old.snapshots):
+        assert k1 == k2
+        assert _vector_bytes(x1) == _vector_bytes(x2)
+        assert _vector_bytes(xi1) == _vector_bytes(xi2)
+
+
+RUNNERS = {"sgd": run_sgd, "landweber": run_landweber}
+
+
+class TestRawLoopMatchesWrapperOracle:
+    """The raw-array loop gives the old wrapper-based loop's bits."""
+
+    def _check(self, algorithm, problem, y, cfg, x0, snapshots=True):
+        new = RUNNERS[algorithm](problem, y, cfg, x0=x0,
+                                 collect_snapshots=snapshots)
+        old = oracle_run(algorithm, problem, y, cfg, x0=x0,
+                         collect_snapshots=snapshots)
+        assert_runs_bitwise_equal(new, old)
+        return new
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "landweber"])
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("mode,r", [("theory", 2.0), ("practice", 1.5)])
+    def test_benchmark(self, algorithm, beta, mode, r):
+        problem = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        y = add_gaussian(problem.y_exact, 0.02, seed=17)
+        cfg = SolverConfig.make(mode, r_X=r, r_Y=r, mu0=0.4,
+                                step_decay_exponent=0.1, max_epochs=12,
+                                seed=5, record_every=3)
+        run = self._check(algorithm, problem, y, cfg, x0=0.01)
+        assert not run.diverged and len(run.history) > 2
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "landweber"])
+    @pytest.mark.parametrize("r_x,r_y", [(1.1, 2.0), (1.5, 1.5)])
+    def test_schlieren(self, algorithm, r_x, r_y, small_schlieren):
+        y = add_gaussian(small_schlieren.y_exact, 0.01, seed=23)
+        cfg = SolverConfig.make("practice", r_X=r_x, r_Y=r_y, mu0=0.3,
+                                step_decay_exponent=0.2, max_epochs=6,
+                                seed=2, record_every=2)
+        run = self._check(algorithm, small_schlieren, y, cfg, x0=0.01)
+        assert not run.diverged and run.n_iterations > 0
+
+    def test_final_record_only_with_a_priori_stop(self, hilbert_benchmark):
+        p = hilbert_benchmark
+        y = add_gaussian(p.y_exact, 0.05, seed=31)
+        _, delta = noise_level(p.y_exact, y, 2.0)
+        stop = StoppingRule("a_priori", delta=delta, gamma_budget=0.5)
+        cfg = hilbert_config(mu0=0.4, seed=8, stopping=stop, record_every=None)
+        run = self._check("sgd", p, y, cfg, x0=None, snapshots=False)
+        assert [rec.k for rec in run.history] == [0, run.n_iterations]
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "landweber"])
+    def test_without_ground_truth(self, algorithm):
+        base = build_benchmark(12, 0.9, 1.1, 0.05, n_blocks=3, seed=2)
+        problem = BenchmarkProblem(base.diag, base.beta, base.batches,
+                                   base.y_exact, x_truth=None,
+                                   L_max=base.L_max, gamma=base.gamma)
+        y = add_gaussian(base.y_exact, 0.05, seed=4)
+        cfg = hilbert_config(mu0=0.5, max_epochs=15, seed=3, record_every=2)
+        run = self._check(algorithm, problem, y, cfg, x0=GridVector(np.zeros(12)))
+        assert run.best_metric_kind == "residual" and run.best_k > 0
+
+    def test_divergence_path(self):
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        run = self._check("sgd", problem, problem.y_exact,
+                          hilbert_config(mu0=1e8, max_epochs=50), x0=0.01)
+        assert run.diverged
+
+
+def test_gradients_reject_a_misshaped_iterate(small_schlieren):
+    p = small_schlieren
+    x = GridVector(np.ones((8, 32)))
+    with pytest.raises(ValueError, match="shape"):
+        stochastic_gradient(p, x, p.y_exact, 0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="shape"):
+        full_gradient(p, x, p.y_exact, 2.0, 2.0)
