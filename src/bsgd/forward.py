@@ -12,8 +12,10 @@ would be a preconditioner here, not an adjoint, and is not implemented.
 
 Each problem has one raw-array kernel for the SGD step,
 ``block_residual_gradient``: a single forward pass gives the block residual,
-and the gradient F_i'(x)* J_q(residual) reuses that pass.  The solver loop
-calls only the kernel.  ``apply_block``, ``derivative_apply`` and
+and the gradient F_i'(x)* J_q(residual) reuses that pass.  The Schlieren
+kernel hands its projections to ``schlieren_adjoint_apply``, so the step's
+back-projection is the adjoint of the validated API, not a copy of it.  The
+solver loop calls only the kernel.  ``apply_block``, ``derivative_apply`` and
 ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
 wrappers; the record diagnostics and the constant estimators use them.
 """
@@ -146,29 +148,31 @@ def schlieren_derivative_apply(system: RadonSystem, batch, x: GridVector,
     return GridVector(2.0 * px * ph)
 
 
-def schlieren_adjoint_apply(system: RadonSystem, batch, x: GridVector, g) -> DualVector:
-    """Adjoint of the derivative: R^T (2 * (R x) * g)."""
+def schlieren_adjoint_apply(system: RadonSystem, batch, x, g, *,
+                            px: np.ndarray | None = None) -> DualVector:
+    """Adjoint of the derivative: R^T (2 * (R x) * g).
+
+    ``px``, the stacked projections R x of the batch, spares projecting x
+    a second time when the caller has already made them; x is then only
+    shape-checked and may be a raw array.
+    """
     _check_image(system, x)
     gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
     if gv.shape != (len(batch), system.n_detectors):
         raise ValueError(
             f"data block shape {gv.shape} != {(len(batch), system.n_detectors)}"
         )
-    px = _project_batch(system, batch, x.values)
-    return DualVector(_back_project_batch(system, batch, px, gv))
+    if px is None:
+        px = _project_batch(system, batch, x.values)
+    # accumulated angle by angle in batch order
+    out = np.zeros(system.image_shape[0] * system.image_shape[1])
+    for row, a in enumerate(batch):
+        out += system.back_project(a, 2.0 * px[row] * gv[row])
+    return DualVector(out.reshape(system.image_shape))
 
 
 def _project_batch(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
     return np.stack([system.project(a, x) for a in batch])
-
-
-def _back_project_batch(system: RadonSystem, batch, px: np.ndarray,
-                        g: np.ndarray) -> np.ndarray:
-    """R^T (2 * px * g), accumulated angle by angle in batch order."""
-    out = np.zeros(system.image_shape[0] * system.image_shape[1])
-    for row, a in enumerate(batch):
-        out += system.back_project(a, 2.0 * px[row] * g[row])
-    return out.reshape(system.image_shape)
 
 
 def _check_image(system: RadonSystem, x: GridVector) -> None:
@@ -206,7 +210,7 @@ class SchlierenProblem(ForwardProblem):
         px = _project_batch(self.system, batch, x)
         resid = px * px - y_i
         w = _duality_map_raw(resid, gy.r, gy.p)
-        return resid, _back_project_batch(self.system, batch, px, w)
+        return resid, schlieren_adjoint_apply(self.system, batch, x, w, px=px).values
 
 
 def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:

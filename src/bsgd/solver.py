@@ -64,8 +64,6 @@ logger = logging.getLogger(__name__)
 _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
 _MODE_TOL = 1e-9
-_MODE_RULES = {"theory": "p = max(r_X, 2) and q = p",
-               "practice": "p = r_X and q = r_Y"}
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +132,8 @@ class SolverConfig:
         p, q = mode_exponents(self.mode, self.r_X, self.r_Y)
         if abs(self.p - p) > _MODE_TOL or abs(self.q - q) > _MODE_TOL:
             raise ValueError(
-                f"{self.mode} mode requires {_MODE_RULES[self.mode]}, got "
-                f"p={self.p}, q={self.q} for r_X={self.r_X}, r_Y={self.r_Y}"
+                f"{self.mode} mode requires p={p}, q={q} for r_X={self.r_X}, "
+                f"r_Y={self.r_Y}, got p={self.p}, q={self.q}"
             )
 
     @classmethod

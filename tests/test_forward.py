@@ -116,6 +116,15 @@ class TestSchlierenOps:
         out = schlieren_adjoint_apply(small_radon, batch, x, DualVector(g))
         np.testing.assert_allclose(out.values.ravel(), expected, rtol=1e-12)
 
+    def test_adjoint_reuses_given_projections(self, small_radon, rng):
+        batch = [1, 5, 8]
+        x = GridVector(rng.standard_normal((16, 16)))
+        g = rng.standard_normal((len(batch), 23))
+        px = np.stack([small_radon.project(a, x.values) for a in batch])
+        reused = schlieren_adjoint_apply(small_radon, batch, x, g, px=px)
+        fresh = schlieren_adjoint_apply(small_radon, batch, x, g)
+        assert reused.values.tobytes() == fresh.values.tobytes()
+
     def test_shape_mismatch_rejected(self, small_radon):
         with pytest.raises(ValueError, match="shape"):
             schlieren_apply(small_radon, [0], GridVector(np.zeros((4, 4))))
