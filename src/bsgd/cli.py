@@ -3,17 +3,18 @@
 All outputs land under ``--out``: history.csv, best.bsgd, final.bsgd,
 manifest.txt (plus geometry.txt for tomography runs and summary.csv for
 sweeps).  The manifest pins every resolved parameter and seed, so feeding
-it back as the config reproduces the run bit for bit.  Sweep cells run in
-parallel; the environment variable BSGD_THREADS caps the worker count.
+it back as the config reproduces the run bit for bit.  Sweep cells run one
+after another on the calling thread, in ``--values`` order.  There is no
+thread pool on purpose: the cells' short numpy and sparse calls hand the
+interpreter lock back and forth, so two worker threads made the 4-cell
+desk sweep nearly twice as slow as one (2-core Xeon).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,13 +190,6 @@ def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
-def _max_workers(n_cells: int) -> int:
-    env = os.environ.get("BSGD_THREADS", "")
-    if env.strip():
-        return max(1, min(int(env), n_cells))
-    return max(1, min(4, n_cells))
-
-
 def cmd_sweep(config_path, axis: str, values, out_dir, *,
               quiet: bool = False) -> int:
     try:
@@ -206,13 +200,8 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
         cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-
-        def one(cell):
-            tok, cell_cfg = cell
-            return execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
-
-        with ThreadPoolExecutor(max_workers=_max_workers(len(cells))) as pool:
-            results = list(pool.map(one, cells))
+        results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
+                   for tok, cell_cfg in cells]
 
         lines = ["axis,value,best_error,best_iteration,delta,metric"]
         for (tok, _), res in zip(cells, results):

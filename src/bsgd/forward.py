@@ -18,6 +18,8 @@ back-projection is the adjoint of the validated API, not a copy of it.  The
 solver loop calls only the kernel.  ``apply_block``, ``derivative_apply`` and
 ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
 wrappers; the record diagnostics and the constant estimators use them.
+``normal_operator`` fixes the linearisation point once for the Lipschitz
+estimator's power iteration, so the Schlieren problem projects it once.
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ class ForwardProblem:
     def adjoint_apply(self, i: int, x: GridVector, g) -> DualVector:
         raise NotImplementedError
 
+    def normal_operator(self, i: int, x: GridVector):
+        """The map v -> F_i'(x)* F_i'(x) v on raw arrays, for a fixed x."""
+        return lambda v: self.adjoint_apply(
+            i, x, self.derivative_apply(i, x, GridVector(v))).values
+
     def block_residual_gradient(self, i: int, x: np.ndarray, y_i: np.ndarray,
                                 gy: GeometryParams) -> tuple[np.ndarray, np.ndarray]:
         """Raw (F_i(x) - y_i, F_i'(x)* J(F_i(x) - y_i)) from one forward pass.
@@ -139,11 +146,17 @@ def schlieren_apply(system: RadonSystem, batch, x: GridVector) -> GridVector:
 
 
 def schlieren_derivative_apply(system: RadonSystem, batch, x: GridVector,
-                               h: GridVector) -> GridVector:
-    """Derivative action: 2 * (R x) * (R h), stacked over the batch."""
+                               h: GridVector, *,
+                               px: np.ndarray | None = None) -> GridVector:
+    """Derivative action: 2 * (R x) * (R h), stacked over the batch.
+
+    ``px``, the stacked projections R x, spares projecting x, as in
+    ``schlieren_adjoint_apply``.
+    """
     _check_image(system, x)
     _check_image(system, h)
-    px = _project_batch(system, batch, x.values)
+    if px is None:
+        px = _project_batch(system, batch, x.values)
     ph = _project_batch(system, batch, h.values)
     return GridVector(2.0 * px * ph)
 
@@ -203,6 +216,18 @@ class SchlierenProblem(ForwardProblem):
     def adjoint_apply(self, i, x, g):
         self._check_block(i)
         return schlieren_adjoint_apply(self.system, self.batches[i], x, g)
+
+    def normal_operator(self, i, x):
+        self._check_block(i)
+        _check_image(self.system, x)
+        batch = self.batches[i]
+        px = _project_batch(self.system, batch, x.values)
+
+        def apply(v):
+            w = schlieren_derivative_apply(self.system, batch, x, GridVector(v),
+                                           px=px)
+            return schlieren_adjoint_apply(self.system, batch, x, w, px=px).values
+        return apply
 
     def block_residual_gradient(self, i, x, y_i, gy):
         # schlieren_apply, then schlieren_adjoint_apply on its projections
@@ -404,15 +429,15 @@ def estimate_lipschitz_Lmax(problem: ForwardProblem, ball_center: GridVector,
             if vn == 0.0:
                 continue
             v /= vn
+            normal = problem.normal_operator(i, x)
             sigma = 0.0
             for _ in range(n_power_iter):
-                w = problem.derivative_apply(i, x, GridVector(v))
-                back = problem.adjoint_apply(i, x, w)
-                bn = np.linalg.norm(back.values)
+                back = normal(v)
+                bn = np.linalg.norm(back)
                 if bn < 1e-300:
                     sigma = 0.0
                     break
                 sigma = np.sqrt(bn)
-                v = back.values / bn
+                v = back / bn
             worst = max(worst, float(sigma))
     return worst

@@ -1,5 +1,4 @@
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -167,15 +166,33 @@ class TestCmdSweep:
 
     def test_space_exponent_sweep_with_pairs(self, schlieren_cfg, tmp_path):
         out = tmp_path / "sweep"
-        os.environ["BSGD_THREADS"] = "2"
-        try:
-            assert main(["sweep", "--config", str(schlieren_cfg), "--out",
-                         str(out), "--axis", "space_exponent",
-                         "--values", "2.0,1.1:1.1", "--quiet"]) == 0
-        finally:
-            del os.environ["BSGD_THREADS"]
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out",
+                     str(out), "--axis", "space_exponent",
+                     "--values", "2.0,1.1:1.1", "--quiet"]) == 0
         assert (out / "space_exponent=2.0").is_dir()
         assert (out / "space_exponent=1.1:1.1").is_dir()
+
+    def test_sweep_cells_match_manifest_runs(self, schlieren_cfg, tmp_path):
+        out = tmp_path / "sweep"
+        tokens = ["2.0", "1.1:1.1"]  # not sorted: rows must keep this order
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out",
+                     str(out), "--axis", "space_exponent",
+                     "--values", ",".join(tokens), "--quiet"]) == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["value"] for row in rows] == tokens
+        for tok, row in zip(tokens, rows):
+            cell = out / f"space_exponent={tok}"
+            manifest = (cell / "manifest.txt").read_text()
+            assert f"best_metric = {row['best_error']}\n" in manifest
+            assert f"best_iteration = {row['best_iteration']}\n" in manifest
+            rerun = tmp_path / f"rerun={tok}"
+            assert main(["run", "--config", str(cell / "manifest.txt"),
+                         "--out", str(rerun), "--quiet"]) == 0
+            for name in ("history.csv", "final.bsgd", "best.bsgd",
+                         "geometry.txt"):
+                assert (cell / name).read_bytes() == \
+                    (rerun / name).read_bytes(), (tok, name)
 
     def test_batch_sweep_row_count(self, schlieren_cfg, tmp_path):
         out = tmp_path / "sweep"

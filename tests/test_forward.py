@@ -4,7 +4,9 @@ import pytest
 from bsgd.forward import (
     BenchmarkProblem,
     ForwardProblem,
+    _ball_sample,
     build_benchmark,
+    build_schlieren_problem,
     estimate_lipschitz_Lmax,
     estimate_tcc_gamma,
     make_interleaved_batches,
@@ -20,6 +22,7 @@ from bsgd.geometry import (
     lr_norm,
     pairing,
 )
+from bsgd.radon import RadonSystem
 
 
 def dense_matrix(system, batch):
@@ -213,7 +216,72 @@ class _ZeroProblem(ForwardProblem):
         return DualVector(np.zeros(3))
 
 
+def _lipschitz_oracle(problem, ball_center, ball_radius, n_samples, rng_seed,
+                      n_power_iter):
+    """Reference power iteration through the validated derivative and
+    adjoint, which project x again in every call."""
+    gen = np.random.Generator(np.random.Philox(rng_seed))
+    center = ball_center.values
+    worst = 0.0
+    for _ in range(n_samples):
+        x = GridVector(_ball_sample(gen, center, ball_radius))
+        for i in range(problem.n_blocks):
+            v = gen.standard_normal(center.shape)
+            vn = np.linalg.norm(v)
+            if vn == 0.0:
+                continue
+            v /= vn
+            sigma = 0.0
+            for _ in range(n_power_iter):
+                w = problem.derivative_apply(i, x, GridVector(v))
+                back = problem.adjoint_apply(i, x, w)
+                bn = np.linalg.norm(back.values)
+                if bn < 1e-300:
+                    sigma = 0.0
+                    break
+                sigma = np.sqrt(bn)
+                v = back.values / bn
+            worst = max(worst, float(sigma))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def desk_schlieren(desk_radon, desk_phantom):
+    return build_schlieren_problem(desk_radon, 6, desk_phantom)
+
+
+# the estimate cli._build_problem makes for configs/schlieren_desk.ini
+DESK_LMAX_ARGS = (0.25, max(1, 10 // 4), 1234)
+
+
 class TestEstimators:
+    def test_lipschitz_matches_oracle_desk(self, desk_schlieren):
+        args = (desk_schlieren, desk_schlieren.x_truth) + DESK_LMAX_ARGS
+        assert repr(estimate_lipschitz_Lmax(*args, n_power_iter=20)) == \
+            repr(_lipschitz_oracle(*args, n_power_iter=20))
+
+    def test_lipschitz_matches_oracle_benchmark(self):
+        problem = build_benchmark(40, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
+        args = (problem, problem.x_truth, 0.5, 3, 8)
+        assert repr(estimate_lipschitz_Lmax(*args, n_power_iter=50)) == \
+            repr(_lipschitz_oracle(*args, n_power_iter=50))
+
+    def test_lipschitz_projects_sample_once_per_block(self, desk_schlieren,
+                                                      monkeypatch):
+        calls = []
+        project = RadonSystem.project
+
+        def counting(self, a, x):
+            calls.append(a)
+            return project(self, a, x)
+
+        monkeypatch.setattr(RadonSystem, "project", counting)
+        estimate_lipschitz_Lmax(desk_schlieren, desk_schlieren.x_truth,
+                                *DESK_LMAX_ARGS, n_power_iter=20)
+        # 2 samples x 5 blocks x 6 angles: x once, then h in each of the
+        # 20 power steps (the oracle also projects x twice per step: 3,600)
+        assert len(calls) == 60 * (1 + 20) == 1260
+
     def test_tcc_zero_for_linear(self):
         problem = build_benchmark(20, 0.5, 1.5, 0.0, n_blocks=4, seed=1)
         center = GridVector(np.zeros(20))
