@@ -18,8 +18,8 @@ back-projection is the adjoint of the validated API, not a copy of it.  The
 solver loop calls only the kernel.  ``apply_block``, ``derivative_apply`` and
 ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
 wrappers; the record diagnostics and the constant estimators use them.
-``normal_operator`` fixes the linearisation point once for the Lipschitz
-estimator's power iteration, so the Schlieren problem projects it once.
+``linearization`` and ``normal_operator`` fix the linearisation point once
+for the two constant estimators, so the Schlieren problem projects it once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DualVector, GeometryParams, GridVector, _duality_map_raw, lr_norm
+from .geometry import (
+    DualVector,
+    GeometryParams,
+    GridVector,
+    _duality_map_raw,
+    _duality_map_rows,
+    lr_norm,
+)
 from .radon import RadonSystem
 
 __all__ = [
@@ -117,6 +124,10 @@ class ForwardProblem:
 
     def adjoint_apply(self, i: int, x: GridVector, g) -> DualVector:
         raise NotImplementedError
+
+    def linearization(self, i: int, x: GridVector):
+        """F_i(x) and the map h -> F_i'(x) h, for a fixed x."""
+        return self.apply_block(i, x), lambda h: self.derivative_apply(i, x, h)
 
     def normal_operator(self, i: int, x: GridVector):
         """The map v -> F_i'(x)* F_i'(x) v on raw arrays, for a fixed x."""
@@ -217,6 +228,14 @@ class SchlierenProblem(ForwardProblem):
         self._check_block(i)
         return schlieren_adjoint_apply(self.system, self.batches[i], x, g)
 
+    def linearization(self, i, x):
+        self._check_block(i)
+        _check_image(self.system, x)
+        batch = self.batches[i]
+        px = _project_batch(self.system, batch, x.values)
+        return GridVector(px * px), lambda h: schlieren_derivative_apply(
+            self.system, batch, x, h, px=px)
+
     def normal_operator(self, i, x):
         self._check_block(i)
         _check_image(self.system, x)
@@ -314,6 +333,37 @@ class BenchmarkProblem(ForwardProblem):
         grad[idx] = self._slope(d, xv) * _duality_map_raw(resid, gy.r, gy.p)
         return resid, grad
 
+    def stacked_blocks(self, y_obs_rows):
+        """The blocks as padded tables for a loop over stacked rows.
+
+        Returns (N, B) coordinate indices and diagonal entries, the N block
+        lengths and the (S, N, B) data of the S rows of ``y_obs_rows``, B
+        being the largest block.  Short blocks are padded with the scratch
+        coordinate ``dim``, diagonal 0.0 and data 0.0, so a row's iterate
+        has dim + 1 entries and its last one stays 0.0.
+        """
+        lengths = np.array([len(b) for b in self.batches])
+        shape = (self.n_blocks, int(lengths.max()))
+        idx = np.full(shape, self.dim, dtype=np.intp)
+        diag = np.zeros(shape)
+        data = np.zeros((len(y_obs_rows),) + shape)
+        for i, (ix, d) in enumerate(self._blocks):
+            idx[i, :ix.size] = ix
+            diag[i, :ix.size] = d
+            for s, y_obs in enumerate(y_obs_rows):
+                data[s, i, :ix.size] = y_obs[i].values
+        return idx, diag, lengths, data
+
+    def block_rows_residual_gradient(self, xv, d, y, lengths, gy):
+        """``block_residual_gradient`` of stacked rows: row s of ``xv``, ``d``
+        and ``y`` holds one block's iterate, diagonal and data entries
+        (``lengths[s]`` of them, then padding).  Returns the residual rows and
+        the gradient at those entries, each entry the serial kernel's bits.
+        """
+        resid = self._value(d, xv) - y
+        return resid, self._slope(d, xv) * _duality_map_rows(resid, lengths,
+                                                             gy.r, gy.p)
+
 
 def build_benchmark(dim: int, diag_min: float, diag_max: float,
                     nonlinearity_beta: float, *, n_blocks: int = 5,
@@ -394,13 +444,12 @@ def estimate_tcc_gamma(problem: ForwardProblem, ball_center: GridVector,
         xt = GridVector(_ball_sample(gen, center, ball_radius))
         step = x - xt
         for i in range(problem.n_blocks):
-            fx = problem.apply_block(i, x)
+            fx, derivative = problem.linearization(i, x)
             fxt = problem.apply_block(i, xt)
             den = lr_norm(fx - fxt, r_Y)
             if den < 1e-14:
                 continue
-            lin = problem.derivative_apply(i, x, step)
-            num = lr_norm(fx - fxt - lin, r_Y)
+            num = lr_norm(fx - fxt - derivative(step), r_Y)
             worst = max(worst, num / den)
     return worst
 

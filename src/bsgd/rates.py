@@ -15,11 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import lr_norm
+from .geometry import GridVector, bregman_distance, lr_norm
 from .solver import (
     SolverConfig,
     a_priori_stop_index,
     check_step_admissibility,
+    run_seed_stack,
     run_sgd,
     schedule_prefix,
 )
@@ -222,8 +223,6 @@ def _spawn_seed(*entropy) -> int:
 
 def _exact_norm_noise(y_exact, delta: float, r_Y: float, seed: int):
     """Perturb every block by a seeded random direction of exact norm delta."""
-    from .geometry import GridVector
-
     gen = np.random.Generator(np.random.Philox(seed))
     noisy = []
     for block in y_exact:
@@ -236,6 +235,17 @@ def _exact_norm_noise(y_exact, delta: float, r_Y: float, seed: int):
     return noisy
 
 
+def _serial_final(problem, y_obs, cell: SolverConfig, delta: float,
+                  s_idx: int) -> float:
+    run = run_sgd(problem, y_obs, cell)
+    if run.diverged:
+        raise RuntimeError(
+            f"run diverged at iteration {run.diverged_at} "
+            f"(delta={delta}, seed index {s_idx})"
+        )
+    return run.history[-1].bregman_to_truth
+
+
 def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
                      n_seeds: int) -> NoisyRateStudy:
     """Measure mean final Bregman distance at the a-priori stop index across
@@ -245,6 +255,13 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
     direction of exact L^r_Y norm delta, runs exactly k(delta) iterations,
     and records the final distance to the ground truth.  The target slope
     is p / alpha.
+
+    The seeds of a level run as one ``run_seed_stack``, so the problem
+    needs a stacked row kernel (the diagonal benchmark has one); any other
+    problem raises ValueError.  The stack gives each cell's serial
+    ``run_sgd`` iterate bit for bit.  If a seed diverges or goes
+    non-finite, the level runs again seed by seed through ``run_sgd``,
+    which raises the serial study's error for the first failing seed.
     """
     deltas = sorted(float(d) for d in delta_list)
     if len(deltas) < 2:
@@ -253,31 +270,34 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
         raise ValueError("noise levels must span at least 1.5 decades")
     if config.stopping.kind != "a_priori" or config.stopping.gamma_budget is None:
         raise ValueError("the study needs an a_priori stopping rule with a budget")
-    if problem.x_truth is None:
+    truth = problem.x_truth
+    if truth is None:
         raise ValueError("the study needs a ground truth")
     if n_seeds < 1:
         raise ValueError("need at least one seed")
 
     Gamma = config.stopping.gamma_budget
+    gx = config.geometry_x()
     rows = []
     for d_idx, delta in enumerate(deltas):
         k_delta = a_priori_stop_index(delta, config.mu0,
                                       config.step_decay_exponent, Gamma, config.p)
-        finals = []
-        for s_idx in range(n_seeds):
-            y_noisy = _exact_norm_noise(problem.y_exact, delta, config.r_Y,
-                                        _spawn_seed(config.seed, d_idx, s_idx, 0))
-            cell = replace(config,
-                           seed=_spawn_seed(config.seed, d_idx, s_idx, 1),
-                           stopping=replace(config.stopping, delta=delta),
-                           record_every=None)
-            run = run_sgd(problem, y_noisy, cell)
-            if run.diverged:
-                raise RuntimeError(
-                    f"run diverged at iteration {run.diverged_at} "
-                    f"(delta={delta}, seed index {s_idx})"
-                )
-            finals.append(run.history[-1].bregman_to_truth)
+        y_rows = [_exact_norm_noise(problem.y_exact, delta, config.r_Y,
+                                    _spawn_seed(config.seed, d_idx, s_idx, 0))
+                  for s_idx in range(n_seeds)]
+        cells = [replace(config,
+                         seed=_spawn_seed(config.seed, d_idx, s_idx, 1),
+                         stopping=replace(config.stopping, delta=delta),
+                         record_every=None)
+                 for s_idx in range(n_seeds)]
+        stack = run_seed_stack(problem, y_rows, cells)
+        if stack is None:
+            finals = [_serial_final(problem, y_obs, cell, delta, s_idx)
+                      for s_idx, (y_obs, cell) in enumerate(zip(y_rows, cells))]
+        else:
+            # the distance the serial run's final record computes
+            finals = [bregman_distance(GridVector(x), truth, gx)
+                      for x in stack[0]]
         finals = np.asarray(finals)
         rows.append(StudyRow(delta=delta, k_delta=k_delta,
                              mean_bregman=float(np.mean(finals)),

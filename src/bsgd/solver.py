@@ -4,8 +4,9 @@ The persistent iterate is the dual variable xi_k; the primal iterate is
 recomputed from it after every update, which avoids a redundant forward
 duality map per step.  Block sampling draws one uniform per iteration from
 a counter-based Philox stream keyed by the run seed and maps it to
-``min(int(u * N), N - 1)``; the protocol is fixed so that independent
-reimplementations can follow the same path.
+``min(int(u * N), N - 1)`` (``_draw_blocks``, which draws a chunk of steps
+at a time: the same doubles as one draw per step); the protocol is fixed so
+that independent reimplementations can follow the same path.
 
 SGD and Landweber share one iteration loop, and it runs on plain float64
 arrays: a step is one call of the problem's ``block_residual_gradient``
@@ -13,13 +14,18 @@ kernel (the mean over all blocks for Landweber), the dual update and the
 inverse duality map, with raw finiteness checks in place of the wrappers'.
 ``GridVector``/``DualVector`` wrappers are built only for the history
 records, the snapshots and the returned ``SGDRun``.
+
+``run_seed_stack`` runs several seeds of one configuration as one
+record-free loop over a leading seed axis, on a problem with a stacked row
+kernel (the separable benchmark).  Each row reproduces ``run_sgd``'s final
+iterates bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +35,9 @@ from .geometry import (
     GeometryParams,
     GridVector,
     _duality_map_raw,
+    _duality_map_rows,
     _lr_norm_raw,
+    _signed_power,
     bregman_distance,
     conjugate_exponent,
     duality_map,
@@ -54,6 +62,7 @@ __all__ = [
     "omega_for_margin_fraction",
     "a_priori_stop_index",
     "run_sgd",
+    "run_seed_stack",
     "run_landweber",
     "relative_error",
     "history_to_csv",
@@ -64,6 +73,9 @@ logger = logging.getLogger(__name__)
 _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
 _MODE_TOL = 1e-9
+# steps of block draws per Generator.random call; it also bounds the
+# per-chunk gather tables of run_seed_stack (S x chunk x block entries)
+_DRAW_CHUNK = 256
 
 
 @lru_cache(maxsize=None)
@@ -508,6 +520,18 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
                   n_iterations=history[-1].k, snapshots=snapshots)
 
 
+def _draw_blocks(gen: np.random.Generator, n: int, n_blocks: int) -> np.ndarray:
+    """The next n block indices min(int(u * N), N - 1) of the stream."""
+    return np.minimum((gen.random(n) * n_blocks).astype(np.intp), n_blocks - 1)
+
+
+def _block_stream(seed: int, n_blocks: int):
+    """Endless block indices of the Philox stream keyed by ``seed``."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    while True:
+        yield from _draw_blocks(gen, _DRAW_CHUNK, n_blocks).tolist()
+
+
 def run_sgd(problem, y_obs, config: SolverConfig, x0=None,
             collect_snapshots: bool = False) -> SGDRun:
     """Run the dual-coordinate SGD iteration with uniform block sampling.
@@ -517,15 +541,93 @@ def run_sgd(problem, y_obs, config: SolverConfig, x0=None,
     relative l^2 error when the ground truth is known, and at record points
     by the residual product norm otherwise.
     """
-    gen = np.random.Generator(np.random.Philox(config.seed))
     N = problem.n_blocks
-
-    def sample():
-        return min(int(gen.random() * N), N - 1)
-
-    return _run_iteration_loop(problem, y_obs, config, x0, sample,
+    return _run_iteration_loop(problem, y_obs, config, x0,
+                               _block_stream(config.seed, N).__next__,
                                iters_per_epoch=N,
                                collect_snapshots=collect_snapshots)
+
+
+def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray] | None:
+    """Run ``run_sgd(problem, y_obs_rows[s], configs[s])`` for every s as one
+    loop over a leading seed axis, recording nothing.
+
+    The configs must differ only in ``seed``, and the problem must have a
+    stacked row kernel (``block_rows_residual_gradient``).  Every row starts
+    from x0 = 0, draws its blocks from its own Philox stream, and takes
+    each step entry by entry as the serial loop does, with the same
+    finiteness checks and divergence guard.  The dual iterate changes only
+    at the drawn block's entries: elsewhere the serial gradient is +0.0, so
+    its update leaves xi as it was, inside the guard.
+
+    Returns the final primal and dual iterates as (S, dim) arrays equal to
+    the serial runs' ``final_x`` and ``final_dual`` bit for bit, or None as
+    soon as any row diverges or goes non-finite; ``run_sgd`` on the rows
+    then tells which check failed, for which row and at which step.
+    """
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("stacked runs must differ only in their seed")
+    if not hasattr(problem, "block_rows_residual_gradient"):
+        raise ValueError(f"{type(problem).__name__} has no stacked row kernel")
+    if len(y_obs_rows) != len(configs):
+        raise ValueError(f"{len(y_obs_rows)} data rows for {len(configs)} configs")
+    N = problem.n_blocks
+    for y_obs in y_obs_rows:
+        if len(y_obs) != N:
+            raise ValueError(f"observation block count {len(y_obs)} != {N}")
+    gx = config.geometry_x()
+    gy = config.geometry_y()
+    total = _total_iterations(config, N)
+    _warn_if_inadmissible(problem, config, max(total, 1))
+
+    S, dim = len(configs), problem.dim
+    idx, diag, lengths, data = problem.stacked_blocks(y_obs_rows)
+    # one scratch entry per row (index dim) absorbs the padding of short blocks
+    xi = np.zeros((S, dim + 1))
+    x = xi.copy()
+    guard = _DIVERGENCE_FACTOR  # max(1, max|J(x0)|) = 1 at x0 = 0
+    row_lengths = np.full(S, dim)
+    # With r* == p* the inverse map acts entry by entry: its norm factor is
+    # 1.0, and a zero row maps to +0.0 entries, as the entrywise power maps
+    # xi's zeros (xi starts at +0.0 and x - y is -0.0 only for x = -0.0).
+    entrywise = gx.r_star == gx.p_star
+    offsets = (np.arange(S) * (dim + 1))[:, None]
+    rows = np.arange(S)
+    gens = [np.random.Generator(np.random.Philox(c.seed)) for c in configs]
+    kernel = problem.block_rows_residual_gradient
+    try:
+        for start in range(0, total, _DRAW_CHUNK):
+            n = min(_DRAW_CHUNK, total - start)
+            blocks = np.stack([_draw_blocks(g, n, N) for g in gens], axis=1)
+            # (n, S, B) flat entries, diagonals and data of each step's blocks
+            flat = idx[blocks] + offsets
+            d, y, n_entries = diag[blocks], data[rows, blocks], lengths[blocks]
+            for t in range(n):
+                mu = step_schedule(config.mu0, config.step_decay_exponent,
+                                   start + t + 1)
+                f = flat[t]
+                resid, grad = kernel(x.take(f), d[t], y[t], n_entries[t], gy)
+                if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
+                    return None
+                new_xi = xi.take(f) - mu * grad
+                if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
+                    return None
+                xi.put(f, new_xi)
+                if entrywise:
+                    new_x = _signed_power(new_xi, gx.r_star - 1.0)
+                    if not np.isfinite(new_x).all():
+                        return None
+                    x.put(f, new_x)
+                else:
+                    x = _duality_map_rows(xi, row_lengths, gx.r_star, gx.p_star)
+                    if not np.isfinite(x).all():
+                        return None
+    except OverflowError:  # a float ** in a norm factor, as in the serial map
+        return None
+    return x[:, :dim].copy(), xi[:, :dim].copy()
 
 
 def run_landweber(problem, y_obs, config: SolverConfig, x0=None,

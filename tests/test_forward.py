@@ -245,13 +245,49 @@ def _lipschitz_oracle(problem, ball_center, ball_radius, n_samples, rng_seed,
     return worst
 
 
+def _tcc_oracle(problem, ball_center, ball_radius, n_samples, rng_seed,
+                r_Y=2.0):
+    """Reference tangential-cone estimate through apply_block and
+    derivative_apply, which project x again for the linear term."""
+    gen = np.random.Generator(np.random.Philox(rng_seed))
+    center = ball_center.values
+    worst = 0.0
+    for _ in range(n_samples):
+        x = GridVector(_ball_sample(gen, center, ball_radius))
+        xt = GridVector(_ball_sample(gen, center, ball_radius))
+        step = x - xt
+        for i in range(problem.n_blocks):
+            fx = problem.apply_block(i, x)
+            fxt = problem.apply_block(i, xt)
+            den = lr_norm(fx - fxt, r_Y)
+            if den < 1e-14:
+                continue
+            lin = problem.derivative_apply(i, x, step)
+            num = lr_norm(fx - fxt - lin, r_Y)
+            worst = max(worst, num / den)
+    return worst
+
+
 @pytest.fixture(scope="module")
 def desk_schlieren(desk_radon, desk_phantom):
     return build_schlieren_problem(desk_radon, 6, desk_phantom)
 
 
-# the estimate cli._build_problem makes for configs/schlieren_desk.ini
+# the estimates cli._build_problem makes for configs/schlieren_desk.ini
 DESK_LMAX_ARGS = (0.25, max(1, 10 // 4), 1234)
+DESK_TCC_ARGS = (0.25, 10, 1234)
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    project = RadonSystem.project
+
+    def counting(self, a, x):
+        calls.append(a)
+        return project(self, a, x)
+
+    monkeypatch.setattr(RadonSystem, "project", counting)
+    return calls
 
 
 class TestEstimators:
@@ -268,19 +304,33 @@ class TestEstimators:
 
     def test_lipschitz_projects_sample_once_per_block(self, desk_schlieren,
                                                       monkeypatch):
-        calls = []
-        project = RadonSystem.project
-
-        def counting(self, a, x):
-            calls.append(a)
-            return project(self, a, x)
-
-        monkeypatch.setattr(RadonSystem, "project", counting)
+        calls = _count_projections(monkeypatch)
         estimate_lipschitz_Lmax(desk_schlieren, desk_schlieren.x_truth,
                                 *DESK_LMAX_ARGS, n_power_iter=20)
         # 2 samples x 5 blocks x 6 angles: x once, then h in each of the
         # 20 power steps (the oracle also projects x twice per step: 3,600)
         assert len(calls) == 60 * (1 + 20) == 1260
+
+    def test_tcc_matches_oracle_desk(self, desk_schlieren):
+        args = (desk_schlieren, desk_schlieren.x_truth) + DESK_TCC_ARGS
+        assert repr(estimate_tcc_gamma(*args, r_Y=2.0)) == \
+            repr(_tcc_oracle(*args, r_Y=2.0))
+
+    @pytest.mark.parametrize("r_y", [2.0, 1.5])
+    def test_tcc_matches_oracle_benchmark(self, r_y):
+        problem = build_benchmark(40, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
+        args = (problem, problem.x_truth, 0.5, 30, 17)
+        assert repr(estimate_tcc_gamma(*args, r_Y=r_y)) == \
+            repr(_tcc_oracle(*args, r_Y=r_y))
+
+    def test_tcc_projects_sample_once_per_block(self, desk_schlieren,
+                                                monkeypatch):
+        calls = _count_projections(monkeypatch)
+        estimate_tcc_gamma(desk_schlieren, desk_schlieren.x_truth,
+                           *DESK_TCC_ARGS, r_Y=2.0)
+        # 10 samples x 5 blocks x 6 angles: x, x~ and x - x~ once each
+        # (the oracle projects x again for the linear term: 1,200)
+        assert len(calls) == 300 * 3 == 900
 
     def test_tcc_zero_for_linear(self):
         problem = build_benchmark(20, 0.5, 1.5, 0.0, n_blocks=4, seed=1)

@@ -6,7 +6,12 @@ import pytest
 from bsgd.forward import StabilityParams, build_benchmark
 from bsgd.rates import (
     DescentConstants,
+    NoisyRateStudy,
     RateFit,
+    StudyRow,
+    _exact_norm_noise,
+    _linear_fit,
+    _spawn_seed,
     descent_margin_audit,
     fit_exact_rate,
     noisy_rate_study,
@@ -15,7 +20,13 @@ from bsgd.rates import (
     write_study_csv,
     write_study_summary,
 )
-from bsgd.solver import IterationRecord, SolverConfig, StoppingRule, run_sgd
+from bsgd.solver import (
+    IterationRecord,
+    SolverConfig,
+    StoppingRule,
+    a_priori_stop_index,
+    run_sgd,
+)
 
 
 def simulate_decay_recursion(d0, mu, excess):
@@ -191,6 +202,98 @@ class TestNoisyRateStudy:
         import json
         payload = json.loads(summary_path.read_text())
         assert "fitted_slope" in payload and "r_squared" in payload
+
+
+def serial_study(problem, stability, delta_list, config, n_seeds):
+    """The study as one serial run_sgd per (seed, level) cell: the loop
+    noisy_rate_study ran before it stacked a level's seeds."""
+    deltas = sorted(float(d) for d in delta_list)
+    Gamma = config.stopping.gamma_budget
+    rows = []
+    for d_idx, delta in enumerate(deltas):
+        k_delta = a_priori_stop_index(delta, config.mu0,
+                                      config.step_decay_exponent, Gamma, config.p)
+        finals = []
+        for s_idx in range(n_seeds):
+            y_noisy = _exact_norm_noise(problem.y_exact, delta, config.r_Y,
+                                        _spawn_seed(config.seed, d_idx, s_idx, 0))
+            cell = dataclasses.replace(
+                config, seed=_spawn_seed(config.seed, d_idx, s_idx, 1),
+                stopping=dataclasses.replace(config.stopping, delta=delta),
+                record_every=None)
+            run = run_sgd(problem, y_noisy, cell)
+            if run.diverged:
+                raise RuntimeError(
+                    f"run diverged at iteration {run.diverged_at} "
+                    f"(delta={delta}, seed index {s_idx})"
+                )
+            finals.append(run.history[-1].bregman_to_truth)
+        finals = np.asarray(finals)
+        rows.append(StudyRow(delta=delta, k_delta=k_delta,
+                             mean_bregman=float(np.mean(finals)),
+                             std_bregman=float(np.std(finals)),
+                             n_seeds=n_seeds))
+    x = np.log(np.array([row.delta for row in rows]))
+    y = np.log(np.maximum([row.mean_bregman for row in rows], 1e-250))
+    slope, r2 = _linear_fit(x, y)
+    fit = RateFit(model="powerlaw_in_delta", fitted_rate=slope, r_squared=r2,
+                  window=(0, len(rows) - 1))
+    return NoisyRateStudy(rows=tuple(rows), fit=fit,
+                          target_slope=config.p / stability.alpha)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestStackedStudyMatchesSerial:
+    """noisy_rate_study stacks each level's seeds; its rows, fit and errors
+    are the serial study's."""
+
+    @pytest.mark.parametrize("beta,mode,r_x,r_y", [
+        (0.0, "theory", 2.0, 2.0),
+        (0.05, "theory", 2.0, 2.0),
+        (0.0, "practice", 1.5, 1.5),
+        (0.0, "theory", 1.5, 2.0),
+    ])
+    def test_rows_and_fit_identical(self, beta, mode, r_x, r_y):
+        problem = build_benchmark(41, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        # delta = 1 stops at k = 0: its row is the distance of x0 = 0
+        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.5, seed=5,
+                                stopping=StoppingRule("a_priori", delta=1.0,
+                                                      gamma_budget=0.4))
+        args = (problem, StabilityParams(1.0, 1.0), [1.0, 0.1, 0.03], cfg, 4)
+        study = noisy_rate_study(*args)
+        assert study.rows[-1].k_delta == 0
+        assert repr(study) == repr(serial_study(*args))
+
+    def test_diverging_level_raises_the_serial_error(self):
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        cfg = study_config(mu0=1e8, gamma_budget=1e8 * 0.03**2 * 200)
+        args = (problem, problem.stability, [1.0, 0.1, 0.03], cfg, 3)
+        raised = _raised(noisy_rate_study, *args)
+        assert raised == _raised(serial_study, *args)
+        assert raised[0] is RuntimeError and "diverged" in raised[1]
+
+    def test_non_finite_level_raises_the_serial_error(self):
+        # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6,
+                                  truth_scale=1e7)
+        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                                stopping=StoppingRule("a_priori", delta=1.0,
+                                                      gamma_budget=50.0))
+        args = (problem, StabilityParams(1.0, 1.0), [1.0, 0.01], cfg, 2)
+        raised = _raised(noisy_rate_study, *args)
+        assert raised == _raised(serial_study, *args)
+        assert raised[0] is ValueError and "finite" in raised[1]
+
+    def test_problem_without_stacked_kernel_rejected(self, small_schlieren):
+        cfg = study_config()
+        with pytest.raises(ValueError, match="stacked row kernel"):
+            noisy_rate_study(small_schlieren, StabilityParams(1.0, 1.0),
+                             [1e-1, 1e-3], cfg, 2)
 
 
 class TestDescentMarginAudit:

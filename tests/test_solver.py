@@ -30,6 +30,7 @@ from bsgd.solver import (
     omega_for_margin_fraction,
     relative_error,
     run_landweber,
+    run_seed_stack,
     run_sgd,
     sgd_step,
     step_schedule,
@@ -793,3 +794,96 @@ def test_gradients_reject_a_misshaped_iterate(small_schlieren):
         stochastic_gradient(p, x, p.y_exact, 0, 2.0, 2.0)
     with pytest.raises(ValueError, match="shape"):
         full_gradient(p, x, p.y_exact, 2.0, 2.0)
+
+
+def _stack_inputs(problem, cfg, n_rows):
+    configs = [dataclasses.replace(cfg, seed=40 + s) for s in range(n_rows)]
+    rows = [add_gaussian(problem.y_exact, 0.02, seed=70 + s)
+            for s in range(n_rows)]
+    return rows, configs
+
+
+class TestSeedStack:
+    """run_seed_stack gives each row's serial run_sgd iterates bit for bit."""
+
+    @pytest.mark.parametrize("n_rows", [2, 20])
+    @pytest.mark.parametrize("dim,beta,mode,r_x,r_y", [
+        (40, 0.0, "theory", 2.0, 2.0),
+        (40, 0.05, "theory", 2.0, 2.0),
+        (40, 0.0, "practice", 1.5, 1.5),
+        (40, 0.0, "theory", 1.5, 2.0),   # p = 2 != r_X: row norms of xi
+        (40, 0.0, "theory", 3.0, 3.0),
+        (40, 0.05, "theory", 3.0, 2.0),  # q = 3 != r_Y: row norms of residuals
+        (41, 0.05, "practice", 1.5, 1.5),
+        (43, 0.0, "theory", 1.5, 2.0),
+    ])
+    def test_matches_serial_runs(self, dim, beta, mode, r_x, r_y, n_rows):
+        problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
+                                step_decay_exponent=0.1, max_epochs=70,
+                                record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, n_rows)
+        final_x, final_dual = run_seed_stack(problem, rows, configs)
+        assert final_x.shape == final_dual.shape == (n_rows, dim)
+        for s, (y, c) in enumerate(zip(rows, configs)):
+            run = run_sgd(problem, y, c)
+            assert final_x[s].tobytes() == run.final_x.values.tobytes()
+            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    def test_a_priori_stop_and_zero_steps(self, hilbert_benchmark):
+        p = hilbert_benchmark
+        for budget, steps in ((0.4, 347), (1e-4, 0)):
+            stop = StoppingRule("a_priori", delta=0.048, gamma_budget=budget)
+            cfg = hilbert_config(mu0=0.5, stopping=stop, record_every=None)
+            rows, configs = _stack_inputs(p, cfg, 3)
+            final_x, final_dual = run_seed_stack(p, rows, configs)
+            for s, (y, c) in enumerate(zip(rows, configs)):
+                run = run_sgd(p, y, c)
+                assert run.n_iterations == steps
+                assert final_x[s].tobytes() == run.final_x.values.tobytes()
+                assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"mu0": 0.45}, {"max_epochs": 21}, {"record_every": 2},
+        {"stopping": StoppingRule("a_priori", delta=0.1, gamma_budget=0.5)},
+    ])
+    def test_configs_must_differ_only_in_seed(self, hilbert_benchmark, change):
+        rows, configs = _stack_inputs(hilbert_benchmark, hilbert_config(), 3)
+        configs[2] = dataclasses.replace(configs[2], **change)
+        with pytest.raises(ValueError, match="only in their seed"):
+            run_seed_stack(hilbert_benchmark, rows, configs)
+
+    def test_problem_without_stacked_kernel_rejected(self, small_schlieren):
+        cfg = hilbert_config()
+        with pytest.raises(ValueError, match="stacked row kernel"):
+            run_seed_stack(small_schlieren, [small_schlieren.y_exact],
+                           [cfg])
+
+    def test_diverging_row_stops_the_stack(self):
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        rows = [problem.y_exact, problem.y_exact]
+        rows[1] = [GridVector(np.full(5, 1e13))] + list(problem.y_exact[1:])
+        configs = [hilbert_config(max_epochs=10, seed=s) for s in (3, 9)]
+        assert run_sgd(problem, rows[1], configs[1]).diverged
+        assert run_seed_stack(problem, rows[:1], configs[:1]) is not None
+        assert run_seed_stack(problem, rows, configs) is None
+
+    def test_non_finite_row_stops_the_stack(self):
+        # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        rows = [problem.y_exact, [GridVector(np.full(5, 1e7))] * 4]
+        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                                max_epochs=3, record_every=None)
+        configs = [dataclasses.replace(cfg, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match="finite"):
+            run_sgd(problem, rows[1], configs[1])
+        assert run_seed_stack(problem, rows, configs) is None
+
+
+def test_chunked_block_draws_equal_single_draws():
+    from bsgd.solver import _block_stream
+
+    stream = _block_stream(11, 7)
+    gen = np.random.Generator(np.random.Philox(11))
+    drawn = [next(stream) for _ in range(1000)]
+    assert drawn == [min(int(gen.random() * 7), 6) for _ in range(1000)]
