@@ -13,6 +13,7 @@ desk sweep nearly twice as slow as one (2-core Xeon).
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -39,6 +40,8 @@ from .solver import (
 )
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_rates", "cmd_phantom"]
+
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -302,6 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic gradient descent for nonlinear inverse "
                     "problems in discrete Lebesgue spaces.",
     )
+    parser.add_argument("--log-level", choices=_LOG_LEVELS, default="warning",
+                        help="least severe solver log message printed to "
+                             "stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment from a config file")
@@ -337,16 +343,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out, seed=args.seed,
-                       epochs=args.epochs, quiet=args.quiet)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.axis, args.values.split(","),
-                         args.out, quiet=args.quiet)
-    if args.command == "rates":
-        return cmd_rates(args.config, args.out, quiet=args.quiet)
-    return cmd_phantom(args.shape, args.blobs, args.amplitude, args.seed,
-                       args.out, quiet=args.quiet)
+    # bare messages on stderr, as Python prints them with no logging set up
+    handler = logging.StreamHandler(sys.stderr)
+    log = logging.getLogger("bsgd")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out, seed=args.seed,
+                           epochs=args.epochs, quiet=args.quiet)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.axis, args.values.split(","),
+                             args.out, quiet=args.quiet)
+        if args.command == "rates":
+            return cmd_rates(args.config, args.out, quiet=args.quiet)
+        return cmd_phantom(args.shape, args.blobs, args.amplitude, args.seed,
+                           args.out, quiet=args.quiet)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,12 @@ inverse duality map, with raw finiteness checks in place of the wrappers'.
 records, the snapshots and the returned ``SGDRun``.
 
 ``run_seed_stack`` runs several seeds of one configuration as one
-record-free loop over a leading seed axis, on a problem with a stacked row
-kernel (the separable benchmark).  Each row reproduces ``run_sgd``'s final
-iterates bit for bit.
+record-free loop over stacked chains of steps, on a problem with a stacked
+row kernel (the separable benchmark).  When the inverse duality map acts
+entry by entry, each (seed, block) pair is an independent chain and a round
+steps every chain that has a step left, so the loop runs as many rounds as
+the longest chain has steps; otherwise a chain is a whole seed.  Each seed
+reproduces ``run_sgd``'s final iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .geometry import (
     bregman_distance,
     conjugate_exponent,
     duality_map,
-    inverse_duality_map,
     lr_norm,
 )
 
@@ -52,10 +54,7 @@ __all__ = [
     "IterationRecord",
     "NoisyRunParams",
     "SGDRun",
-    "objective_value",
     "stochastic_gradient",
-    "full_gradient",
-    "sgd_step",
     "step_schedule",
     "schedule_prefix",
     "check_step_admissibility",
@@ -74,8 +73,14 @@ _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
 _MODE_TOL = 1e-9
 # steps of block draws per Generator.random call; it also bounds the
-# per-chunk gather tables of run_seed_stack (S x chunk x block entries)
+# per-chunk gather tables of run_seed_stack when its chains are whole seeds
+# (S x chunk x block entries)
 _DRAW_CHUNK = 256
+# steps of block draws per call when run_seed_stack counts a seed's draws
+# of each block, and for a decaying schedule writes its (seed, block)
+# chains' step indices (one per step and seed): a few float64 and intp
+# temporaries of this length
+_STEPS_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -224,14 +229,6 @@ class SGDRun:
     snapshots: list[tuple[int, GridVector, DualVector]] = field(default_factory=list)
 
 
-def objective_value(problem, x: GridVector, y_obs, q: float, r_Y: float) -> float:
-    """Psi(x) = (1/N) sum_i (1/q) ||F_i(x) - y_i||_{r_Y}^q over all blocks."""
-    total = 0.0
-    for i in range(problem.n_blocks):
-        total += lr_norm(problem.apply_block(i, x) - y_obs[i], r_Y) ** q / q
-    return total / problem.n_blocks
-
-
 def _require_finite(vals: np.ndarray) -> None:
     """The check a GridVector/DualVector would make, on a raw array."""
     if not np.isfinite(vals).all():
@@ -264,22 +261,6 @@ def _mean_gradient(problem, x: np.ndarray, y: list, gy: GeometryParams) -> np.nd
         _require_finite(resid)
         acc = g if acc is None else acc + g
     return acc / problem.n_blocks
-
-
-def full_gradient(problem, x: GridVector, y_obs, q: float, r_Y: float) -> DualVector:
-    """Mean of all block gradients; the Landweber update direction."""
-    _check_domain(problem, x)
-    y = [yi.values for yi in y_obs]
-    return DualVector(_mean_gradient(problem, x.values, y, _geometry(r_Y, q)))
-
-
-def sgd_step(dual_state: DualVector, g: DualVector, mu: float,
-             geometry: GeometryParams) -> tuple[DualVector, GridVector]:
-    """One dual-space update: xi <- xi - mu * g, primal recomputed from xi."""
-    if mu <= 0:
-        raise ValueError(f"step-size must be positive, got {mu}")
-    new_dual = DualVector(dual_state.values - mu * g.values)
-    return new_dual, inverse_duality_map(new_dual, geometry)
 
 
 def step_schedule(mu0: float, decay: float, k: int) -> float:
@@ -548,22 +529,128 @@ def run_sgd(problem, y_obs, config: SolverConfig, x0=None,
                                collect_snapshots=collect_snapshots)
 
 
+def _block_chunks(seed: int, total: int, n_blocks: int, chunk: int):
+    """The first ``total`` block indices of the stream keyed by ``seed``, in
+    arrays of at most ``chunk``."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    for start in range(0, total, chunk):
+        yield _draw_blocks(gen, min(chunk, total - start), n_blocks)
+
+
+def _seed_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
+    """Chains that are whole seeds.
+
+    State row s is seed s's iterate (``stride`` entries, the last one the
+    scratch entry of the padding), and round t takes step t + 1 of every
+    seed on its drawn block.  Returns the state's flat positions in the
+    (S, stride) result and the rounds.
+    """
+    S, N = len(configs), len(idx)
+    mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
+    rows = np.arange(S)
+    column = rows[:, None]
+
+    def rounds():
+        streams = [_block_chunks(c.seed, total, N, _DRAW_CHUNK)
+                   for c in configs]
+        for start, chunk in zip(range(0, total, _DRAW_CHUNK), zip(*streams)):
+            blocks = np.stack(chunk, axis=1)
+            # (n, S, B) columns, diagonals and data of each step's blocks
+            cols, d, n_entries = idx[blocks], diag[blocks], lengths[blocks]
+            y = data[rows, blocks]
+            for t in range(len(blocks)):
+                mu = step_schedule(mu0, decay, start + t + 1)
+                yield mu, (column, cols[t]), d[t], y[t], n_entries[t]
+
+    return np.arange(S * stride).reshape(S, stride), rounds()
+
+
+def _block_counts(seed: int, total: int, n_blocks: int) -> np.ndarray:
+    """How often the first ``total`` draws of the stream keyed by ``seed``
+    pick each block."""
+    counts = np.zeros(n_blocks, dtype=np.intp)
+    for blocks in _block_chunks(seed, total, n_blocks, _STEPS_CHUNK):
+        counts += np.bincount(blocks, minlength=n_blocks)
+    return counts
+
+
+def _steps_by_block(seed: int, total: int, counts, out) -> None:
+    """Write the steps 1..total of the stream keyed by ``seed`` into ``out``
+    grouped by drawn block, ``counts[b]`` steps for block b, each group in
+    step order."""
+    ends = np.cumsum(counts) - counts  # write positions, from group starts
+    for start, blocks in zip(range(1, total + 1, _STEPS_CHUNK),
+                             _block_chunks(seed, total, len(counts),
+                                           _STEPS_CHUNK)):
+        for b in range(len(counts)):
+            hits = np.flatnonzero(blocks == b) + start
+            out[ends[b]:ends[b] + hits.size] = hits
+            ends[b] += hits.size
+
+
+def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
+    """Chains that are (seed, block) pairs.
+
+    Chain (s, b) takes the steps at which seed s drew block b, in order,
+    and its state row holds the block's entries (padded to the largest
+    block).  The chains are sorted by draw count, longest first, so the
+    chains of round j, those drawn more than j times, are a prefix of the
+    rows.  Returns the state's flat positions in the (S, stride) result and
+    the rounds.
+    """
+    S, N = len(configs), len(idx)
+    mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
+    counts = np.concatenate([_block_counts(c.seed, total, N) for c in configs])
+    order = np.argsort(-counts, kind="stable")
+    if decay != 0.0:  # only a decaying schedule reads the steps' indices
+        steps = np.empty(S * total, dtype=np.min_scalar_type(total))
+        for s, c in enumerate(configs):
+            _steps_by_block(c.seed, total, counts[s * N:(s + 1) * N],
+                            steps[s * total:(s + 1) * total])
+        first = (np.cumsum(counts) - counts)[order]  # chains' first steps
+    counts = counts[order]
+    seed, block = np.divmod(order, N)
+    d, y, n_entries = diag[block], data[seed, block], lengths[block]
+
+    def rounds():
+        n = len(order)
+        for j in range(int(counts[0])):
+            while counts[n - 1] <= j:
+                n -= 1
+            if decay == 0.0:  # step_schedule's constant, without a call per chain
+                mu = mu0
+            else:
+                mu = np.array([step_schedule(mu0, decay, k)
+                               for k in steps[first[:n] + j].tolist()])[:, None]
+            yield mu, np.s_[:n], d[:n], y[:n], n_entries[:n]
+
+    return idx[block] + (seed * stride)[:, None], rounds()
+
+
 def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray] | None:
     """Run ``run_sgd(problem, y_obs_rows[s], configs[s])`` for every s as one
-    loop over a leading seed axis, recording nothing.
+    record-free loop over stacked chains of steps.
 
     The configs must differ only in ``seed``, and the problem must have a
-    stacked row kernel (``block_rows_residual_gradient``).  Every row starts
-    from x0 = 0, draws its blocks from its own Philox stream, and takes
-    each step entry by entry as the serial loop does, with the same
-    finiteness checks and divergence guard.  The dual iterate changes only
-    at the drawn block's entries: elsewhere the serial gradient is +0.0, so
-    its update leaves xi as it was, inside the guard.
+    stacked row kernel (``block_rows_residual_gradient``).  Every seed
+    starts from x0 = 0 and draws its blocks from its own Philox stream.  A
+    step changes only the drawn block's entries of x and xi: elsewhere the
+    serial gradient is +0.0, so its update leaves xi as it was, inside the
+    guard.  When the inverse duality map acts entry by entry (r* == p*),
+    no step reads another block either, so each (seed, block) pair is an
+    independent chain, and the loop advances all chains in lockstep
+    rounds, as many as the longest chain has steps.  Otherwise a chain is
+    a whole seed and a round is one step of every seed.  Each step is
+    taken entry by entry as the serial loop takes it, with mu from
+    ``step_schedule`` at its global step index and the same finiteness
+    checks and divergence guard.
 
     Returns the final primal and dual iterates as (S, dim) arrays equal to
     the serial runs' ``final_x`` and ``final_dual`` bit for bit, or None as
-    soon as any row diverges or goes non-finite; ``run_sgd`` on the rows
-    then tells which check failed, for which row and at which step.
+    soon as any chain diverges or goes non-finite; ``run_sgd`` on the rows
+    then tells which check failed, for which row and at which step.  A
+    chain may run ahead of its seed's failing step, so None can come before
+    the serial failure would, but only for a seed whose serial run fails.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -584,50 +671,44 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     _warn_if_inadmissible(problem, config, max(total, 1))
 
     S, dim = len(configs), problem.dim
-    idx, diag, lengths, data = problem.stacked_blocks(y_obs_rows)
-    # one scratch entry per row (index dim) absorbs the padding of short blocks
-    xi = np.zeros((S, dim + 1))
-    x = xi.copy()
-    guard = _DIVERGENCE_FACTOR  # max(1, max|J(x0)|) = 1 at x0 = 0
-    row_lengths = np.full(S, dim)
+    # idx, diag, lengths and data tables; a result row has one scratch entry
+    # (index dim) for the padding of short blocks
+    tables = problem.stacked_blocks(y_obs_rows)
     # With r* == p* the inverse map acts entry by entry: its norm factor is
     # 1.0, and a zero row maps to +0.0 entries, as the entrywise power maps
     # xi's zeros (xi starts at +0.0 and x - y is -0.0 only for x = -0.0).
     entrywise = gx.r_star == gx.p_star
-    offsets = (np.arange(S) * (dim + 1))[:, None]
-    rows = np.arange(S)
-    gens = [np.random.Generator(np.random.Philox(c.seed)) for c in configs]
+    home, rounds = (_chain_rounds if entrywise else _seed_rounds)(
+        configs, total, dim + 1, *tables)
+    xi = np.zeros(home.shape)
+    x = xi.copy()
+    guard = _DIVERGENCE_FACTOR  # max(1, max|J(x0)|) = 1 at x0 = 0
+    row_lengths = np.full(S, dim)
     kernel = problem.block_rows_residual_gradient
     try:
-        for start in range(0, total, _DRAW_CHUNK):
-            n = min(_DRAW_CHUNK, total - start)
-            blocks = np.stack([_draw_blocks(g, n, N) for g in gens], axis=1)
-            # (n, S, B) flat entries, diagonals and data of each step's blocks
-            flat = idx[blocks] + offsets
-            d, y, n_entries = diag[blocks], data[rows, blocks], lengths[blocks]
-            for t in range(n):
-                mu = step_schedule(config.mu0, config.step_decay_exponent,
-                                   start + t + 1)
-                f = flat[t]
-                resid, grad = kernel(x.take(f), d[t], y[t], n_entries[t], gy)
-                if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
+        for mu, f, d, y, n_entries in rounds:
+            resid, grad = kernel(x[f], d, y, n_entries, gy)
+            if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
+                return None
+            new_xi = xi[f] - mu * grad
+            if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
+                return None
+            xi[f] = new_xi
+            if entrywise:
+                new_x = _signed_power(new_xi, gx.r_star - 1.0)
+                if not np.isfinite(new_x).all():
                     return None
-                new_xi = xi.take(f) - mu * grad
-                if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
+                x[f] = new_x
+            else:
+                x = _duality_map_rows(xi, row_lengths, gx.r_star, gx.p_star)
+                if not np.isfinite(x).all():
                     return None
-                xi.put(f, new_xi)
-                if entrywise:
-                    new_x = _signed_power(new_xi, gx.r_star - 1.0)
-                    if not np.isfinite(new_x).all():
-                        return None
-                    x.put(f, new_x)
-                else:
-                    x = _duality_map_rows(xi, row_lengths, gx.r_star, gx.p_star)
-                    if not np.isfinite(x).all():
-                        return None
     except OverflowError:  # a float ** in a norm factor, as in the serial map
         return None
-    return x[:, :dim].copy(), xi[:, :dim].copy()
+    final = np.zeros((2, S, dim + 1))
+    final[0].put(home, x)
+    final[1].put(home, xi)
+    return final[0, :, :dim].copy(), final[1, :, :dim].copy()
 
 
 def run_landweber(problem, y_obs, config: SolverConfig, x0=None,

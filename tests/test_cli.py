@@ -256,3 +256,34 @@ class TestLandweberAlgorithm:
         # one Landweber iteration per epoch: 10 epochs + the k = 0 row
         assert len(rows) == 12
         assert ",," in rows[2]  # batch column empty for full-gradient steps
+
+
+class TestLogLevel:
+    """--log-level filters the solver's log lines on stderr."""
+
+    def _stderr(self, tmp_path, capsys, text, *options):
+        path = tmp_path / "benchmark.ini"
+        path.write_text(text)
+        out = tmp_path / ("out" + "".join(options))
+        assert main([*options, "run", "--config", str(path), "--out",
+                     str(out), "--quiet"]) == 0
+        return capsys.readouterr().err
+
+    def test_error_silences_the_inadmissible_schedule_warning(self, tmp_path,
+                                                              capsys):
+        # mu0 = 1.7 > 2 / L_max^2 on the Hilbert benchmark
+        text = BENCHMARK_INI.replace("mu0 = 0.5\nepochs = 40",
+                                     "mu0 = 1.7\nepochs = 4")
+        assert "step schedule is inadmissible" in self._stderr(
+            tmp_path, capsys, text)
+        assert self._stderr(tmp_path, capsys, text,
+                            "--log-level", "error") == ""
+
+    def test_debug_shows_the_unchecked_admissibility(self, tmp_path, capsys):
+        # practice mode at r_X = 1.5 has no known smoothness constant
+        text = BENCHMARK_INI.replace("r_x = 2.0\nr_y = 2.0\nmode = theory",
+                                     "r_x = 1.5\nr_y = 1.5\nmode = practice")
+        line = "admissibility not checkable"
+        assert line not in self._stderr(tmp_path, capsys, text)
+        assert line in self._stderr(tmp_path, capsys, text,
+                                    "--log-level", "debug")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ class TestStackedStudyMatchesSerial:
         with pytest.raises(ValueError, match="stacked row kernel"):
             noisy_rate_study(small_schlieren, StabilityParams(1.0, 1.0),
                              [1e-1, 1e-3], cfg, 2)
+
+    def test_memory_peak_of_the_rates_config(self, hilbert_benchmark):
+        # configs/benchmark_rates.ini with 2 seeds: 111,111 steps per seed at
+        # its smallest level, whose block draws as one float64 array would
+        # take 0.9 MB
+        p = hilbert_benchmark
+        cfg = study_config(gamma_budget=0.5)
+        tracemalloc.start()
+        try:
+            noisy_rate_study(p, p.stability, [1e-1, 3e-2, 1e-2, 3e-3], cfg, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestDescentMarginAudit:

@@ -17,22 +17,22 @@ from bsgd.geometry import (
     pairing,
 )
 from bsgd.noise import add_gaussian, noise_level
+from bsgd.rates import _spawn_seed
 from bsgd.solver import (
     IterationRecord,
     SGDRun,
     SolverConfig,
     StoppingRule,
+    _full_diagnostics,
+    _mean_gradient,
     a_priori_stop_index,
     check_step_admissibility,
-    full_gradient,
     history_to_csv,
-    objective_value,
     omega_for_margin_fraction,
     relative_error,
     run_landweber,
     run_seed_stack,
     run_sgd,
-    sgd_step,
     step_schedule,
     stochastic_gradient,
 )
@@ -70,16 +70,19 @@ def euclidean_sgd_trajectory(problem, y_obs, mu0, decay, seed, n_steps, x0):
 
 
 class TestObjective:
+    """The full objective psi that every history record reports."""
+
     def test_zero_at_solution(self, hilbert_benchmark):
         p = hilbert_benchmark
-        assert objective_value(p, p.x_truth, p.y_exact, 2.0, 2.0) == 0.0
+        assert _full_diagnostics(p, p.x_truth, p.y_exact, 2.0, 2.0)[0] == 0.0
 
     def test_single_block_value(self):
         problem = build_benchmark(4, 1.0, 1.0, 0.0, n_blocks=1, seed=0)
         x = GridVector([2.0, 0.0, 0.0, 0.0])
         y = [GridVector(np.zeros(4))]
         # one block, residual norm 2, q = 2: (1/1) * (1/2) * 4 = 2
-        assert objective_value(problem, x, y, 2.0, 2.0) == pytest.approx(2.0)
+        assert _full_diagnostics(problem, x, y, 2.0, 2.0)[0] == \
+            pytest.approx(2.0)
 
     def test_matches_per_block_summation_oracle(self, hilbert_benchmark, rng):
         p = hilbert_benchmark
@@ -87,7 +90,7 @@ class TestObjective:
         q, r = 1.5, 2.0
         direct = sum(lr_norm(p.apply_block(i, x) - p.y_exact[i], r) ** q / q
                      for i in range(p.n_blocks)) / p.n_blocks
-        assert objective_value(p, x, p.y_exact, q, r) == pytest.approx(
+        assert _full_diagnostics(p, x, p.y_exact, q, r)[0] == pytest.approx(
             direct, rel=1e-12)
 
 
@@ -134,37 +137,9 @@ class TestStochasticGradient:
         x = GridVector(rng.standard_normal(40))
         mean = np.mean([stochastic_gradient(p, x, p.y_exact, i, 2.0, 2.0).values
                         for i in range(p.n_blocks)], axis=0)
-        full = full_gradient(p, x, p.y_exact, 2.0, 2.0)
-        np.testing.assert_allclose(mean, full.values, atol=1e-12)
-
-
-class TestSgdStep:
-    def test_zero_gradient_fixed_point(self):
-        g = GeometryParams.for_lebesgue(1.5, 2.0)
-        xi = DualVector([1.0, -2.0])
-        new_xi, x = sgd_step(xi, DualVector([0.0, 0.0]), 0.1, g)
-        np.testing.assert_array_equal(new_xi.values, xi.values)
-
-    def test_hilbert_reduction(self, rng):
-        g = GeometryParams.for_lebesgue(2.0, 2.0)
-        xi = DualVector(rng.standard_normal(5))
-        grad = DualVector(rng.standard_normal(5))
-        new_xi, x = sgd_step(xi, grad, 0.3, g)
-        np.testing.assert_allclose(x.values, xi.values - 0.3 * grad.values,
-                                   rtol=1e-15)
-
-    def test_dual_round_trip(self, rng):
-        g = GeometryParams.for_lebesgue(1.5, 2.0)
-        xi = DualVector(rng.standard_normal(5))
-        grad = DualVector(rng.standard_normal(5))
-        new_xi, x = sgd_step(xi, grad, 0.05, g)
-        np.testing.assert_allclose(duality_map(x, g).values, new_xi.values,
-                                   rtol=1e-10)
-
-    def test_positive_step_required(self):
-        g = GeometryParams.for_lebesgue(2.0, 2.0)
-        with pytest.raises(ValueError):
-            sgd_step(DualVector([1.0]), DualVector([1.0]), 0.0, g)
+        full = _mean_gradient(p, x.values, [y.values for y in p.y_exact],
+                              GeometryParams.for_lebesgue(2.0, 2.0))
+        np.testing.assert_allclose(mean, full, atol=1e-12)
 
 
 class TestSchedule:
@@ -297,13 +272,12 @@ class TestRunSgd:
 
         problem = build_benchmark(40, 0.9, 1.1, 0.0, n_blocks=5, seed=3)
         cfg = hilbert_config(mu0=0.5, max_epochs=50, record_every=None)
-        psi0 = objective_value(problem, GridVector(np.zeros(40)),
-                               problem.y_exact, 2.0, 2.0)
         finals = []
         for seed in range(20):
             run = run_sgd(problem, problem.y_exact,
                           dataclasses.replace(cfg, seed=seed))
             finals.append(run.history[-1].psi)
+        psi0 = run.history[0].psi  # at x0 = 0, the same for every seed
         assert np.mean(finals) < 1e-6 * psi0
 
     def test_dual_primal_consistency(self):
@@ -792,8 +766,6 @@ def test_gradients_reject_a_misshaped_iterate(small_schlieren):
     x = GridVector(np.ones((8, 32)))
     with pytest.raises(ValueError, match="shape"):
         stochastic_gradient(p, x, p.y_exact, 0, 2.0, 2.0)
-    with pytest.raises(ValueError, match="shape"):
-        full_gradient(p, x, p.y_exact, 2.0, 2.0)
 
 
 def _stack_inputs(problem, cfg, n_rows):
@@ -842,6 +814,54 @@ class TestSeedStack:
                 assert run.n_iterations == steps
                 assert final_x[s].tobytes() == run.final_x.values.tobytes()
                 assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    @pytest.mark.parametrize("mode,r_x,decay,budget", [
+        ("theory", 2.0, 0.0, 0.0175),
+        ("practice", 1.5, 0.3, 0.05),
+    ])
+    def test_fewer_steps_than_blocks(self, mode, r_x, decay, budget):
+        # three a-priori steps on five blocks: every seed leaves at least
+        # two of its (seed, block) chains undrawn
+        problem = build_benchmark(41, 0.9, 1.1, 0.05, n_blocks=5, seed=3)
+        stop = StoppingRule("a_priori", delta=0.1, gamma_budget=budget)
+        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_x, mu0=0.5,
+                                step_decay_exponent=decay, stopping=stop,
+                                record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, 4)
+        final_x, final_dual = run_seed_stack(problem, rows, configs)
+        for s, (y, c) in enumerate(zip(rows, configs)):
+            run = run_sgd(problem, y, c)
+            assert run.n_iterations == 3
+            assert final_x[s].tobytes() == run.final_x.values.tobytes()
+            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    def test_one_kernel_call_per_draw_of_the_longest_chain(self, monkeypatch):
+        # configs/benchmark_rates.ini with 2 seeds at its smallest noise
+        # level: 111,111 steps per seed, split over five blocks
+        problem = build_benchmark(40, 0.9, 1.1, 0.0, n_blocks=5, seed=3)
+        stop = StoppingRule("a_priori", delta=3e-3, gamma_budget=0.5)
+        cfg = hilbert_config(mu0=0.5, stopping=stop, record_every=None)
+        configs = [dataclasses.replace(cfg, seed=_spawn_seed(0, 0, s, 1))
+                   for s in range(2)]
+        total = a_priori_stop_index(3e-3, 0.5, 0.0, 0.5, 2.0)
+        longest = 0
+        for c in configs:
+            u = np.random.Generator(np.random.Philox(c.seed)).random(total)
+            blocks = np.minimum((u * 5).astype(np.int64), 4)
+            longest = max(longest, int(np.bincount(blocks).max()))
+        calls = []
+        kernel = BenchmarkProblem.block_rows_residual_gradient
+
+        def counted(self, *args):
+            calls.append(None)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(BenchmarkProblem, "block_rows_residual_gradient",
+                            counted)
+        assert run_seed_stack(problem, [problem.y_exact] * 2,
+                              configs) is not None
+        assert (total, longest) == (111_111, 22_364)
+        assert len(calls) == longest
 
     @pytest.mark.parametrize("change", [
         {"mu0": 0.45}, {"max_epochs": 21}, {"record_every": 2},
