@@ -18,10 +18,11 @@ records, the snapshots and the returned ``SGDRun``.
 ``run_seed_stack`` runs several seeds of one configuration as one
 record-free loop over stacked chains of steps, on a problem with a stacked
 row kernel (the separable benchmark).  When the inverse duality map acts
-entry by entry, each (seed, block) pair is an independent chain and a round
-steps every chain that has a step left, so the loop runs as many rounds as
-the longest chain has steps; otherwise a chain is a whole seed.  Each seed
-reproduces ``run_sgd``'s final iterates bit for bit.
+entry by entry and the step size is constant, each (seed, block) pair is an
+independent chain and a round steps every chain that has a step left, so
+the loop runs as many rounds as the longest chain has steps; otherwise a
+chain is a whole seed.  Each seed reproduces ``run_sgd``'s final iterates
+bit for bit.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ _MODE_TOL = 1e-9
 # per-chunk gather tables of run_seed_stack when its chains are whole seeds
 # (S x chunk x block entries)
 _DRAW_CHUNK = 256
-# steps of block draws per call when run_seed_stack counts a seed's draws
-# of each block, and for a decaying schedule writes its (seed, block)
-# chains' step indices (one per step and seed): a few float64 and intp
-# temporaries of this length
-_STEPS_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -540,56 +536,34 @@ def _block_chunks(seed: int, total: int, n_blocks: int, chunk: int):
 def _seed_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
     """Chains that are whole seeds.
 
-    State row s is seed s's iterate (``stride`` entries, the last one the
-    scratch entry of the padding), and round t takes step t + 1 of every
-    seed on its drawn block.  Returns the state's flat positions in the
-    (S, stride) result and the rounds.
+    The state is the seeds' iterates end to end, ``stride`` entries each
+    (the last one the scratch entry of the padding), and round t takes step
+    t + 1 of every seed on its drawn block, through the block entries' flat
+    positions.  Returns the state's flat positions in the (S, stride)
+    result and the rounds.
     """
     S, N = len(configs), len(idx)
     mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
     rows = np.arange(S)
-    column = rows[:, None]
+    offsets = (rows * stride)[:, None]
 
     def rounds():
         streams = [_block_chunks(c.seed, total, N, _DRAW_CHUNK)
                    for c in configs]
         for start, chunk in zip(range(0, total, _DRAW_CHUNK), zip(*streams)):
             blocks = np.stack(chunk, axis=1)
-            # (n, S, B) columns, diagonals and data of each step's blocks
-            cols, d, n_entries = idx[blocks], diag[blocks], lengths[blocks]
-            y = data[rows, blocks]
+            # (n, S, B) flat entries, diagonals and data of each step's blocks
+            flat = idx[blocks] + offsets
+            d, y, n_entries = diag[blocks], data[rows, blocks], lengths[blocks]
             for t in range(len(blocks)):
                 mu = step_schedule(mu0, decay, start + t + 1)
-                yield mu, (column, cols[t]), d[t], y[t], n_entries[t]
+                yield mu, flat[t], d[t], y[t], n_entries[t]
 
-    return np.arange(S * stride).reshape(S, stride), rounds()
-
-
-def _block_counts(seed: int, total: int, n_blocks: int) -> np.ndarray:
-    """How often the first ``total`` draws of the stream keyed by ``seed``
-    pick each block."""
-    counts = np.zeros(n_blocks, dtype=np.intp)
-    for blocks in _block_chunks(seed, total, n_blocks, _STEPS_CHUNK):
-        counts += np.bincount(blocks, minlength=n_blocks)
-    return counts
-
-
-def _steps_by_block(seed: int, total: int, counts, out) -> None:
-    """Write the steps 1..total of the stream keyed by ``seed`` into ``out``
-    grouped by drawn block, ``counts[b]`` steps for block b, each group in
-    step order."""
-    ends = np.cumsum(counts) - counts  # write positions, from group starts
-    for start, blocks in zip(range(1, total + 1, _STEPS_CHUNK),
-                             _block_chunks(seed, total, len(counts),
-                                           _STEPS_CHUNK)):
-        for b in range(len(counts)):
-            hits = np.flatnonzero(blocks == b) + start
-            out[ends[b]:ends[b] + hits.size] = hits
-            ends[b] += hits.size
+    return np.arange(S * stride), rounds()
 
 
 def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
-    """Chains that are (seed, block) pairs.
+    """Chains that are (seed, block) pairs, for a constant step size.
 
     Chain (s, b) takes the steps at which seed s drew block b, in order,
     and its state row holds the block's entries (padded to the largest
@@ -598,30 +572,22 @@ def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
     rows.  Returns the state's flat positions in the (S, stride) result and
     the rounds.
     """
-    S, N = len(configs), len(idx)
-    mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
-    counts = np.concatenate([_block_counts(c.seed, total, N) for c in configs])
-    order = np.argsort(-counts, kind="stable")
-    if decay != 0.0:  # only a decaying schedule reads the steps' indices
-        steps = np.empty(S * total, dtype=np.min_scalar_type(total))
-        for s, c in enumerate(configs):
-            _steps_by_block(c.seed, total, counts[s * N:(s + 1) * N],
-                            steps[s * total:(s + 1) * total])
-        first = (np.cumsum(counts) - counts)[order]  # chains' first steps
-    counts = counts[order]
+    N = len(idx)
+    counts = np.zeros((len(configs), N), dtype=np.intp)
+    for s, c in enumerate(configs):
+        for blocks in _block_chunks(c.seed, total, N, _DRAW_CHUNK):
+            counts[s] += np.bincount(blocks, minlength=N)
+    order = np.argsort(-counts.ravel(), kind="stable")
+    counts = counts.ravel()[order]
     seed, block = np.divmod(order, N)
     d, y, n_entries = diag[block], data[seed, block], lengths[block]
+    mu = configs[0].mu0  # step_schedule's value at every step when decay = 0
 
     def rounds():
         n = len(order)
         for j in range(int(counts[0])):
             while counts[n - 1] <= j:
                 n -= 1
-            if decay == 0.0:  # step_schedule's constant, without a call per chain
-                mu = mu0
-            else:
-                mu = np.array([step_schedule(mu0, decay, k)
-                               for k in steps[first[:n] + j].tolist()])[:, None]
             yield mu, np.s_[:n], d[:n], y[:n], n_entries[:n]
 
     return idx[block] + (seed * stride)[:, None], rounds()
@@ -637,13 +603,14 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     step changes only the drawn block's entries of x and xi: elsewhere the
     serial gradient is +0.0, so its update leaves xi as it was, inside the
     guard.  When the inverse duality map acts entry by entry (r* == p*),
-    no step reads another block either, so each (seed, block) pair is an
-    independent chain, and the loop advances all chains in lockstep
+    no step reads another block either, and with a constant step size
+    (decay 0) no step needs its global index, so each (seed, block) pair
+    is an independent chain, and the loop advances all chains in lockstep
     rounds, as many as the longest chain has steps.  Otherwise a chain is
-    a whole seed and a round is one step of every seed.  Each step is
-    taken entry by entry as the serial loop takes it, with mu from
-    ``step_schedule`` at its global step index and the same finiteness
-    checks and divergence guard.
+    a whole seed and a round is one step of every seed, with mu from
+    ``step_schedule`` at the step's index.  Each step is taken entry by
+    entry as the serial loop takes it, with the same finiteness checks and
+    divergence guard.
 
     Returns the final primal and dual iterates as (S, dim) arrays equal to
     the serial runs' ``final_x`` and ``final_dual`` bit for bit, or None as
@@ -678,7 +645,8 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     # 1.0, and a zero row maps to +0.0 entries, as the entrywise power maps
     # xi's zeros (xi starts at +0.0 and x - y is -0.0 only for x = -0.0).
     entrywise = gx.r_star == gx.p_star
-    home, rounds = (_chain_rounds if entrywise else _seed_rounds)(
+    chains = entrywise and config.step_decay_exponent == 0.0
+    home, rounds = (_chain_rounds if chains else _seed_rounds)(
         configs, total, dim + 1, *tables)
     xi = np.zeros(home.shape)
     x = xi.copy()
@@ -700,7 +668,8 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
                     return None
                 x[f] = new_x
             else:
-                x = _duality_map_rows(xi, row_lengths, gx.r_star, gx.p_star)
+                x = _duality_map_rows(xi.reshape(S, -1), row_lengths,
+                                      gx.r_star, gx.p_star).ravel()
                 if not np.isfinite(x).all():
                     return None
     except OverflowError:  # a float ** in a norm factor, as in the serial map

@@ -815,17 +815,39 @@ class TestSeedStack:
                 assert final_x[s].tobytes() == run.final_x.values.tobytes()
                 assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
 
-    @pytest.mark.parametrize("mode,r_x,decay,budget", [
-        ("theory", 2.0, 0.0, 0.0175),
-        ("practice", 1.5, 0.3, 0.05),
+    @pytest.mark.parametrize("n_rows", [2, 20])
+    @pytest.mark.parametrize("dim,beta,mode,r_x,r_y", [
+        (40, 0.05, "theory", 2.0, 2.0),
+        (41, 0.05, "practice", 1.5, 1.5),
+        (40, 0.0, "theory", 3.0, 3.0),
+        (40, 0.0, "theory", 1.5, 2.0),   # r* != p*: whole-seed chains
+        (43, 0.05, "theory", 3.0, 2.0),
     ])
-    def test_fewer_steps_than_blocks(self, mode, r_x, decay, budget):
+    def test_matches_serial_runs_at_constant_steps(self, dim, beta, mode,
+                                                   r_x, r_y, n_rows):
+        # decay 0 with r* == p* runs (seed, block) chains
+        problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
+                                step_decay_exponent=0.0, max_epochs=70,
+                                record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, n_rows)
+        final_x, final_dual = run_seed_stack(problem, rows, configs)
+        for s, (y, c) in enumerate(zip(rows, configs)):
+            run = run_sgd(problem, y, c)
+            assert final_x[s].tobytes() == run.final_x.values.tobytes()
+            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    @pytest.mark.parametrize("mode,r_x,budget", [
+        ("theory", 2.0, 0.0175),
+        ("practice", 1.5, 0.05),
+    ])
+    def test_fewer_steps_than_blocks(self, mode, r_x, budget):
         # three a-priori steps on five blocks: every seed leaves at least
         # two of its (seed, block) chains undrawn
         problem = build_benchmark(41, 0.9, 1.1, 0.05, n_blocks=5, seed=3)
         stop = StoppingRule("a_priori", delta=0.1, gamma_budget=budget)
         cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_x, mu0=0.5,
-                                step_decay_exponent=decay, stopping=stop,
+                                step_decay_exponent=0.0, stopping=stop,
                                 record_every=None)
         rows, configs = _stack_inputs(problem, cfg, 4)
         final_x, final_dual = run_seed_stack(problem, rows, configs)
