@@ -65,7 +65,8 @@ def _build_problem(cfg: RunConfig):
                                   truth_scale=cfg.truth_scale)
         return problem, {"gamma_hat": problem.gamma, "L_max_hat": problem.L_max}
     phantom = _load_phantom(cfg)
-    system = build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors)
+    system = build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors,
+                         cfg.batch_size)
     problem = build_schlieren_problem(system, cfg.batch_size, phantom)
     gamma_hat = estimate_tcc_gamma(problem, phantom, cfg.gamma_ball_radius,
                                    cfg.gamma_samples, cfg.estimate_seed,

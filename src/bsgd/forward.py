@@ -37,7 +37,7 @@ from .geometry import (
     _duality_map_rows,
     lr_norm,
 )
-from .radon import RadonSystem
+from .radon import RadonSystem, make_interleaved_batches
 
 __all__ = [
     "StabilityParams",
@@ -196,6 +196,14 @@ def schlieren_adjoint_apply(system: RadonSystem, batch, x, g, *,
 
 
 def _project_batch(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
+    """Stacked projections (len(batch), n_detectors) of the angle list.
+
+    One sparse product when the list is one of the system's batches, else
+    one per angle; each row is summed on its own, so the bits are the same.
+    """
+    k = system.batch_of.get(tuple(batch))
+    if k is not None:
+        return system.project_batch(k, x)
     return np.stack([system.project(a, x) for a in batch])
 
 
@@ -255,17 +263,6 @@ class SchlierenProblem(ForwardProblem):
         resid = px * px - y_i
         w = _duality_map_raw(resid, gy.r, gy.p)
         return resid, schlieren_adjoint_apply(self.system, batch, x, w, px=px).values
-
-
-def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:
-    """Every (n/b)-th index starting from each offset: batch k holds
-    {k, k + n/b, k + 2n/b, ...}, giving n/b batches of b indices each."""
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
-    if n_indices % batch_size != 0:
-        raise ValueError(f"batch size {batch_size} must divide {n_indices}")
-    n_batches = n_indices // batch_size
-    return [list(range(k, n_indices, n_batches)) for k in range(n_batches)]
 
 
 def build_schlieren_problem(system: RadonSystem, batch_size: int,

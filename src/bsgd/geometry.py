@@ -28,7 +28,6 @@ __all__ = [
     "duality_map",
     "inverse_duality_map",
     "bregman_distance",
-    "product_norm",
     "convexity_constant",
     "smoothness_constant",
 ]
@@ -149,14 +148,6 @@ class GeometryParams:
             G_pstar=smoothness_constant(conjugate_exponent(r), conjugate_exponent(p)),
         )
 
-    @property
-    def is_guaranteed(self) -> bool:
-        """True when p >= max(r, 2), the regime with convergence guarantees.
-
-        p < max(r, 2) is the practice choice (duality map J_r on L^r); it is
-        supported but carries no descent guarantee.
-        """
-        return self.p >= max(self.r, 2.0) - _CONJUGACY_TOL
 
 
 def _values(v) -> np.ndarray:
@@ -265,17 +256,6 @@ def bregman_distance(z: GridVector, w: GridVector, g: GeometryParams) -> float:
     nw = _lr_norm_raw(wv.ravel(), g.r)
     jz = _duality_map_raw(zv, g.r, g.p)
     return nz**g.p / g.p_star + nw**g.p / g.p - float(np.dot(jz.ravel(), wv.ravel()))
-
-
-def product_norm(blocks, r_Y: float, r_outer: float) -> float:
-    """Outer l^r_outer norm of the vector of per-block L^r_Y norms."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("block list must be nonempty")
-    norms = np.array([lr_norm(b, r_Y) for b in blocks])
-    if math.isinf(r_outer):
-        return float(np.max(norms))
-    return _lr_norm_raw(norms, r_outer)
 
 
 def _scalar_bregman_ratio_extremum(s: float, find_max: bool) -> float:

@@ -12,6 +12,13 @@ Assembly clips only the (detector, pixel) pairs whose detector lies within
 one spacing of the pixel's shadow on sigma.  The length cutoff still decides
 which entries exist, so the matrices equal those of clipping every pair, and
 no dense detectors x pixels table is formed.
+
+The system is stored in batch order: one CSR per batch of angles
+(``make_interleaved_batches``), its angles' rows stacked in batch order, so
+a batch projects with one sparse product.  Each row is summed on its own,
+so that product has the bits of projecting angle by angle.  The per-angle
+matrices and their transposes are zero-copy views into the batch arrays:
+slices of ``data``/``indices`` with a rebased ``indptr``.
 """
 
 from __future__ import annotations
@@ -22,20 +29,37 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-__all__ = ["RadonSystem", "build_radon"]
+__all__ = ["RadonSystem", "build_radon", "make_interleaved_batches"]
 
 _LENGTH_CUTOFF = 1e-14
 
 
+def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:
+    """Every (n/b)-th index starting from each offset: batch k holds
+    {k, k + n/b, k + 2n/b, ...}, giving n/b batches of b indices each."""
+    if batch_size < 1:
+        raise ValueError("batch size must be >= 1")
+    if n_indices % batch_size != 0:
+        raise ValueError(f"batch size {batch_size} must divide {n_indices}")
+    n_batches = n_indices // batch_size
+    return [list(range(k, n_indices, n_batches)) for k in range(n_batches)]
+
+
 @dataclass(frozen=True)
 class RadonSystem:
-    """Per-angle sparse projection matrices for one discretization."""
+    """Sparse projection matrices for one discretization, one CSR per batch.
+
+    ``batches`` partitions the angle indices; ``batch_matrices[k]`` holds
+    the rows of ``batches[k]``'s angles in that order, so it is
+    (len(batches[k]) * n_detectors) x (rows * cols).
+    """
 
     image_shape: tuple[int, int]
     angles: np.ndarray
     n_detectors: int
     detector_s: np.ndarray
-    matrices: tuple[sparse.csr_matrix, ...]
+    batches: tuple[tuple[int, ...], ...]
+    batch_matrices: tuple[sparse.csr_matrix, ...]
 
     def __post_init__(self):
         rows, cols = self.image_shape
@@ -47,10 +71,12 @@ class RadonSystem:
             raise ValueError("angles must be strictly increasing")
         if self.angles[0] < 0 or self.angles[-1] >= np.pi:
             raise ValueError("angles must lie in [0, pi)")
-        if len(self.matrices) != self.angles.size:
-            raise ValueError("one matrix per angle required")
-        for m in self.matrices:
-            if m.shape != (self.n_detectors, rows * cols):
+        if sorted(a for b in self.batches for a in b) != list(range(self.angles.size)):
+            raise ValueError("batches must partition the angles")
+        if len(self.batch_matrices) != len(self.batches):
+            raise ValueError("one matrix per batch required")
+        for b, m in zip(self.batches, self.batch_matrices):
+            if m.shape != (len(b) * self.n_detectors, rows * cols):
                 raise ValueError(f"matrix shape {m.shape} inconsistent with system")
             if m.nnz and m.data.min() < 0:
                 raise ValueError("intersection lengths must be nonnegative")
@@ -59,6 +85,31 @@ class RadonSystem:
     def n_angles(self) -> int:
         return int(self.angles.size)
 
+    @cached_property
+    def batch_of(self) -> dict[tuple[int, ...], int]:
+        """Batch index of each batch's angle tuple."""
+        return {b: k for k, b in enumerate(self.batches)}
+
+    def project_batch(self, k: int, image: np.ndarray) -> np.ndarray:
+        """Line integrals at batch k's angles from one sparse product;
+        returns (len(batches[k]), n_detectors)."""
+        proj = self.batch_matrices[k] @ np.asarray(image).ravel()
+        return proj.reshape(-1, self.n_detectors)
+
+    @cached_property
+    def matrices(self) -> tuple[sparse.csr_matrix, ...]:
+        """Per-angle matrices, each a zero-copy view into its batch's arrays."""
+        n_det = self.n_detectors
+        views = [None] * self.n_angles
+        for batch, m in zip(self.batches, self.batch_matrices):
+            for row, a in enumerate(batch):
+                ptr = m.indptr[row * n_det:(row + 1) * n_det + 1]
+                lo, hi = ptr[0], ptr[-1]
+                views[a] = _compressed(sparse.csr_matrix, m.data[lo:hi],
+                                       m.indices[lo:hi], ptr - lo,
+                                       (n_det, m.shape[1]))
+        return tuple(views)
+
     def project(self, angle_index: int, image: np.ndarray) -> np.ndarray:
         """Line integrals at one angle; returns (n_detectors,)."""
         return self.matrices[angle_index] @ np.asarray(image).ravel()
@@ -66,11 +117,24 @@ class RadonSystem:
     @cached_property
     def transposes(self) -> tuple[sparse.csc_matrix, ...]:
         """Per-angle transposes, built once; each shares its matrix's arrays."""
-        return tuple(m.T for m in self.matrices)
+        return tuple(_compressed(sparse.csc_matrix, m.data, m.indices, m.indptr,
+                                 m.shape[::-1]) for m in self.matrices)
 
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
         return self.transposes[angle_index] @ np.asarray(sino).ravel()
+
+
+def _compressed(cls, data, indices, indptr, shape):
+    """A CSR or CSC matrix on exactly these arrays.
+
+    scipy's (data, indices, indptr) constructor, and so ``.T``, prunes: it
+    copies a ``data`` or ``indices`` view smaller than half its base, which
+    would double the stored system.  Filling an empty matrix keeps views.
+    """
+    m = cls(shape)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    return m
 
 
 def _slab_interval(p0, direction, lo, hi):
@@ -91,7 +155,8 @@ def _slab_interval(p0, direction, lo, hi):
     return tmin, tmax
 
 
-def _angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matrix:
+def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
+    """One angle's CSR (data, indices) and its per-detector entry counts."""
     c, s = np.cos(theta), np.sin(theta)
     n_det, n_pix = detector_s.size, x_lo.size
     # Candidates: detectors within one spacing of the pixel's shadow [u-w, u+w]
@@ -110,24 +175,40 @@ def _angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matri
     lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
     keep = np.flatnonzero(lengths > _LENGTH_CUTOFF)
     keep = keep[np.argsort(det[keep], kind="stable")]  # CSR order: (detector, pixel)
-    indptr = np.zeros(n_det + 1, dtype=np.int32)
-    np.cumsum(np.bincount(det[keep], minlength=n_det), out=indptr[1:])
-    return sparse.csr_matrix((lengths[keep], pix[keep].astype(np.int32), indptr),
-                             shape=(n_det, n_pix))
+    return (lengths[keep], pix[keep].astype(np.int32),
+            np.bincount(det[keep], minlength=n_det))
 
 
-def build_radon(image_shape, n_angles: int, n_detectors: int) -> RadonSystem:
-    """Assemble per-angle matrices for equidistant angles {0, pi/n, ...}.
+def _batch_matrix(thetas, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matrix:
+    """One CSR holding the angles' rows, stacked in the order given."""
+    parts = [_angle_entries(t, detector_s, x_lo, x_hi, y_lo, y_hi) for t in thetas]
+    indptr = np.zeros(len(parts) * detector_s.size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([counts for _, _, counts in parts]), out=indptr[1:])
+    data = np.concatenate([data for data, _, _ in parts])
+    indices = np.concatenate([indices for _, indices, _ in parts])
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(indptr.size - 1, x_lo.size))
 
-    Only candidate pairs are clipped (module docstring), so peak memory stays
-    near the size of the final CSR arrays.  Deterministic given its inputs;
-    matrices are assembled once and meant to be shared read-only afterwards.
+
+def build_radon(image_shape, n_angles: int, n_detectors: int,
+                batch_size: int = 1) -> RadonSystem:
+    """Assemble the system for equidistant angles {0, pi/n, ...}, one CSR per
+    batch of ``make_interleaved_batches(n_angles, batch_size)``.
+
+    Batches are assembled one at a time and only candidate pairs are clipped
+    (module docstring), so peak memory stays near the size of the final CSR
+    arrays.  The per-angle matrices are views into the batch arrays, made
+    without scipy's constructor (see ``_compressed``): built from views, it
+    copied them and doubled the full-scale system at batch size 18 (88.4 MB
+    traced against 44.4 MB).  Deterministic given its inputs; matrices are
+    assembled once and meant to be shared read-only afterwards.
     """
     rows, cols = int(image_shape[0]), int(image_shape[1])
     if rows <= 0 or cols <= 0:
         raise ValueError(f"image shape must be positive, got {image_shape}")
     if n_angles < 1 or n_detectors < 1:
         raise ValueError("need at least one angle and one detector")
+    batches = make_interleaved_batches(n_angles, batch_size)
 
     angles = np.arange(n_angles) * (np.pi / n_angles)
     detector_s = -1.0 + (np.arange(n_detectors) + 0.5) * (2.0 / n_detectors)
@@ -142,8 +223,8 @@ def build_radon(image_shape, n_angles: int, n_detectors: int) -> RadonSystem:
     y_hi = 1.0 - ii * dy
     y_lo = y_hi - dy
 
-    matrices = tuple(
-        _angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi) for theta in angles
+    batch_matrices = tuple(
+        _batch_matrix(angles[b], detector_s, x_lo, x_hi, y_lo, y_hi) for b in batches
     )
     angles_ro = angles.copy()
     angles_ro.setflags(write=False)
@@ -154,5 +235,6 @@ def build_radon(image_shape, n_angles: int, n_detectors: int) -> RadonSystem:
         angles=angles_ro,
         n_detectors=n_detectors,
         detector_s=det_ro,
-        matrices=matrices,
+        batches=tuple(map(tuple, batches)),
+        batch_matrices=batch_matrices,
     )

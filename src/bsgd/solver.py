@@ -43,7 +43,6 @@ from .geometry import (
     _lr_norm_raw,
     _signed_power,
     bregman_distance,
-    conjugate_exponent,
     duality_map,
     lr_norm,
 )
@@ -53,13 +52,11 @@ __all__ = [
     "StoppingRule",
     "SolverConfig",
     "IterationRecord",
-    "NoisyRunParams",
     "SGDRun",
     "stochastic_gradient",
     "step_schedule",
     "schedule_prefix",
     "check_step_admissibility",
-    "omega_for_margin_fraction",
     "a_priori_stop_index",
     "run_sgd",
     "run_seed_stack",
@@ -160,29 +157,6 @@ class SolverConfig:
 
     def geometry_y(self) -> GeometryParams:
         return _geometry(self.r_Y, self.q)
-
-
-@dataclass(frozen=True)
-class NoisyRunParams:
-    """Constants of the noisy-regime ball argument: noise level, step
-    budget, Young-inequality weight, and the ball radius they induce."""
-
-    delta: float
-    gamma_budget: float
-    omega: float
-    nu: float
-
-    def __post_init__(self):
-        for name in ("delta", "gamma_budget", "omega", "nu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def from_initial_distance(cls, bregman0: float, delta: float,
-                              gamma_budget: float, omega: float, gamma: float,
-                              p: float) -> "NoisyRunParams":
-        nu = bregman0 + omega ** (-p) / p * (1.0 + gamma) ** p * gamma_budget
-        return cls(delta=delta, gamma_budget=gamma_budget, omega=omega, nu=nu)
 
 
 @dataclass
@@ -293,14 +267,6 @@ def check_step_admissibility(mu_list, gamma: float, L_max: float, G_pstar: float
         margins = margins - omega**p_star / p_star
     min_margin = float(np.min(margins))
     return min_margin > 0.0, min_margin
-
-
-def omega_for_margin_fraction(p: float, fraction: float = 0.5) -> float:
-    """Young weight omega whose margin cost omega**p*/p* equals ``fraction``."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
-    p_star = conjugate_exponent(p)
-    return (fraction * p_star) ** (1.0 / p_star)
 
 
 def a_priori_stop_index(delta: float, mu0: float, decay: float, Gamma: float,

@@ -172,17 +172,16 @@ class TestCmdSweep:
         assert (out / "space_exponent=2.0").is_dir()
         assert (out / "space_exponent=1.1:1.1").is_dir()
 
-    def test_sweep_cells_match_manifest_runs(self, schlieren_cfg, tmp_path):
+    def _check_cells_match_manifest_runs(self, cfg, tmp_path, axis, tokens):
         out = tmp_path / "sweep"
-        tokens = ["2.0", "1.1:1.1"]  # not sorted: rows must keep this order
-        assert main(["sweep", "--config", str(schlieren_cfg), "--out",
-                     str(out), "--axis", "space_exponent",
-                     "--values", ",".join(tokens), "--quiet"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", axis, "--values", ",".join(tokens),
+                     "--quiet"]) == 0
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["value"] for row in rows] == tokens
         for tok, row in zip(tokens, rows):
-            cell = out / f"space_exponent={tok}"
+            cell = out / f"{axis}={tok}"
             manifest = (cell / "manifest.txt").read_text()
             assert f"best_metric = {row['best_error']}\n" in manifest
             assert f"best_iteration = {row['best_iteration']}\n" in manifest
@@ -193,6 +192,17 @@ class TestCmdSweep:
                          "geometry.txt"):
                 assert (cell / name).read_bytes() == \
                     (rerun / name).read_bytes(), (tok, name)
+
+    def test_sweep_cells_match_manifest_runs(self, schlieren_cfg, tmp_path):
+        # not sorted: rows must keep this order
+        self._check_cells_match_manifest_runs(schlieren_cfg, tmp_path,
+                                              "space_exponent", ["2.0", "1.1:1.1"])
+
+    def test_batch_size_sweep_cells_match_manifest_runs(self, schlieren_cfg,
+                                                        tmp_path):
+        # each cell builds its Radon system in its own batch layout
+        self._check_cells_match_manifest_runs(schlieren_cfg, tmp_path,
+                                              "batch_size", ["5", "2"])
 
     def test_batch_sweep_row_count(self, schlieren_cfg, tmp_path):
         out = tmp_path / "sweep"

@@ -22,7 +22,7 @@ from bsgd.geometry import (
     lr_norm,
     pairing,
 )
-from bsgd.radon import RadonSystem
+from bsgd.radon import RadonSystem, build_radon
 
 
 def dense_matrix(system, batch):
@@ -278,15 +278,23 @@ DESK_LMAX_ARGS = (0.25, max(1, 10 // 4), 1234)
 DESK_TCC_ARGS = (0.25, 10, 1234)
 
 
-def _count_projections(monkeypatch):
+@pytest.fixture(scope="module")
+def desk_batched(desk_phantom):
+    """The desk problem in the CLI's layout: one matrix per batch of 6."""
+    return build_schlieren_problem(build_radon((32, 32), 30, 45, 6), 6,
+                                   desk_phantom)
+
+
+def _count_projections(monkeypatch, method="project"):
+    """Record the first argument (angle or batch index) of each call."""
     calls = []
-    project = RadonSystem.project
+    original = getattr(RadonSystem, method)
 
-    def counting(self, a, x):
-        calls.append(a)
-        return project(self, a, x)
+    def counting(self, index, v):
+        calls.append(index)
+        return original(self, index, v)
 
-    monkeypatch.setattr(RadonSystem, "project", counting)
+    monkeypatch.setattr(RadonSystem, method, counting)
     return calls
 
 
@@ -422,3 +430,40 @@ class TestBlockResidualGradient:
             resid, grad = p.block_residual_gradient(i, p.x_truth.values,
                                                     p.y_exact[i].values, gy)
             assert np.all(resid == 0.0) and np.all(grad == 0.0)
+
+
+class TestBatchLayout:
+    """A system stored per batch projects each batch with one product."""
+
+    def test_lipschitz_makes_one_product_per_batch(self, desk_batched,
+                                                   monkeypatch):
+        batch_calls = _count_projections(monkeypatch, "project_batch")
+        angle_calls = _count_projections(monkeypatch)
+        estimate_lipschitz_Lmax(desk_batched, desk_batched.x_truth,
+                                *DESK_LMAX_ARGS, n_power_iter=20)
+        # 2 samples x 5 blocks: x once, then h in each of the 20 power steps
+        assert len(batch_calls) == 10 * (1 + 20) == 210
+        assert angle_calls == []
+
+    def test_step_makes_one_forward_product(self, desk_batched, desk_schlieren,
+                                            monkeypatch):
+        gy = GeometryParams.for_lebesgue(2.0)
+        x = desk_batched.x_truth.values + 0.01
+        y = desk_batched.y_exact[2].values
+        want = desk_schlieren.block_residual_gradient(2, x, y, gy)
+        batch_calls = _count_projections(monkeypatch, "project_batch")
+        angle_calls = _count_projections(monkeypatch)
+        back_calls = _count_projections(monkeypatch, "back_project")
+        got = desk_batched.block_residual_gradient(2, x, y, gy)
+        assert batch_calls == [2] and angle_calls == []
+        # the adjoint still back-projects angle by angle, in batch order
+        assert back_calls == list(desk_batched.batches[2])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_estimates_match_the_per_angle_layout(self, desk_batched,
+                                                  desk_schlieren):
+        def estimates(problem):
+            return (estimate_lipschitz_Lmax(problem, problem.x_truth,
+                                            *DESK_LMAX_ARGS, n_power_iter=20),
+                    estimate_tcc_gamma(problem, problem.x_truth, *DESK_TCC_ARGS))
+        assert repr(estimates(desk_batched)) == repr(estimates(desk_schlieren))

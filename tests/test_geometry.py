@@ -15,7 +15,6 @@ from bsgd.geometry import (
     inverse_duality_map,
     lr_norm,
     pairing,
-    product_norm,
     smoothness_constant,
 )
 
@@ -198,32 +197,6 @@ class TestBregmanDistance:
                 assert lr_norm(x, r) ** p <= bound + 1e-9 * (1.0 + bound)
 
 
-class TestProductNorm:
-    def test_single_block(self, rng):
-        block = GridVector(rng.standard_normal(5))
-        assert product_norm([block], 1.5, 2.0) == pytest.approx(
-            lr_norm(block, 1.5), rel=1e-15)
-
-    def test_pythagorean_blocks(self):
-        b1 = GridVector([3.0])
-        b2 = GridVector([4.0])
-        assert product_norm([b1, b2], 2.0, 2.0) == pytest.approx(5.0)
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            product_norm([], 2.0, 2.0)
-
-    def test_norm_equivalence_constant(self, rng):
-        # brute-force check of the equivalence bound for q > r
-        q, r = 2.0, 1.3
-        for _ in range(100):
-            blocks = [GridVector(rng.standard_normal(4)) for _ in range(6)]
-            n = len(blocks)
-            lhs = product_norm(blocks, 2.0, r) ** q
-            rhs = n ** (q / r - 1.0) * product_norm(blocks, 2.0, q) ** q
-            assert lhs <= rhs * (1.0 + 1e-12)
-
-
 class TestGeometryParams:
     def test_conjugacy_validated(self):
         with pytest.raises(ValueError, match="conjugate"):
@@ -236,11 +209,9 @@ class TestGeometryParams:
         assert g.p == 2.0 and g.r_star == pytest.approx(3.0)
         assert g.C_p == pytest.approx(0.5)
         assert g.G_pstar == pytest.approx(2.0)
-        assert g.is_guaranteed
 
     def test_practice_mode_flagged(self):
         g = GeometryParams.for_lebesgue(1.5, 1.5)
-        assert not g.is_guaranteed
         assert g.G_pstar is None
 
     def test_known_constants(self):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from bsgd.radon import _LENGTH_CUTOFF, _slab_interval, build_radon
+from bsgd.radon import (
+    _LENGTH_CUTOFF,
+    _slab_interval,
+    build_radon,
+    make_interleaved_batches,
+)
 
 
 def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
@@ -162,3 +167,52 @@ def test_back_project_uses_cached_transposes_sharing_the_matrices():
         assert np.shares_memory(tr.data, mat.data)
         assert np.shares_memory(tr.indices, mat.indices)
         assert np.shares_memory(tr.indptr, mat.indptr)
+
+
+LAYOUTS = [((16, 16), 10, 23, b) for b in (1, 2, 5, 10)] + [
+    ((32, 32), 30, 45, 6),
+    ((110, 110), 180, 155, 18),
+]
+
+
+@pytest.mark.parametrize("shape, n_angles, n_detectors, batch_size", LAYOUTS)
+def test_batch_layout_keeps_the_per_angle_matrices(shape, n_angles, n_detectors,
+                                                   batch_size):
+    system = build_radon(shape, n_angles, n_detectors, batch_size)
+    single = build_radon(shape, n_angles, n_detectors)
+    assert [list(b) for b in system.batches] == \
+        make_interleaved_batches(n_angles, batch_size)
+    x = np.random.default_rng(3).standard_normal(shape)
+    for k, (batch, bm) in enumerate(zip(system.batches, system.batch_matrices)):
+        assert bm.shape == (len(batch) * n_detectors, shape[0] * shape[1])
+        for a in batch:
+            got, want = system.matrices[a], single.matrices[a]
+            for name in ("indptr", "indices", "data"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype, (a, name)
+                assert g.tobytes() == w.tobytes(), (a, name)
+            tr = system.transposes[a]
+            for arrays in (got, tr):
+                assert np.shares_memory(arrays.data, bm.data)
+                assert np.shares_memory(arrays.indices, bm.indices)
+        stacked = np.stack([system.project(a, x) for a in batch])
+        assert system.project_batch(k, x).tobytes() == stacked.tobytes()
+
+
+def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
+    tracemalloc.start()
+    try:
+        system = build_radon((110, 110), 180, 155, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                    for m in system.batch_matrices)
+    assert len(system.batch_matrices) == 10
+    assert sum(m.nnz for m in system.batch_matrices) == 3_668_024
+    assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
+
+
+def test_batch_size_must_divide_the_angles():
+    with pytest.raises(ValueError, match="divide"):
+        build_radon((4, 4), 10, 5, 3)

@@ -28,7 +28,6 @@ from bsgd.solver import (
     a_priori_stop_index,
     check_step_admissibility,
     history_to_csv,
-    omega_for_margin_fraction,
     relative_error,
     run_landweber,
     run_seed_stack,
@@ -170,7 +169,7 @@ class TestAdmissibility:
         assert ok and margin == pytest.approx((1.0 - gamma) / 2.0, rel=1e-12)
 
     def test_large_gamma_inadmissible_in_noisy_mode(self):
-        omega = omega_for_margin_fraction(2.0, 0.5)
+        omega = (0.5 * 2.0) ** 0.5  # margin cost omega**2/2 = 0.5
         ok, margin = check_step_admissibility([1e-9], 0.6, 1.0, 1.0, 2.0,
                                               omega=omega)
         assert not ok and margin < 0
@@ -306,28 +305,28 @@ class TestRunSgd:
         assert run.best_metric <= run.history[0].rel_l2_error
 
     def test_noisy_perturbation_bound_per_step(self, hilbert_benchmark):
-        from bsgd.solver import NoisyRunParams, check_step_admissibility
-
         p = hilbert_benchmark
         y_noisy = add_gaussian(p.y_exact, 0.05, seed=11)
         _, delta = noise_level(p.y_exact, y_noisy, 2.0)
-        params = NoisyRunParams.from_initial_distance(
-            bregman0=bregman_to_zero_start(p), delta=delta, gamma_budget=1.0,
-            omega=omega_for_margin_fraction(2.0, 0.25), gamma=p.gamma, p=2.0)
+        # Young weight with margin cost omega**2/2 = 0.25, and the radius
+        # nu of the noisy-regime ball (p = 2)
+        omega = (0.25 * 2.0) ** 0.5
+        gamma_budget = 1.0
+        nu = bregman_to_zero_start(p) \
+            + omega ** -2.0 / 2.0 * (1.0 + p.gamma) ** 2.0 * gamma_budget
         cfg = hilbert_config(mu0=0.4, max_epochs=40, seed=5)
         ok, _ = check_step_admissibility([cfg.mu0], p.gamma, p.L_max, 1.0,
-                                         2.0, omega=params.omega)
+                                         2.0, omega=omega)
         assert ok
         run = run_sgd(p, y_noisy, cfg)
-        allowance = params.omega**-2.0 / 2.0 * (1.0 + p.gamma) ** 2 \
-            * params.delta**2
+        allowance = omega**-2.0 / 2.0 * (1.0 + p.gamma) ** 2 * delta**2
         hist = run.history
         for prev, cur in zip(hist[:-1], hist[1:]):
             bound = prev.bregman_to_truth + allowance * cur.mu
             assert cur.bregman_to_truth <= bound + 1e-9
         # with an admissible schedule every iterate stays in the ball of
         # radius nu around the truth
-        assert all(rec.bregman_to_truth <= params.nu + 1e-9 for rec in hist)
+        assert all(rec.bregman_to_truth <= nu + 1e-9 for rec in hist)
 
     def test_semi_convergence_interior_minimum(self):
         problem = build_benchmark(30, 0.05, 1.0, 0.0, n_blocks=5, seed=8)
@@ -445,23 +444,6 @@ class TestSchlierenDeskScale:
         run = run_sgd(problem, y, cfg, x0=0.01)
         assert not run.diverged
         assert run.best_metric < run.history[0].rel_l2_error
-
-
-class TestNoisyRunParams:
-    def test_ball_radius_formula(self):
-        from bsgd.solver import NoisyRunParams
-
-        params = NoisyRunParams.from_initial_distance(
-            bregman0=2.0, delta=0.1, gamma_budget=1.5,
-            omega=omega_for_margin_fraction(2.0, 0.25), gamma=0.0, p=2.0)
-        omega = omega_for_margin_fraction(2.0, 0.25)
-        assert params.nu == pytest.approx(2.0 + omega**-2.0 / 2.0 * 1.5)
-
-    def test_positivity_enforced(self):
-        from bsgd.solver import NoisyRunParams
-
-        with pytest.raises(ValueError):
-            NoisyRunParams(delta=0.0, gamma_budget=1.0, omega=1.0, nu=1.0)
 
 
 def first_draw_of_block(seed, n_blocks, block):
