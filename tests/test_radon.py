@@ -118,6 +118,8 @@ def test_input_validation():
         build_radon((4, 4), 0, 5)
     with pytest.raises(ValueError, match="at least one"):
         build_radon((4, 4), 3, 0)
+    with pytest.raises(ValueError, match="divide"):
+        build_radon((4, 4), 10, 5, 3)
 
 
 @pytest.mark.parametrize("shape, n_angles, n_detectors, angle_indices", [
@@ -211,8 +213,3 @@ def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
     assert len(system.batch_matrices) == 10
     assert sum(m.nnz for m in system.batch_matrices) == 3_668_024
     assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
-
-
-def test_batch_size_must_divide_the_angles():
-    with pytest.raises(ValueError, match="divide"):
-        build_radon((4, 4), 10, 5, 3)
