@@ -8,10 +8,14 @@ uniform partition of [-1, 1].  Matrix entries are the exact lengths of the
 ray segment inside each pixel, obtained by clipping the ray against the
 pixel's axis-aligned slabs.
 
-Assembly clips only the (detector, pixel) pairs whose detector lies within
-one spacing of the pixel's shadow on sigma.  The length cutoff still decides
-which entries exist, so the matrices equal those of clipping every pair, and
-no dense detectors x pixels table is formed.
+Assembly clips only the (detector, pixel) pairs whose detector lies in the
+pixel's shadow on sigma, widened by a rounding margin of ``_BAND_MARGIN``
+detector spacings (the argument is at ``_angle_entries``).  The length
+cutoff still decides which entries exist, so the matrices equal those of
+clipping every pair, and no dense detectors x pixels table is formed.
+
+scipy is imported only where a system is built or viewed, so importing the
+package (and running the benchmark problem) loads no scipy.
 
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
@@ -25,13 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["RadonSystem", "build_radon", "make_interleaved_batches"]
 
 _LENGTH_CUTOFF = 1e-14
+_BAND_MARGIN = 1e-6  # detector spacings added to each side of a pixel's shadow
 
 
 def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:
@@ -99,6 +107,8 @@ class RadonSystem:
     @cached_property
     def matrices(self) -> tuple[sparse.csr_matrix, ...]:
         """Per-angle matrices, each a zero-copy view into its batch's arrays."""
+        from scipy import sparse
+
         n_det = self.n_detectors
         views = [None] * self.n_angles
         for batch, m in zip(self.batches, self.batch_matrices):
@@ -117,6 +127,8 @@ class RadonSystem:
     @cached_property
     def transposes(self) -> tuple[sparse.csc_matrix, ...]:
         """Per-angle transposes, built once; each shares its matrix's arrays."""
+        from scipy import sparse
+
         return tuple(_compressed(sparse.csc_matrix, m.data, m.indices, m.indptr,
                                  m.shape[::-1]) for m in self.matrices)
 
@@ -156,16 +168,27 @@ def _slab_interval(p0, direction, lo, hi):
 
 
 def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
-    """One angle's CSR (data, indices) and its per-detector entry counts."""
+    """One angle's CSR (data, indices) and its per-detector entry counts.
+
+    Candidates are the detectors in the pixel's shadow [u - w, u + w] on
+    sigma, widened by ``_BAND_MARGIN`` spacings.  No pair with an entry is
+    left out: a ray a distance d off the shadow misses the pixel, and its
+    x-slab and y-slab t-intervals are then at least d apart, while the slab
+    arithmetic is accurate to about 1e-16/|direction|.  So a pair whose
+    computed length exceeds ``_LENGTH_CUTOFF`` has its detector in the
+    shadow up to about 1e-13 spacings, far inside the margin.  The margin
+    also keeps a ray lying on a pixel edge, which ``_slab_interval`` may
+    count in both pixels it separates.
+    """
     c, s = np.cos(theta), np.sin(theta)
     n_det, n_pix = detector_s.size, x_lo.size
-    # Candidates: detectors within one spacing of the pixel's shadow [u-w, u+w]
-    # on sigma, so rounding in the band can only add pairs, never drop one.
     ds = 2.0 / n_det
     u = 0.5 * ((x_lo + x_hi) * c + (y_lo + y_hi) * s)
     w = 0.5 * ((x_hi - x_lo) * abs(c) + (y_hi - y_lo) * abs(s))
-    first = np.clip(np.floor((u - w - detector_s[0]) / ds) - 1, 0, n_det).astype(np.intp)
-    last = np.clip(np.ceil((u + w - detector_s[0]) / ds) + 1, -1, n_det - 1).astype(np.intp)
+    lo = (u - w - detector_s[0]) / ds - _BAND_MARGIN
+    hi = (u + w - detector_s[0]) / ds + _BAND_MARGIN
+    first = np.clip(np.ceil(lo), 0, n_det).astype(np.intp)
+    last = np.clip(np.floor(hi), -1, n_det - 1).astype(np.intp)
     counts = np.maximum(last - first + 1, 0)
     pix = np.repeat(np.arange(n_pix), counts)
     det = np.arange(pix.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
@@ -174,13 +197,19 @@ def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
     ty_lo, ty_hi = _slab_interval((detector_s * s)[det], c, y_lo[pix], y_hi[pix])
     lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
     keep = np.flatnonzero(lengths > _LENGTH_CUTOFF)
-    keep = keep[np.argsort(det[keep], kind="stable")]  # CSR order: (detector, pixel)
+    kept_det = det[keep]
+    # CSR order (detector, pixel).  A stable sort gives one permutation for
+    # any key dtype, and numpy's is a radix sort for keys of 16 bits or less.
+    key = kept_det.astype(np.min_scalar_type(n_det - 1))
+    keep = keep[np.argsort(key, kind="stable")]
     return (lengths[keep], pix[keep].astype(np.int32),
-            np.bincount(det[keep], minlength=n_det))
+            np.bincount(kept_det, minlength=n_det))
 
 
 def _batch_matrix(thetas, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matrix:
     """One CSR holding the angles' rows, stacked in the order given."""
+    from scipy import sparse
+
     parts = [_angle_entries(t, detector_s, x_lo, x_hi, y_lo, y_hi) for t in thetas]
     indptr = np.zeros(len(parts) * detector_s.size + 1, dtype=np.int32)
     np.cumsum(np.concatenate([counts for _, _, counts in parts]), out=indptr[1:])

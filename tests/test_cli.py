@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bsgd
 from bsgd.array_io import read_array
 from bsgd.cli import main
 
@@ -237,6 +242,39 @@ class TestCmdRates:
     def test_schlieren_config_rejected(self, schlieren_cfg, tmp_path):
         assert main(["rates", "--config", str(schlieren_cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
+
+
+# Runs one CLI command in a fresh interpreter, then prints its exit code and
+# whether scipy and scipy.sparse were imported.
+_MODULES_AFTER_COMMAND = """
+import sys
+from bsgd.cli import main
+code = main(sys.argv[1:])
+print(code, "scipy" in sys.modules, "scipy.sparse" in sys.modules)
+"""
+
+
+def _modules_after_command(args):
+    src = str(Path(bsgd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+class TestScipyImport:
+    """scipy is imported only by a command that builds a Radon system."""
+
+    def test_rates_loads_no_scipy(self, benchmark_cfg, tmp_path):
+        assert _modules_after_command(
+            ["rates", "--config", str(benchmark_cfg), "--out",
+             str(tmp_path / "rates"), "--quiet"]) == ["0", "False", "False"]
+
+    def test_schlieren_run_loads_scipy_sparse(self, schlieren_cfg, tmp_path):
+        assert _modules_after_command(
+            ["run", "--config", str(schlieren_cfg), "--out",
+             str(tmp_path / "run"), "--quiet"]) == ["0", "True", "True"]
 
 
 class TestCmdPhantom:

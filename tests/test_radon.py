@@ -130,7 +130,9 @@ def test_input_validation():
     ((20, 33), 13, 40, None),
     ((5, 5), 3, 1, None),
     # full scale: at theta = 0 and pi/2 five rays lie exactly on pixel edges
-    ((110, 110), 180, 155, (0, 45, 90, 135)),
+    ((110, 110), 180, 155, range(0, 180, 5)),
+    # every detector lies on a pixel edge at theta = 0 and pi/2
+    ((10, 10), 4, 5, None),
 ])
 def test_band_assembly_is_bitwise_the_dense_oracle(shape, n_angles, n_detectors,
                                                    angle_indices):
@@ -147,6 +149,9 @@ def test_band_assembly_is_bitwise_the_dense_oracle(shape, n_angles, n_detectors,
 
 
 def test_full_scale_assembly_peak_memory_near_matrix_size():
+    # scipy must be imported before tracing starts (it is, at the top of this
+    # module): build_radon imports it on first use, and a first import inside
+    # the trace counts about 14 MB of module objects.
     tracemalloc.start()
     try:
         system = build_radon((110, 110), 180, 155)
@@ -202,6 +207,7 @@ def test_batch_layout_keeps_the_per_angle_matrices(shape, n_angles, n_detectors,
 
 
 def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
+    # scipy is imported before tracing starts, as in the batch-1 guard above.
     tracemalloc.start()
     try:
         system = build_radon((110, 110), 180, 155, 18)
