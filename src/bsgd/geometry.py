@@ -197,6 +197,11 @@ def _signed_power(vals: np.ndarray, expnt: float) -> np.ndarray:
 
 
 def _duality_map_raw(vals: np.ndarray, r: float, p: float) -> np.ndarray:
+    if r == p and np.max(np.abs(vals)) >= 2.0 ** (-1000.0 / r):
+        # The norm factor is norm**0.0 == 1.0 and only the zero test reads
+        # the norm.  An entry this large has |v|^r >= 2**-1000, which cannot
+        # underflow to 0.0, so the map is not zero (NaN takes the norm path).
+        return _signed_power(vals, r - 1.0)
     norm = _lr_norm_raw(vals.ravel(), r)
     if norm == 0.0:
         # J_p(0) = {0}; also the limit along every ray, including p < r

@@ -12,8 +12,9 @@ SGD and Landweber share one iteration loop, and it runs on plain float64
 arrays: a step is one call of the problem's ``block_residual_gradient``
 kernel (the mean over all blocks for Landweber), the dual update and the
 inverse duality map, with raw finiteness checks in place of the wrappers'.
-``GridVector``/``DualVector`` wrappers are built only for the history
-records, the snapshots and the returned ``SGDRun``.
+The history records are raw too (the problem's ``block_forward`` for the
+full objective); ``GridVector``/``DualVector`` wrappers are built only for
+the snapshots and the returned ``SGDRun``.
 
 ``run_seed_stack`` runs several seeds of one configuration as one
 record-free loop over stacked chains of steps, on a problem with a stacked
@@ -44,7 +45,6 @@ from .geometry import (
     _signed_power,
     bregman_distance,
     duality_map,
-    lr_norm,
 )
 
 __all__ = [
@@ -327,21 +327,26 @@ def relative_error(x: GridVector, x_truth: GridVector) -> float:
     return _relative_error_raw(x.values, x_truth.values, _truth_norm(x_truth))
 
 
-def _full_diagnostics(problem, x, y_obs, q, r_Y):
-    """Full objective and the outer-l^q product norm of the residual."""
-    norms = np.array([lr_norm(problem.apply_block(i, x) - y_obs[i], r_Y)
-                      for i in range(problem.n_blocks)])
+def _full_diagnostics(problem, x, y, q, r_Y):
+    """Full objective and the outer-l^q product norm of the residual, from
+    the raw iterate and data blocks."""
+    norms = np.zeros(problem.n_blocks)
+    for i, y_i in enumerate(y):
+        resid = problem.block_forward(i, x) - y_i
+        _require_finite(resid)
+        norms[i] = _lr_norm_raw(resid.ravel(), r_Y)
     psi = float(np.sum(norms**q)) / (q * problem.n_blocks)
     residual = float(np.sum(norms**q) ** (1.0 / q))
     return psi, residual
 
 
-def _make_record(problem, x: GridVector, y_obs, config, k, mu, batch, resid,
+def _make_record(problem, x: np.ndarray, y, config, k, mu, batch, resid,
                  rel, gx) -> IterationRecord:
-    """Record of iterate x; ``resid`` is the sampled block's residual at the
-    pre-step iterate (None on the k = 0 record and for Landweber) and
-    ``rel`` the relative error of x (None without ground truth)."""
-    psi, residual = _full_diagnostics(problem, x, y_obs, config.q, config.r_Y)
+    """Record of the raw iterate x against the raw data blocks y; ``resid``
+    is the sampled block's residual at the pre-step iterate (None on the
+    k = 0 record and for Landweber) and ``rel`` the relative error of x
+    (None without ground truth)."""
+    psi, residual = _full_diagnostics(problem, x, y, config.q, config.r_Y)
     psi_pre = None if resid is None else \
         _lr_norm_raw(resid.ravel(), config.r_Y) ** config.q / config.q
     truth = problem.x_truth
@@ -405,8 +410,8 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
     if truth is not None:
         truth_v, truth_norm = truth.values, _truth_norm(truth)
         rel = _relative_error_raw(x, truth_v, truth_norm)
-    history = [_make_record(problem, x0, y_obs, config, 0, None, None, None,
-                            rel, gx)]
+    history = [_make_record(problem, x, y, config, 0, None, None, None, rel,
+                            gx)]
     if truth is not None:
         best_kind, best_metric = "rel_l2_error", rel
     else:
@@ -431,8 +436,8 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
             diverged = True
             diverged_at = k
-            history.append(_make_record(problem, GridVector(x), y_obs, config,
-                                        k, mu, i, resid, rel, gx))
+            history.append(_make_record(problem, x, y, config, k, mu, i,
+                                        resid, rel, gx))
             logger.warning("iterate diverged at iteration %d; aborting run", k)
             break
         xi = new_xi
@@ -447,13 +452,12 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         is_record = (config.record_every is not None
                      and k % config.record_every == 0) or k == total
         if is_record:
-            xg = GridVector(x)
-            history.append(_make_record(problem, xg, y_obs, config, k, mu, i,
+            history.append(_make_record(problem, x, y, config, k, mu, i,
                                         resid, rel, gx))
             if truth is None and history[-1].residual < best_metric:
                 best_metric, best_x, best_k = history[-1].residual, x, k
             if collect_snapshots:
-                snapshots.append((k, xg, DualVector(xi)))
+                snapshots.append((k, GridVector(x), DualVector(xi)))
 
     return SGDRun(history=history, final_x=GridVector(x),
                   final_dual=DualVector(xi), best_x=GridVector(best_x),

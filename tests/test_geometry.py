@@ -5,7 +5,9 @@ import pytest
 
 from bsgd.geometry import (
     DualVector,
+    _duality_map_raw,
     _lr_norm_raw,
+    _signed_power,
     GeometryParams,
     GridVector,
     bregman_distance,
@@ -92,6 +94,30 @@ class TestDualityMap:
                 y = GridVector(rng.standard_normal(6))
                 gap = pairing(duality_map(x, g) - duality_map(y, g), x - y)
                 assert gap >= -1e-12
+
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 11.0, 10.999999999999991])
+    def test_r_equal_p_keeps_the_bytes_of_the_norm_formula(self, rng, r):
+        def with_norm(vals):
+            # the map with its norm always taken
+            norm = _lr_norm_raw(vals.ravel(), r)
+            if norm == 0.0:
+                return np.zeros_like(vals)
+            return norm ** 0.0 * _signed_power(vals, r - 1.0)
+
+        edge = 2.0 ** (-1000.0 / r)
+        rows = [rng.standard_normal(40) * 10.0 ** rng.uniform(-40, 40)
+                for _ in range(30)]
+        rows += [np.zeros(5), np.full(5, 1e-300), np.full(3, edge),
+                 np.full(3, np.nextafter(edge, 0.0)), np.array([1e-320, -0.0]),
+                 np.array([1.0, np.nan, -2.0]), np.array([np.inf, -1.0, 0.0]),
+                 np.array([-np.inf, np.nan, 0.0])]
+        with np.errstate(all="ignore"):
+            for v in rows:
+                got, want = _duality_map_raw(v, r, r), with_norm(v)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestInverseDualityMap:

@@ -73,12 +73,13 @@ class TestObjective:
 
     def test_zero_at_solution(self, hilbert_benchmark):
         p = hilbert_benchmark
-        assert _full_diagnostics(p, p.x_truth, p.y_exact, 2.0, 2.0)[0] == 0.0
+        y = [b.values for b in p.y_exact]
+        assert _full_diagnostics(p, p.x_truth.values, y, 2.0, 2.0)[0] == 0.0
 
     def test_single_block_value(self):
         problem = build_benchmark(4, 1.0, 1.0, 0.0, n_blocks=1, seed=0)
-        x = GridVector([2.0, 0.0, 0.0, 0.0])
-        y = [GridVector(np.zeros(4))]
+        x = np.array([2.0, 0.0, 0.0, 0.0])
+        y = [np.zeros(4)]
         # one block, residual norm 2, q = 2: (1/1) * (1/2) * 4 = 2
         assert _full_diagnostics(problem, x, y, 2.0, 2.0)[0] == \
             pytest.approx(2.0)
@@ -89,7 +90,8 @@ class TestObjective:
         q, r = 1.5, 2.0
         direct = sum(lr_norm(p.apply_block(i, x) - p.y_exact[i], r) ** q / q
                      for i in range(p.n_blocks)) / p.n_blocks
-        assert _full_diagnostics(p, x, p.y_exact, q, r)[0] == pytest.approx(
+        y = [b.values for b in p.y_exact]
+        assert _full_diagnostics(p, x.values, y, q, r)[0] == pytest.approx(
             direct, rel=1e-12)
 
 
