@@ -14,16 +14,13 @@ Each problem has one raw-array kernel for the SGD step,
 ``block_residual_gradient``: a single forward pass gives the block residual,
 and the gradient F_i'(x)* J_q(residual) reuses that pass.  The Schlieren
 kernel hands its projections to ``schlieren_adjoint_apply``, so the step's
-back-projection is the adjoint of the validated API, not a copy of it.  That
-adjoint back-projects a batch of the Radon system with one stacked product
-when the batch is small (``RadonSystem.back_project_batch``) and angle by
-angle otherwise, with the same bits.  The solver loop calls only the kernel,
-and its records call ``block_forward``, the raw F_i(x) that ``apply_block``
-wraps.  ``apply_block``, ``derivative_apply`` and ``adjoint_apply`` take and
-return validated ``GridVector``/``DualVector`` wrappers; the constant
-estimators use them.  ``linearization`` and ``normal_operator`` fix the
-linearisation point once for the two constant estimators, so the Schlieren
-problem projects it once.
+back-projection is the adjoint of the validated API, not a copy of it.  The
+solver loop calls only the kernel, and its records call ``block_forward``,
+the raw F_i(x) under ``apply_block``.  ``apply_block``, ``derivative_apply``
+and ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
+wrappers; the constant estimators use them.  ``linearization`` and
+``normal_operator`` fix the linearisation point once for the two constant
+estimators, so the Schlieren problem projects it once.
 """
 
 from __future__ import annotations
@@ -161,8 +158,13 @@ class ForwardProblem:
 def schlieren_apply(system: RadonSystem, batch, x: GridVector) -> GridVector:
     """Componentwise square of the stacked line integrals over the batch."""
     _check_image(system, x)
-    proj = _project_batch(system, batch, x.values)
-    return GridVector(proj * proj)
+    return GridVector(_schlieren_forward(system, batch, x.values))
+
+
+def _schlieren_forward(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
+    """Raw ``schlieren_apply``: arrays in, arrays out, nothing validated."""
+    proj = _project_batch(system, batch, x)
+    return proj * proj
 
 
 def schlieren_derivative_apply(system: RadonSystem, batch, x: GridVector,
@@ -199,8 +201,8 @@ def schlieren_adjoint_apply(system: RadonSystem, batch, x, g, *,
         px = _project_batch(system, batch, x.values)
     # accumulated angle by angle in batch order
     out = np.zeros(system.image_shape[0] * system.image_shape[1])
-    for part in _back_project_rows(system, batch, 2.0 * px * gv):
-        out += part
+    for a, row in zip(batch, 2.0 * px * gv):
+        out += system.back_project(a, row)
     return DualVector(out.reshape(system.image_shape))
 
 
@@ -214,19 +216,6 @@ def _project_batch(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
     if k is not None:
         return system.project_batch(k, x)
     return np.stack([system.project(a, x) for a in batch])
-
-
-def _back_project_rows(system: RadonSystem, batch, w: np.ndarray):
-    """Each angle's back-projection of its row of ``w``, in batch order.
-
-    One sparse product when the list is one of the system's batches and
-    that batch has a stacked transpose, else one per angle; each is the
-    same per-angle sum, so the bits are the same.
-    """
-    k = system.batch_of.get(tuple(batch))
-    if k is not None and system.stacked_transposes[k] is not None:
-        return system.back_project_batch(k, w)
-    return (system.back_project(a, row) for a, row in zip(batch, w))
 
 
 def _check_image(system: RadonSystem, x: GridVector) -> None:
@@ -248,12 +237,10 @@ class SchlierenProblem(ForwardProblem):
 
     def apply_block(self, i, x):
         self._check_block(i)
-        _check_image(self.system, x)
-        return GridVector(self.block_forward(i, x.values))
+        return schlieren_apply(self.system, self.batches[i], x)
 
     def block_forward(self, i, x):
-        px = _project_batch(self.system, self.batches[i], x)
-        return px * px
+        return _schlieren_forward(self.system, self.batches[i], x)
 
     def derivative_apply(self, i, x, h):
         self._check_block(i)

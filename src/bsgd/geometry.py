@@ -216,9 +216,11 @@ def _duality_map_rows(vals: np.ndarray, lengths, r: float, p: float) -> np.ndarr
     Row s holds ``lengths[s]`` entries followed by zero padding.  With
     r == p the norm factor is norm**0.0 == 1.0 and only the zero-row test
     reads the norm; it asks whether a row's |v|^r terms sum to 0.0, that is
-    whether each term is 0.0, which no summation order changes.  Otherwise
-    each row's norm is taken from its contiguous unpadded view, as the
-    serial map takes it.
+    whether each term is 0.0, which no summation order changes.  The serial
+    map first tests max|v| against a bound to skip the powers of a long
+    vector; on these short rows the terms cost less than that test.
+    Otherwise each row's norm is taken from its contiguous unpadded view, as
+    the serial map takes it.
     """
     out = _signed_power(vals, r - 1.0)
     if r == p:

@@ -23,14 +23,6 @@ a batch projects with one sparse product.  Each row is summed on its own,
 so that product has the bits of projecting angle by angle.  The per-angle
 matrices and their transposes are zero-copy views into the batch arrays:
 slices of ``data``/``indices`` with a rebased ``indptr``.
-
-A small batch also back-projects with one sparse product
-(``back_project_batch``): its stacked transpose gives each angle's pixels
-rows of their own, so the product returns every angle's back-projection
-apart, each pixel summed over that angle's detectors in order from +0.0,
-the bits of ``back_project``.  It shares the batch's ``data`` and
-``indptr`` and adds one row-index array, built for batches whose partial
-sums fit in ``_STACKED_BYTES``.
 """
 
 from __future__ import annotations
@@ -48,11 +40,6 @@ __all__ = ["RadonSystem", "build_radon", "make_interleaved_batches"]
 
 _LENGTH_CUTOFF = 1e-14
 _BAND_MARGIN = 1e-6  # detector spacings added to each side of a pixel's shadow
-# Largest (angles x pixels) float64 partial sums of a stacked back-projection.
-# Below it one product saves the per-call overhead of one per angle; at full
-# scale (1.7 MB) the stacked product was no faster than per angle and its
-# row indices cost 14.7 MB more, so larger batches stay per angle.
-_STACKED_BYTES = 256 * 1024
 
 
 def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]:
@@ -148,33 +135,6 @@ class RadonSystem:
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
         return self.transposes[angle_index] @ np.asarray(sino).ravel()
-
-    @cached_property
-    def stacked_transposes(self) -> tuple[sparse.csc_matrix | None, ...]:
-        """Per batch, its transpose with row pixel + j * P for angle j of the
-        batch (P pixels), or None for a batch whose partial sums exceed
-        ``_STACKED_BYTES``.  Shares the batch's ``data`` and ``indptr``."""
-        from scipy import sparse
-
-        n_det = self.n_detectors
-        n_pix = self.image_shape[0] * self.image_shape[1]
-        stacked = []
-        for batch, m in zip(self.batches, self.batch_matrices):
-            if len(batch) * n_pix * 8 > _STACKED_BYTES:
-                stacked.append(None)
-                continue
-            angle = np.repeat(np.arange(m.shape[0]) // n_det, np.diff(m.indptr))
-            rows = (m.indices + angle * n_pix).astype(np.int32)
-            stacked.append(_compressed(sparse.csc_matrix, m.data, rows, m.indptr,
-                                       (len(batch) * n_pix, m.shape[0])))
-        return tuple(stacked)
-
-    def back_project_batch(self, k: int, sino: np.ndarray) -> np.ndarray:
-        """``back_project`` of each angle of batch k, from one sparse product
-        (batch k must have a stacked transpose); returns
-        (len(batches[k]), rows * cols)."""
-        flat = self.stacked_transposes[k] @ np.asarray(sino).ravel()
-        return flat.reshape(len(self.batches[k]), -1)
 
 
 def _compressed(cls, data, indices, indptr, shape):

@@ -22,10 +22,7 @@ from bsgd.geometry import (
     lr_norm,
     pairing,
 )
-from bsgd.noise import NoiseSpec, apply_noise
-from bsgd.phantoms import make_phantom
 from bsgd.radon import RadonSystem, build_radon
-from bsgd.solver import SolverConfig, run_sgd
 
 
 def dense_matrix(system, batch):
@@ -459,8 +456,8 @@ class TestBatchLayout:
         back_calls = _count_projections(monkeypatch, "back_project")
         got = desk_batched.block_residual_gradient(2, x, y, gy)
         assert batch_calls == [2] and angle_calls == []
-        # the desk batch back-projects with one stacked product, not per angle
-        assert back_calls == []
+        # the adjoint still back-projects angle by angle, in batch order
+        assert back_calls == list(desk_batched.batches[2])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_estimates_match_the_per_angle_layout(self, desk_batched,
@@ -470,76 +467,3 @@ class TestBatchLayout:
                                             *DESK_LMAX_ARGS, n_power_iter=20),
                     estimate_tcc_gamma(problem, problem.x_truth, *DESK_TCC_ARGS))
         assert repr(estimates(desk_batched)) == repr(estimates(desk_schlieren))
-
-
-def _adjoint_bytes(problem, gy, rng):
-    """Bytes of every block's step kernel, adjoint and normal operator at a
-    point and direction drawn from ``rng``."""
-    x = GridVector(problem.x_truth.values + 0.1 * rng.standard_normal(
-        problem.domain_shape))
-    v = rng.standard_normal(problem.domain_shape)
-    out = []
-    for i in range(problem.n_blocks):
-        y = problem.y_exact[i].values + 0.05 * rng.standard_normal(
-            problem.y_exact[i].shape)
-        resid, grad = problem.block_residual_gradient(i, x.values, y, gy)
-        out += [resid.tobytes(), grad.tobytes(),
-                problem.adjoint_apply(i, x, y).values.tobytes(),
-                problem.normal_operator(i, x)(v).tobytes()]
-    return out
-
-
-def _uses_stacked_adjoint(problem):
-    system = problem.system
-    return all(system.stacked_transposes[system.batch_of[tuple(b)]] is not None
-               for b in problem.batches)
-
-
-class TestStackedBackProjection:
-    """A small batch back-projects with one stacked product, with the bits of
-    back-projecting angle by angle."""
-
-    @pytest.mark.parametrize("r_y", [2.0, 1.5, 1.1])
-    def test_desk_blocks_match_the_per_angle_layout(self, desk_batched,
-                                                    desk_schlieren, r_y):
-        assert _uses_stacked_adjoint(desk_batched)
-        gy = GeometryParams.for_lebesgue(r_y)
-        assert _adjoint_bytes(desk_batched, gy, np.random.default_rng(5)) == \
-            _adjoint_bytes(desk_schlieren, gy, np.random.default_rng(5))
-
-    def test_edge_rays_match_the_per_angle_layout(self):
-        # at 0 and pi/2 rays of this geometry lie on pixel edges
-        phantom = make_phantom("sparse_blobs", (10, 10), 2, 1.0, seed=3)
-        batched, twin = (build_schlieren_problem(build_radon((10, 10), 4, 5, b),
-                                                 2, phantom) for b in (2, 1))
-        assert _uses_stacked_adjoint(batched)
-        gy = GeometryParams.for_lebesgue(1.5)
-        assert _adjoint_bytes(batched, gy, np.random.default_rng(6)) == \
-            _adjoint_bytes(twin, gy, np.random.default_rng(6))
-
-    def test_desk_run_matches_the_per_angle_layout(self, desk_batched,
-                                                   desk_schlieren):
-        # the 1.1:1.1 cell of the desk exponent sweep
-        spec = NoiseSpec(kind="gaussian", epsilon=1e-2, seed=4)
-        y_obs = apply_noise(desk_batched.y_exact, spec)
-        cfg = SolverConfig.make("practice", r_X=1.1, r_Y=1.1, mu0=1.0,
-                                step_decay_exponent=0.2, max_epochs=200,
-                                seed=1, record_every=5)
-        got, want = (run_sgd(p, y_obs, cfg, x0=0.01)
-                     for p in (desk_batched, desk_schlieren))
-        assert repr(got.history) == repr(want.history)
-        for name in ("final_x", "final_dual", "best_x"):
-            assert getattr(got, name).values.tobytes() == \
-                getattr(want, name).values.tobytes(), name
-        assert got.best_k == want.best_k
-
-    @pytest.mark.parametrize("n_angles,stacked", [(4, False), (3, True)])
-    def test_large_batch_stays_per_angle(self, n_angles, stacked, monkeypatch):
-        # 96 x 96 float64 partial sums: 288 KiB for 4 angles, 216 KiB for 3
-        system = build_radon((96, 96), n_angles, 20, n_angles)
-        assert (system.stacked_transposes[0] is not None) == stacked
-        back_calls = _count_projections(monkeypatch, "back_project")
-        x = GridVector(np.ones(system.image_shape))
-        g = np.ones((n_angles, system.n_detectors))
-        schlieren_adjoint_apply(system, range(n_angles), x, g)
-        assert back_calls == ([] if stacked else list(range(n_angles)))

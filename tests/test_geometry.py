@@ -6,6 +6,7 @@ import pytest
 from bsgd.geometry import (
     DualVector,
     _duality_map_raw,
+    _duality_map_rows,
     _lr_norm_raw,
     _signed_power,
     GeometryParams,
@@ -95,7 +96,6 @@ class TestDualityMap:
                 gap = pairing(duality_map(x, g) - duality_map(y, g), x - y)
                 assert gap >= -1e-12
 
-
     @pytest.mark.parametrize("r", [1.5, 2.0, 11.0, 10.999999999999991])
     def test_r_equal_p_keeps_the_bytes_of_the_norm_formula(self, rng, r):
         def with_norm(vals):
@@ -112,12 +112,19 @@ class TestDualityMap:
                  np.full(3, np.nextafter(edge, 0.0)), np.array([1e-320, -0.0]),
                  np.array([1.0, np.nan, -2.0]), np.array([np.inf, -1.0, 0.0]),
                  np.array([-np.inf, np.nan, 0.0])]
+        lengths = [v.size for v in rows]
+        padded = np.zeros((len(rows), max(lengths)))
+        for s, v in enumerate(rows):
+            padded[s, :v.size] = v
         with np.errstate(all="ignore"):
-            for v in rows:
-                got, want = _duality_map_raw(v, r, r), with_norm(v)
+            by_row = _duality_map_rows(padded, lengths, r, r)
+            for s, v in enumerate(rows):
+                want = with_norm(v)
                 nan = np.isnan(want)
-                assert np.array_equal(np.isnan(got), nan)
-                assert got[~nan].tobytes() == want[~nan].tobytes()
+                for got in (_duality_map_raw(v, r, r), by_row[s, :v.size]):
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert got[~nan].tobytes() == want[~nan].tobytes()
+                assert not by_row[s, v.size:].any()
 
 
 class TestInverseDualityMap:
