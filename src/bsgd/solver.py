@@ -20,10 +20,13 @@ the snapshots and the returned ``SGDRun``.
 record-free loop over stacked chains of steps, on a problem with a stacked
 row kernel (the separable benchmark).  When the inverse duality map acts
 entry by entry and the step size is constant, each (seed, block) pair is an
-independent chain and a round steps every chain that has a step left, so
-the loop runs as many rounds as the longest chain has steps; otherwise a
-chain is a whole seed.  Each seed reproduces ``run_sgd``'s final iterates
-bit for bit.
+independent chain that applies one fixed map at every step, and a round
+steps every chain that has a step left.  The loop ends when the longest
+chain has no step left, or sooner, once every active chain's state repeats
+bit for bit with period 2: each chain's final state then follows from the
+parity of its remaining steps.  Otherwise a chain is a whole seed, as its
+map couples the blocks or changes with the step index.  Each seed
+reproduces ``run_sgd``'s final iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ _MODE_TOL = 1e-9
 # per-chunk gather tables of run_seed_stack when its chains are whole seeds
 # (S x chunk x block entries)
 _DRAW_CHUNK = 256
+# rounds between the chain loop's tests for a period-2 state: it copies the
+# state at rounds -2 and -1 (mod this) and compares at rounds 0 (mod this);
+# at 3 (a copy or a compare every round) a stack that never cycles ran 12%
+# slower, at 64 it runs as fast as with no test
+_CYCLE_CHECK = 64
 
 
 @lru_cache(maxsize=None)
@@ -510,14 +518,15 @@ def _seed_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
     (the last one the scratch entry of the padding), and round t takes step
     t + 1 of every seed on its drawn block, through the block entries' flat
     positions.  Returns the state's flat positions in the (S, stride)
-    result and the rounds.
+    result and the rounds, as a generator function of the state arrays
+    (which it does not read).
     """
     S, N = len(configs), len(idx)
     mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
     rows = np.arange(S)
     offsets = (rows * stride)[:, None]
 
-    def rounds():
+    def rounds(xi, x):
         streams = [_block_chunks(c.seed, total, N, _DRAW_CHUNK)
                    for c in configs]
         for start, chunk in zip(range(0, total, _DRAW_CHUNK), zip(*streams)):
@@ -529,7 +538,7 @@ def _seed_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
                 mu = step_schedule(mu0, decay, start + t + 1)
                 yield mu, flat[t], d[t], y[t], n_entries[t]
 
-    return np.arange(S * stride), rounds()
+    return np.arange(S * stride), rounds
 
 
 def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
@@ -540,7 +549,18 @@ def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
     block).  The chains are sorted by draw count, longest first, so the
     chains of round j, those drawn more than j times, are a prefix of the
     rows.  Returns the state's flat positions in the (S, stride) result and
-    the rounds.
+    the rounds, as a generator function of the state arrays xi and x.
+
+    A row's step reads only its own row, through the fixed mu and its own
+    d, y and n_entries, and every check on it is a function of its values.
+    So once round j leaves every active dual row as it was after round
+    j - 2, bit for bit (x is a function of xi), each active chain
+    alternates between its round j - 1 and round j states, and every later
+    round would pass the checks that these rounds passed.  The rounds then
+    end, and each active chain takes the state that the parity of its
+    remaining steps, counts - (j + 1), gives it; the chains that left the
+    prefix earlier already hold their final rows.  The test runs at rounds
+    0 (mod ``_CYCLE_CHECK``).
     """
     N = len(idx)
     counts = np.zeros((len(configs), N), dtype=np.intp)
@@ -553,14 +573,30 @@ def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
     d, y, n_entries = diag[block], data[seed, block], lengths[block]
     mu = configs[0].mu0  # step_schedule's value at every step when decay = 0
 
-    def rounds():
-        n = len(order)
-        for j in range(int(counts[0])):
+    def rounds(xi, x):
+        n, budget = len(order), int(counts[0])
+        for j in range(budget):
             while counts[n - 1] <= j:
                 n -= 1
             yield mu, np.s_[:n], d[:n], y[:n], n_entries[:n]
+            # copies: xi[:n] is a view that the next round overwrites
+            phase = j % _CYCLE_CHECK
+            if phase == _CYCLE_CHECK - 2:
+                xi_back2 = xi[:n].copy()
+            elif phase == _CYCLE_CHECK - 1:
+                xi_back1, x_back1 = xi[:n].copy(), x[:n].copy()
+            # bit patterns, as == takes -0.0 for +0.0; the prefix may have
+            # shrunk since round j - 2, and its first n rows are these chains
+            elif phase == 0 and j and np.array_equal(
+                    xi[:n].view(np.uint64), xi_back2[:n].view(np.uint64)):
+                odd = (counts[:n] - (j + 1)) % 2 == 1
+                xi[:n][odd] = xi_back1[:n][odd]
+                x[:n][odd] = x_back1[:n][odd]
+                logger.debug("seed stack: chains periodic at round %d of %d, "
+                             "%d rounds skipped", j, budget, budget - j - 1)
+                return
 
-    return idx[block] + (seed * stride)[:, None], rounds()
+    return idx[block] + (seed * stride)[:, None], rounds
 
 
 def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray] | None:
@@ -576,7 +612,10 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     no step reads another block either, and with a constant step size
     (decay 0) no step needs its global index, so each (seed, block) pair
     is an independent chain, and the loop advances all chains in lockstep
-    rounds, as many as the longest chain has steps.  Otherwise a chain is
+    rounds, as many as the longest chain has steps, unless every active
+    chain's state turns periodic with period 2 first; the loop then stops
+    and gives each chain the state of its final step (``_chain_rounds``
+    tells why this is exact).  Otherwise a chain is
     a whole seed and a round is one step of every seed, with mu from
     ``step_schedule`` at the step's index.  Each step is taken entry by
     entry as the serial loop takes it, with the same finiteness checks and
@@ -624,7 +663,7 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     row_lengths = np.full(S, dim)
     kernel = problem.block_rows_residual_gradient
     try:
-        for mu, f, d, y, n_entries in rounds:
+        for mu, f, d, y, n_entries in rounds(xi, x):
             resid, grad = kernel(x[f], d, y, n_entries, gy)
             if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
                 return None

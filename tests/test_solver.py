@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -752,6 +753,29 @@ def test_gradients_reject_a_misshaped_iterate(small_schlieren):
         stochastic_gradient(p, x, p.y_exact, 0, 2.0, 2.0)
 
 
+def _chain_counts(configs, total, n_blocks):
+    """Each (seed, block) pair's draw count over ``total`` steps."""
+    counts = []
+    for c in configs:
+        u = np.random.Generator(np.random.Philox(c.seed)).random(total)
+        blocks = np.minimum((u * n_blocks).astype(np.int64), n_blocks - 1)
+        counts.extend(np.bincount(blocks, minlength=n_blocks))
+    return np.array(counts)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = BenchmarkProblem.block_rows_residual_gradient
+
+    def counted(self, *args):
+        calls.append(None)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(BenchmarkProblem, "block_rows_residual_gradient",
+                        counted)
+    return calls
+
+
 def _stack_inputs(problem, cfg, n_rows):
     configs = [dataclasses.replace(cfg, seed=40 + s) for s in range(n_rows)]
     rows = [add_gaussian(problem.y_exact, 0.02, seed=70 + s)
@@ -850,24 +874,92 @@ class TestSeedStack:
         configs = [dataclasses.replace(cfg, seed=_spawn_seed(0, 0, s, 1))
                    for s in range(2)]
         total = a_priori_stop_index(3e-3, 0.5, 0.0, 0.5, 2.0)
-        longest = 0
-        for c in configs:
-            u = np.random.Generator(np.random.Philox(c.seed)).random(total)
-            blocks = np.minimum((u * 5).astype(np.int64), 4)
-            longest = max(longest, int(np.bincount(blocks).max()))
-        calls = []
-        kernel = BenchmarkProblem.block_rows_residual_gradient
-
-        def counted(self, *args):
-            calls.append(None)
-            return kernel(self, *args)
-
-        monkeypatch.setattr(BenchmarkProblem, "block_rows_residual_gradient",
-                            counted)
+        longest = int(_chain_counts(configs, total, 5).max())
+        calls = _count_kernel_calls(monkeypatch)
         assert run_seed_stack(problem, [problem.y_exact] * 2,
                               configs) is not None
         assert (total, longest) == (111_111, 22_364)
-        assert len(calls) == longest
+        # the chains repeat with period 2 by round 71, so the test at round
+        # 128 ends the stack after 129 of its 22,364 rounds
+        assert len(calls) == 129
+
+    def test_periodic_chains_end_the_stack(self, caplog):
+        # 12 chains of 117 to 150 steps, periodic by round 128; among the
+        # chains that still flip, one has an odd and one an even number of
+        # steps left, and the 128-step chain leaves the prefix between the
+        # saved round 126 and the test at round 128
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=3)
+        cfg = hilbert_config(max_epochs=133, record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, 3)
+        counts = _chain_counts(configs, 4 * 133, 4)
+        caplog.set_level(logging.DEBUG, logger="bsgd.solver")
+        final_x, final_dual = run_seed_stack(problem, rows, configs)
+        assert [r.getMessage() for r in caplog.records] == [
+            "seed stack: chains periodic at round 128 of 150, "
+            "21 rounds skipped"]
+        assert set((counts[counts > 128] - 129) % 2) == {0, 1}
+        assert ((counts > 126) & (counts <= 128)).any()
+        for s, (y, c) in enumerate(zip(rows, configs)):
+            run = run_sgd(problem, y, c)
+            assert final_x[s].tobytes() == run.final_x.values.tobytes()
+            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    def test_chains_that_never_repeat_run_every_round(self, monkeypatch,
+                                                      caplog):
+        # mu0 = 0.002 still moves every chain at its last round
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=3)
+        cfg = hilbert_config(mu0=0.002, max_epochs=200, record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, 2)
+        calls = _count_kernel_calls(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="bsgd.solver")
+        final_x, final_dual = run_seed_stack(problem, rows, configs)
+        assert len(calls) == _chain_counts(configs, 800, 4).max()
+        assert not caplog.records
+        for s, (y, c) in enumerate(zip(rows, configs)):
+            run = run_sgd(problem, y, c)
+            assert final_x[s].tobytes() == run.final_x.values.tobytes()
+            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+    def test_late_divergence_stops_the_stack(self):
+        # mu0 a^2 > 2 on the largest diagonal entries: their chains grow by
+        # a factor of up to 1.12 a round and pass the guard after the cycle
+        # tests of rounds 64, 128 and 192, while the other chains settle
+        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=3)
+        cfg = hilbert_config(mu0=1.75, max_epochs=400, record_every=None)
+        rows, configs = _stack_inputs(problem, cfg, 2)
+        run = run_sgd(problem, rows[0], configs[0])
+        assert run.diverged and run.diverged_at > 4 * 192
+        assert run_seed_stack(problem, rows, configs) is None
+
+    def test_random_stacks_match_serial_runs(self, caplog):
+        # theory mode: r_X = 1.5 runs whole seeds, r_X >= 2 runs chains, and
+        # three of these stacks end early
+        rng = np.random.default_rng(2024)
+        caplog.set_level(logging.DEBUG, logger="bsgd.solver")
+        exits = 0
+        for _ in range(16):
+            n_blocks = int(rng.integers(1, 9))
+            dim = int(rng.integers(max(3, n_blocks), 41))
+            problem = build_benchmark(dim, 0.9, 1.1, rng.choice([0.0, 0.05]),
+                                      n_blocks=n_blocks,
+                                      seed=int(rng.integers(100)))
+            r_x, r_y = rng.choice([1.5, 2.0, 3.0, 4.0], size=2).tolist()
+            cfg = SolverConfig.make("theory", r_X=r_x, r_Y=r_y,
+                                    mu0=float(rng.uniform(0.1, 1.2)),
+                                    max_epochs=int(rng.integers(1, 600)),
+                                    record_every=None)
+            rows, configs = _stack_inputs(problem, cfg, int(rng.integers(1, 5)))
+            caplog.clear()
+            stack = run_seed_stack(problem, rows, configs)
+            exits += "periodic" in caplog.text
+            runs = [run_sgd(problem, y, c) for y, c in zip(rows, configs)]
+            if stack is None:
+                assert any(run.diverged for run in runs)
+                continue
+            for s, run in enumerate(runs):
+                assert stack[0][s].tobytes() == run.final_x.values.tobytes()
+                assert stack[1][s].tobytes() == run.final_dual.values.tobytes()
+        assert exits >= 3
 
     @pytest.mark.parametrize("change", [
         {"mu0": 0.45}, {"max_epochs": 21}, {"record_every": 2},
