@@ -186,10 +186,14 @@ def _signed_power(vals: np.ndarray, expnt: float) -> np.ndarray:
     """sign(v) * |v|**expnt via log-domain evaluation, hard zero at v = 0.
 
     The exponent-1 case returns the values untouched so that the Hilbert
-    duality map is bitwise the identity.
+    duality map is bitwise the identity.  With no zero entry (NaN counts as
+    nonzero, as in the mask) the formula runs on ``vals`` itself, which
+    gives the masked path's bits without its gather and scatter.
     """
     if expnt == 1.0:
         return vals.copy()
+    if vals.all():
+        return np.sign(vals) * np.exp(expnt * np.log(np.abs(vals)))
     out = np.zeros_like(vals)
     nz = vals != 0.0
     out[nz] = np.sign(vals[nz]) * np.exp(expnt * np.log(np.abs(vals[nz])))

@@ -14,8 +14,17 @@ detector spacings (the argument is at ``_angle_entries``).  The length
 cutoff still decides which entries exist, so the matrices equal those of
 clipping every pair, and no dense detectors x pixels table is formed.
 
-scipy is imported only where a system is built or viewed, so importing the
-package (and running the benchmark problem) loads no scipy.
+scipy is imported only where a system is built, viewed or applied, so
+importing the package (and running the benchmark problem) loads no scipy.
+
+Products call scipy's compiled ``csr_matvec``/``csc_matvec`` directly, not
+through ``@``: a solver step makes one batch product and one back-projection
+per angle, and on the desk problem ``@``'s Python dispatch cost about as
+much as the kernel itself.  ``csr_matrix @ v`` ends in the same kernel with
+the same zeroed float64 output for a 1-D float64 vector, so the bits are the
+same.  The checks ``@`` made are kept (``_matvec``): the input is made a
+contiguous float64 vector, and a wrong length raises ``ValueError``, since
+the kernel itself would read out of bounds.
 
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
@@ -28,7 +37,7 @@ slices of ``data``/``indices`` with a rebased ``indptr``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,8 +110,7 @@ class RadonSystem:
     def project_batch(self, k: int, image: np.ndarray) -> np.ndarray:
         """Line integrals at batch k's angles from one sparse product;
         returns (len(batches[k]), n_detectors)."""
-        proj = self.batch_matrices[k] @ np.asarray(image).ravel()
-        return proj.reshape(-1, self.n_detectors)
+        return _matvec(self.batch_matrices[k], image).reshape(-1, self.n_detectors)
 
     @cached_property
     def matrices(self) -> tuple[sparse.csr_matrix, ...]:
@@ -122,7 +130,7 @@ class RadonSystem:
 
     def project(self, angle_index: int, image: np.ndarray) -> np.ndarray:
         """Line integrals at one angle; returns (n_detectors,)."""
-        return self.matrices[angle_index] @ np.asarray(image).ravel()
+        return _matvec(self.matrices[angle_index], image)
 
     @cached_property
     def transposes(self) -> tuple[sparse.csc_matrix, ...]:
@@ -134,7 +142,27 @@ class RadonSystem:
 
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
-        return self.transposes[angle_index] @ np.asarray(sino).ravel()
+        return _matvec(self.transposes[angle_index], sino)
+
+
+def _matvec(m, v) -> np.ndarray:
+    """``m @ v`` for a CSR or CSC matrix of float64 entries, bit for bit,
+    through scipy's compiled kernel (module docstring)."""
+    n_row, n_col = m.shape
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if v.size != n_col:
+        raise ValueError(f"vector of length {v.size} for a matrix with {n_col} columns")
+    out = np.zeros(n_row)
+    _kernel(m.format)(n_row, n_col, m.indptr, m.indices, m.data, v, out)
+    return out
+
+
+@cache
+def _kernel(fmt: str):
+    """scipy's matrix-vector kernel for a "csr" or "csc" matrix."""
+    from scipy.sparse import _sparsetools
+
+    return getattr(_sparsetools, fmt + "_matvec")
 
 
 def _compressed(cls, data, indices, indptr, shape):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bsgd import forward
 from bsgd.forward import (
     BenchmarkProblem,
     ForwardProblem,
@@ -459,6 +460,22 @@ class TestBatchLayout:
         # the adjoint still back-projects angle by angle, in batch order
         assert back_calls == list(desk_batched.batches[2])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_step_makes_one_adjoint_call(self, desk_batched, monkeypatch):
+        # Through the module-level name, which perfbench/spans.py rebinds to
+        # time the step's back-projection as one span.
+        calls = []
+        original = forward.schlieren_adjoint_apply
+
+        def counting(system, batch, *args, **kwargs):
+            calls.append(list(batch))
+            return original(system, batch, *args, **kwargs)
+
+        monkeypatch.setattr(forward, "schlieren_adjoint_apply", counting)
+        gy = GeometryParams.for_lebesgue(2.0)
+        x = desk_batched.x_truth.values + 0.01
+        desk_batched.block_residual_gradient(2, x, desk_batched.y_exact[2].values, gy)
+        assert calls == [list(desk_batched.batches[2])]
 
     def test_estimates_match_the_per_angle_layout(self, desk_batched,
                                                   desk_schlieren):

@@ -297,3 +297,40 @@ def test_r2_norm_is_bitwise_numpy_norm(n):
     if n == 12_100:
         image = GridVector(v.reshape(110, 110))
         assert repr(lr_norm(image, 2.0)) == repr(float(np.linalg.norm(image.values)))
+
+
+def _masked_signed_power(vals, expnt):
+    """The masked formula: powers of the nonzero entries only."""
+    out = np.zeros_like(vals)
+    nz = vals != 0.0
+    out[nz] = np.sign(vals[nz]) * np.exp(expnt * np.log(np.abs(vals[nz])))
+    return out
+
+
+@pytest.mark.parametrize("expnt", [0.1, 0.5, 9.999999999999991])
+def test_signed_power_without_zeros_keeps_the_masked_bytes(expnt):
+    # Inputs from np.ldexp on uniforms, so they do not depend on the SIMD
+    # dispatch level: mantissas in [0.5, 1), binary exponents from the
+    # subnormal range up to near overflow.
+    rng = np.random.default_rng(15)
+    n_max, n_off = 70, 9
+    size = 2 * (n_max + n_off)
+    mant = np.ldexp(1.0 + rng.random(size), -1) * rng.choice([-1.0, 1.0], size)
+    plain = np.ldexp(mant, rng.integers(-1074, 1000, size))
+    special = plain.copy()
+    special[::7] = np.nan
+    special[3::11] = np.inf
+    special[5::13] = -np.inf
+    special[1::5] = np.ldexp(mant[1::5], -1060)  # subnormal
+    zeros = special.copy()
+    zeros[2::9] = 0.0
+    zeros[4::17] = -0.0
+    assert plain.all() and special.all() and not zeros.all()
+    with np.errstate(all="ignore"):
+        for buf in (plain, special, zeros):
+            for n in range(1, n_max + 1):
+                for off in range(n_off):
+                    for vals in (buf[off:off + n], buf[off:off + 2 * n:2]):
+                        got = _signed_power(vals, expnt)
+                        want = _masked_signed_power(vals, expnt)
+                        assert got.tobytes() == want.tobytes(), (n, off)

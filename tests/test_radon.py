@@ -219,3 +219,37 @@ def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
     assert len(system.batch_matrices) == 10
     assert sum(m.nnz for m in system.batch_matrices) == 3_668_024
     assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
+
+
+@pytest.mark.parametrize("shape, n_angles, n_detectors, batch_size, batch_ids", [
+    ((32, 32), 30, 45, 6, None),
+    ((10, 10), 4, 5, 1, None),
+    ((110, 110), 180, 155, 18, [0]),
+])
+def test_products_keep_the_bytes_of_scipy_matmul(shape, n_angles, n_detectors,
+                                                 batch_size, batch_ids):
+    system = build_radon(shape, n_angles, n_detectors, batch_size)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(shape)
+    x_int = rng.integers(-9, 10, shape)
+    g = rng.standard_normal(n_detectors)
+    for k in batch_ids or range(len(system.batches)):
+        bm = system.batch_matrices[k]
+        for image in (x, x_int):
+            want = (bm @ image.ravel()).reshape(-1, n_detectors)
+            got = system.project_batch(k, image)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        for a in system.batches[k]:
+            for image in (x, x_int):
+                want = system.matrices[a] @ image.ravel()
+                assert system.project(a, image).tobytes() == want.tobytes()
+            want = system.transposes[a] @ g
+            assert system.back_project(a, g).tobytes() == want.tobytes()
+    # the compiled kernels do not check lengths; the methods must
+    with pytest.raises(ValueError, match="length"):
+        system.project_batch(0, np.zeros(shape[0] * shape[1] + 1))
+    with pytest.raises(ValueError, match="length"):
+        system.project(0, np.zeros(shape[0] * shape[1] - 1))
+    with pytest.raises(ValueError, match="length"):
+        system.back_project(0, np.zeros(n_detectors + 1))
