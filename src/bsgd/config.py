@@ -162,6 +162,9 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stopping not in ("max_epochs", "a_priori"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
+        if self.p < 0 or self.q < 0 or (self.p > 0) != (self.q > 0):
+            raise ValueError(f"[space] p and q must both be positive or both "
+                             f"0 (from the mode), got p={self.p}, q={self.q}")
 
     def resolved_pq(self) -> tuple[float, float]:
         if self.p > 0 and self.q > 0:

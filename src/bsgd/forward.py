@@ -350,14 +350,13 @@ class BenchmarkProblem(ForwardProblem):
     def stacked_blocks(self, y_obs_rows):
         """The blocks as padded tables for a loop over stacked rows.
 
-        Returns (N, B) coordinate indices and diagonal entries, the N block
-        lengths and the (S, N, B) data of the S rows of ``y_obs_rows``, B
-        being the largest block.  Short blocks are padded with the scratch
-        coordinate ``dim``, diagonal 0.0 and data 0.0, so a row's iterate
-        has dim + 1 entries and its last one stays 0.0.
+        Returns (N, B) coordinate indices and diagonal entries and the
+        (S, N, B) data of the S rows of ``y_obs_rows``, B being the largest
+        block.  Short blocks are padded with the scratch coordinate ``dim``,
+        diagonal 0.0 and data 0.0, so a row's iterate has dim + 1 entries
+        and its last one stays 0.0.
         """
-        lengths = np.array([len(b) for b in self.batches])
-        shape = (self.n_blocks, int(lengths.max()))
+        shape = (self.n_blocks, max(len(b) for b in self.batches))
         idx = np.full(shape, self.dim, dtype=np.intp)
         diag = np.zeros(shape)
         data = np.zeros((len(y_obs_rows),) + shape)
@@ -366,17 +365,17 @@ class BenchmarkProblem(ForwardProblem):
             diag[i, :ix.size] = d
             for s, y_obs in enumerate(y_obs_rows):
                 data[s, i, :ix.size] = y_obs[i].values
-        return idx, diag, lengths, data
+        return idx, diag, data
 
-    def block_rows_residual_gradient(self, xv, d, y, lengths, gy):
-        """``block_residual_gradient`` of stacked rows: row s of ``xv``, ``d``
-        and ``y`` holds one block's iterate, diagonal and data entries
-        (``lengths[s]`` of them, then padding).  Returns the residual rows and
-        the gradient at those entries, each entry the serial kernel's bits.
+    def block_rows_residual_gradient(self, xv, d, y, gy):
+        """``block_residual_gradient`` of stacked rows, for a data map with
+        r_Y == q: row s of ``xv``, ``d`` and ``y`` holds one block's
+        iterate, diagonal and data entries, then padding.  Returns the
+        residual rows and the gradient at those entries, each entry the
+        serial kernel's bits.
         """
         resid = self._value(d, xv) - y
-        return resid, self._slope(d, xv) * _duality_map_rows(resid, lengths,
-                                                             gy.r, gy.p)
+        return resid, self._slope(d, xv) * _duality_map_rows(resid, gy.r)
 
 
 def build_benchmark(dim: int, diag_min: float, diag_max: float,

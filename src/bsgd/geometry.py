@@ -214,31 +214,22 @@ def _duality_map_raw(vals: np.ndarray, r: float, p: float) -> np.ndarray:
     return norm ** (p - r) * _signed_power(vals, r - 1.0)
 
 
-def _duality_map_rows(vals: np.ndarray, lengths, r: float, p: float) -> np.ndarray:
-    """``_duality_map_raw`` of each row of a 2-D array, bit for bit.
+def _duality_map_rows(vals: np.ndarray, r: float) -> np.ndarray:
+    """``_duality_map_raw(row, r, r)`` of each row of a 2-D array, bit for bit.
 
-    Row s holds ``lengths[s]`` entries followed by zero padding.  With
-    r == p the norm factor is norm**0.0 == 1.0 and only the zero-row test
-    reads the norm; it asks whether a row's |v|^r terms sum to 0.0, that is
-    whether each term is 0.0, which no summation order changes.  The serial
-    map first tests max|v| against a bound to skip the powers of a long
-    vector; on these short rows the terms cost less than that test.
-    Otherwise each row's norm is taken from its contiguous unpadded view, as
-    the serial map takes it.
+    Rows may end in zero padding.  The norm factor is norm**0.0 == 1.0 and
+    only the zero-row test reads the norm; it asks whether a row's |v|^r
+    terms sum to 0.0, that is whether each term is 0.0, which neither the
+    summation order nor the padding changes.  The serial map first tests
+    max|v| against a bound to skip the powers of a long vector; on these
+    short rows the terms cost less than that test.
     """
     out = _signed_power(vals, r - 1.0)
-    if r == p:
-        terms = vals * vals if r == 2.0 else np.abs(vals) ** r
-        sums = terms.sum(axis=1)
-        if all(sums.tolist()):  # NaN counts as nonzero, as in the serial test
-            return out
-        zero = sums == 0.0
-    else:
-        norms = [_lr_norm_raw(row[:n], r) for row, n in zip(vals, lengths)]
-        zero = np.array([norm == 0.0 for norm in norms])
-        out *= np.array([[1.0 if norm == 0.0 else norm ** (p - r)]
-                         for norm in norms])
-    out[zero] = 0.0
+    terms = vals * vals if r == 2.0 else np.abs(vals) ** r
+    sums = terms.sum(axis=1)
+    if all(sums.tolist()):  # NaN counts as nonzero, as in the serial test
+        return out
+    out[sums == 0.0] = 0.0
     return out
 
 

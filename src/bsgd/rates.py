@@ -259,9 +259,11 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
     The seeds of a level run as one ``run_seed_stack``, so the problem
     needs a stacked row kernel (the diagonal benchmark has one); any other
     problem raises ValueError.  The stack gives each cell's serial
-    ``run_sgd`` iterate bit for bit.  If a seed diverges or goes
-    non-finite, the level runs again seed by seed through ``run_sgd``,
-    which raises the serial study's error for the first failing seed.
+    ``run_sgd`` iterate bit for bit.  A config that the stack does not run
+    (decaying steps, r* != p* or r_Y != q) has no stacked result and runs
+    seed by seed through ``run_sgd``, and so does a level where a seed
+    diverges or goes non-finite, which raises the serial study's error for
+    the first failing seed.
     """
     deltas = sorted(float(d) for d in delta_list)
     if len(deltas) < 2:

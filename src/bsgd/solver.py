@@ -18,15 +18,15 @@ the snapshots and the returned ``SGDRun``.
 
 ``run_seed_stack`` runs several seeds of one configuration as one
 record-free loop over stacked chains of steps, on a problem with a stacked
-row kernel (the separable benchmark).  When the inverse duality map acts
-entry by entry and the step size is constant, each (seed, block) pair is an
+row kernel (the separable benchmark).  When both duality maps act entry by
+entry and the step size is constant, each (seed, block) pair is an
 independent chain that applies one fixed map at every step, and a round
 steps every chain that has a step left.  The loop ends when the longest
 chain has no step left, or sooner, once every active chain's state repeats
 bit for bit with period 2: each chain's final state then follows from the
-parity of its remaining steps.  Otherwise a chain is a whole seed, as its
-map couples the blocks or changes with the step index.  Each seed
-reproduces ``run_sgd``'s final iterates bit for bit.
+parity of its remaining steps.  Each seed reproduces ``run_sgd``'s final
+iterates bit for bit.  Any other configuration has no stacked result
+(None), and its seeds run through ``run_sgd``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .geometry import (
     GeometryParams,
     GridVector,
     _duality_map_raw,
-    _duality_map_rows,
     _lr_norm_raw,
     _signed_power,
     bregman_distance,
@@ -73,15 +72,13 @@ logger = logging.getLogger(__name__)
 _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
 _MODE_TOL = 1e-9
-# steps of block draws per Generator.random call while stepping; it also
-# bounds the per-chunk gather tables of run_seed_stack when its chains are
-# whole seeds (S x chunk x block entries)
+# steps of block draws per Generator.random call while stepping
 _DRAW_CHUNK = 256
-# steps of block draws per Generator.random call when _chain_rounds only
+# steps of block draws per Generator.random call when run_seed_stack only
 # counts each chain's draws: the same stream, so the same counts; for 20
 # seeds x 111,111 steps 31 ms against 108 ms in 256-step draws (2-core Xeon)
 _COUNT_CHUNK = 8192
-# rounds between the chain loop's tests for a period-2 state: it copies the
+# rounds between run_seed_stack's tests for a period-2 state: it copies the
 # state at rounds -2 and -1 (mod this) and compares at rounds 0 (mod this);
 # at 3 (a copy or a compare every round) a stack that never cycles ran 12%
 # slower, at 64 it runs as fast as with no test
@@ -507,105 +504,17 @@ def run_sgd(problem, y_obs, config: SolverConfig, x0=None,
                                collect_snapshots=collect_snapshots)
 
 
-def _block_chunks(seed: int, total: int, n_blocks: int, chunk: int):
+def _block_chunks(seed: int, total: int, n_blocks: int):
     """The first ``total`` block indices of the stream keyed by ``seed``, in
-    arrays of at most ``chunk``."""
+    arrays of at most ``_COUNT_CHUNK``."""
     gen = np.random.Generator(np.random.Philox(seed))
-    for start in range(0, total, chunk):
-        yield _draw_blocks(gen, min(chunk, total - start), n_blocks)
-
-
-def _seed_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
-    """Chains that are whole seeds.
-
-    The state is the seeds' iterates end to end, ``stride`` entries each
-    (the last one the scratch entry of the padding), and round t takes step
-    t + 1 of every seed on its drawn block, through the block entries' flat
-    positions.  Returns the state's flat positions in the (S, stride)
-    result and the rounds, as a generator function of the state arrays
-    (which it does not read).
-    """
-    S, N = len(configs), len(idx)
-    mu0, decay = configs[0].mu0, configs[0].step_decay_exponent
-    rows = np.arange(S)
-    offsets = (rows * stride)[:, None]
-
-    def rounds(xi, x):
-        streams = [_block_chunks(c.seed, total, N, _DRAW_CHUNK)
-                   for c in configs]
-        for start, chunk in zip(range(0, total, _DRAW_CHUNK), zip(*streams)):
-            blocks = np.stack(chunk, axis=1)
-            # (n, S, B) flat entries, diagonals and data of each step's blocks
-            flat = idx[blocks] + offsets
-            d, y, n_entries = diag[blocks], data[rows, blocks], lengths[blocks]
-            for t in range(len(blocks)):
-                mu = step_schedule(mu0, decay, start + t + 1)
-                yield mu, flat[t], d[t], y[t], n_entries[t]
-
-    return np.arange(S * stride), rounds
-
-
-def _chain_rounds(configs, total: int, stride: int, idx, diag, lengths, data):
-    """Chains that are (seed, block) pairs, for a constant step size.
-
-    Chain (s, b) takes the steps at which seed s drew block b, in order,
-    and its state row holds the block's entries (padded to the largest
-    block).  The chains are sorted by draw count, longest first, so the
-    chains of round j, those drawn more than j times, are a prefix of the
-    rows.  Returns the state's flat positions in the (S, stride) result and
-    the rounds, as a generator function of the state arrays xi and x.
-
-    A row's step reads only its own row, through the fixed mu and its own
-    d, y and n_entries, and every check on it is a function of its values.
-    So once round j leaves every active dual row as it was after round
-    j - 2, bit for bit (x is a function of xi), each active chain
-    alternates between its round j - 1 and round j states, and every later
-    round would pass the checks that these rounds passed.  The rounds then
-    end, and each active chain takes the state that the parity of its
-    remaining steps, counts - (j + 1), gives it; the chains that left the
-    prefix earlier already hold their final rows.  The test runs at rounds
-    0 (mod ``_CYCLE_CHECK``).
-    """
-    N = len(idx)
-    counts = np.zeros((len(configs), N), dtype=np.intp)
-    for s, c in enumerate(configs):
-        for blocks in _block_chunks(c.seed, total, N, _COUNT_CHUNK):
-            counts[s] += np.bincount(blocks, minlength=N)
-    order = np.argsort(-counts.ravel(), kind="stable")
-    counts = counts.ravel()[order]
-    seed, block = np.divmod(order, N)
-    d, y, n_entries = diag[block], data[seed, block], lengths[block]
-    mu = configs[0].mu0  # step_schedule's value at every step when decay = 0
-
-    def rounds(xi, x):
-        n, budget = len(order), int(counts[0])
-        for j in range(budget):
-            while counts[n - 1] <= j:
-                n -= 1
-            yield mu, np.s_[:n], d[:n], y[:n], n_entries[:n]
-            # copies: xi[:n] is a view that the next round overwrites
-            phase = j % _CYCLE_CHECK
-            if phase == _CYCLE_CHECK - 2:
-                xi_back2 = xi[:n].copy()
-            elif phase == _CYCLE_CHECK - 1:
-                xi_back1, x_back1 = xi[:n].copy(), x[:n].copy()
-            # bit patterns, as == takes -0.0 for +0.0; the prefix may have
-            # shrunk since round j - 2, and its first n rows are these chains
-            elif phase == 0 and j and np.array_equal(
-                    xi[:n].view(np.uint64), xi_back2[:n].view(np.uint64)):
-                odd = (counts[:n] - (j + 1)) % 2 == 1
-                xi[:n][odd] = xi_back1[:n][odd]
-                x[:n][odd] = x_back1[:n][odd]
-                logger.debug("seed stack: chains periodic at round %d of %d, "
-                             "%d rounds skipped", j, budget, budget - j - 1)
-                return
-
-    return idx[block] + (seed * stride)[:, None], rounds
+    for start in range(0, total, _COUNT_CHUNK):
+        yield _draw_blocks(gen, min(_COUNT_CHUNK, total - start), n_blocks)
 
 
 def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray] | None:
     """Run ``run_sgd(problem, y_obs_rows[s], configs[s])`` for every s as one
-    record-free loop over stacked chains of steps.
+    record-free loop over stacked (seed, block) chains of steps.
 
     The configs must differ only in ``seed``, and the problem must have a
     stacked row kernel (``block_rows_residual_gradient``).  Every seed
@@ -613,17 +522,16 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
     step changes only the drawn block's entries of x and xi: elsewhere the
     serial gradient is +0.0, so its update leaves xi as it was, inside the
     guard.  When the inverse duality map acts entry by entry (r* == p*),
-    no step reads another block either, and with a constant step size
-    (decay 0) no step needs its global index, so each (seed, block) pair
-    is an independent chain, and the loop advances all chains in lockstep
-    rounds, as many as the longest chain has steps, unless every active
-    chain's state turns periodic with period 2 first; the loop then stops
-    and gives each chain the state of its final step (``_chain_rounds``
-    tells why this is exact).  Otherwise a chain is
-    a whole seed and a round is one step of every seed, with mu from
-    ``step_schedule`` at the step's index.  Each step is taken entry by
-    entry as the serial loop takes it, with the same finiteness checks and
-    divergence guard.
+    the data map too (r_Y == q) and the step size is constant (decay 0), no
+    step reads another block or needs its global index, so each (seed,
+    block) pair is an independent chain that applies one fixed map at every
+    step.  The loop advances all chains in lockstep rounds, as many as the
+    longest chain has steps, unless every active chain's state turns
+    periodic with period 2 first; it then stops and gives each chain the
+    state of its final step.  Each step is taken entry by entry as the
+    serial loop takes it, with the same finiteness checks and divergence
+    guard.  Any other config returns None before any step, check or log
+    line: it has no stacked result, and ``run_sgd`` runs it seed by seed.
 
     Returns the final primal and dual iterates as (S, dim) arrays equal to
     the serial runs' ``final_x`` and ``final_dual`` bit for bit, or None as
@@ -647,46 +555,80 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
             raise ValueError(f"observation block count {len(y_obs)} != {N}")
     gx = config.geometry_x()
     gy = config.geometry_y()
-    total = _total_iterations(config, N)
-    _warn_if_inadmissible(problem, config, max(total, 1))
-
-    S, dim = len(configs), problem.dim
-    # idx, diag, lengths and data tables; a result row has one scratch entry
-    # (index dim) for the padding of short blocks
-    tables = problem.stacked_blocks(y_obs_rows)
     # With r* == p* the inverse map acts entry by entry: its norm factor is
     # 1.0, and a zero row maps to +0.0 entries, as the entrywise power maps
     # xi's zeros (xi starts at +0.0 and x - y is -0.0 only for x = -0.0).
-    entrywise = gx.r_star == gx.p_star
-    chains = entrywise and config.step_decay_exponent == 0.0
-    home, rounds = (_chain_rounds if chains else _seed_rounds)(
-        configs, total, dim + 1, *tables)
-    xi = np.zeros(home.shape)
-    x = xi.copy()
-    guard = _DIVERGENCE_FACTOR  # max(1, max|J(x0)|) = 1 at x0 = 0
-    row_lengths = np.full(S, dim)
-    kernel = problem.block_rows_residual_gradient
-    try:
-        for mu, f, d, y, n_entries in rounds(xi, x):
-            resid, grad = kernel(x[f], d, y, n_entries, gy)
-            if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
-                return None
-            new_xi = xi[f] - mu * grad
-            if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
-                return None
-            xi[f] = new_xi
-            if entrywise:
-                new_x = _signed_power(new_xi, gx.r_star - 1.0)
-                if not np.isfinite(new_x).all():
-                    return None
-                x[f] = new_x
-            else:
-                x = _duality_map_rows(xi.reshape(S, -1), row_lengths,
-                                      gx.r_star, gx.p_star).ravel()
-                if not np.isfinite(x).all():
-                    return None
-    except OverflowError:  # a float ** in a norm factor, as in the serial map
+    # With r_Y == q the data map of a block's residual is entrywise too
+    # (_duality_map_rows), and with decay 0 no step needs its global index.
+    if not (gx.r_star == gx.p_star and gy.r == gy.p
+            and config.step_decay_exponent == 0.0):
         return None
+    total = _total_iterations(config, N)
+    _warn_if_inadmissible(problem, config, max(total, 1))
+
+    # idx, diag and data tables; a result row has one scratch entry (index
+    # dim) for the padding of short blocks
+    idx, diag, data = problem.stacked_blocks(y_obs_rows)
+    counts = np.zeros((len(configs), N), dtype=np.intp)
+    for s, c in enumerate(configs):
+        for blocks in _block_chunks(c.seed, total, N):
+            counts[s] += np.bincount(blocks, minlength=N)
+    # Chain (s, b) takes the steps at which seed s drew block b, in order,
+    # and its state row holds the block's entries (padded to the largest
+    # block).  The chains are sorted by draw count, longest first, so the
+    # chains of round j, those drawn more than j times, are a prefix of the
+    # rows.
+    order = np.argsort(-counts.ravel(), kind="stable")
+    counts = counts.ravel()[order]
+    seed, block = np.divmod(order, N)
+    d, y = diag[block], data[seed, block]
+    xi = np.zeros(d.shape)
+    x = xi.copy()
+    mu = config.mu0  # step_schedule's value at every step when decay = 0
+    guard = _DIVERGENCE_FACTOR  # max(1, max|J(x0)|) = 1 at x0 = 0
+    kernel = problem.block_rows_residual_gradient
+    n, budget = len(order), int(counts[0])
+    # A row's step reads only its own row, through the fixed mu and its own
+    # d and y, and every check on it is a function of its values.  So once
+    # round j leaves every active dual row as it was after round j - 2, bit
+    # for bit (x is a function of xi), each active chain alternates between
+    # its round j - 1 and round j states, and every later round would pass
+    # the checks that these rounds passed.  The rounds then end, and each
+    # active chain takes the state that the parity of its remaining steps,
+    # counts - (j + 1), gives it; the chains that left the prefix earlier
+    # already hold their final rows.
+    for j in range(budget):
+        while counts[n - 1] <= j:
+            n -= 1
+        resid, grad = kernel(x[:n], d[:n], y[:n], gy)
+        if not (np.isfinite(resid).all() and np.isfinite(grad).all()):
+            return None
+        new_xi = xi[:n] - mu * grad
+        if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
+            return None
+        xi[:n] = new_xi
+        new_x = _signed_power(new_xi, gx.r_star - 1.0)
+        if not np.isfinite(new_x).all():
+            return None
+        x[:n] = new_x
+        # copies: xi[:n] is a view that the next round overwrites
+        phase = j % _CYCLE_CHECK
+        if phase == _CYCLE_CHECK - 2:
+            xi_back2 = xi[:n].copy()
+        elif phase == _CYCLE_CHECK - 1:
+            xi_back1, x_back1 = xi[:n].copy(), x[:n].copy()
+        # bit patterns, as == takes -0.0 for +0.0; the prefix may have
+        # shrunk since round j - 2, and its first n rows are these chains
+        elif phase == 0 and j and np.array_equal(
+                xi[:n].view(np.uint64), xi_back2[:n].view(np.uint64)):
+            odd = (counts[:n] - (j + 1)) % 2 == 1
+            xi[:n][odd] = xi_back1[:n][odd]
+            x[:n][odd] = x_back1[:n][odd]
+            logger.debug("seed stack: chains periodic at round %d of %d, "
+                         "%d rounds skipped", j, budget, budget - j - 1)
+            break
+    S, dim = len(configs), problem.dim
+    home = idx[block] + (seed * (dim + 1))[:, None]
     final = np.zeros((2, S, dim + 1))
     final[0].put(home, x)
     final[1].put(home, xi)

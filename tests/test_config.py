@@ -66,6 +66,13 @@ def test_resolved_pq_modes():
     assert dataclasses.replace(cfg, p=3.0, q=2.0).resolved_pq() == (3.0, 2.0)
 
 
+@pytest.mark.parametrize("space", ["p = 3.0", "q = 3.0", "p = 3.0\nq = -2.0",
+                                   "p = -1.0\nq = -1.0"])
+def test_half_set_or_negative_gauge_powers_rejected(space):
+    with pytest.raises(ValueError, match="both"):
+        parse_config(MINIMAL + f"\n[space]\n{space}\n")
+
+
 def test_rate_delta_list_parsing():
     cfg = dataclasses.replace(parse_config(MINIMAL),
                               rate_deltas="1e-1, 3e-2,1e-2")

@@ -112,12 +112,11 @@ class TestDualityMap:
                  np.full(3, np.nextafter(edge, 0.0)), np.array([1e-320, -0.0]),
                  np.array([1.0, np.nan, -2.0]), np.array([np.inf, -1.0, 0.0]),
                  np.array([-np.inf, np.nan, 0.0])]
-        lengths = [v.size for v in rows]
-        padded = np.zeros((len(rows), max(lengths)))
+        padded = np.zeros((len(rows), max(v.size for v in rows)))
         for s, v in enumerate(rows):
             padded[s, :v.size] = v
         with np.errstate(all="ignore"):
-            by_row = _duality_map_rows(padded, lengths, r, r)
+            by_row = _duality_map_rows(padded, r)
             for s, v in enumerate(rows):
                 want = with_norm(v)
                 nan = np.isnan(want)

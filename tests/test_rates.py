@@ -1,9 +1,12 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsgd.cli import _build_problem
+from bsgd.config import parse_config
 from bsgd.forward import StabilityParams, build_benchmark
 from bsgd.rates import (
     DescentConstants,
@@ -253,16 +256,19 @@ class TestStackedStudyMatchesSerial:
     """noisy_rate_study stacks each level's seeds; its rows, fit and errors
     are the serial study's."""
 
-    @pytest.mark.parametrize("beta,mode,r_x,r_y", [
-        (0.0, "theory", 2.0, 2.0),
-        (0.05, "theory", 2.0, 2.0),
-        (0.0, "practice", 1.5, 1.5),
-        (0.0, "theory", 1.5, 2.0),
-    ])
-    def test_rows_and_fit_identical(self, beta, mode, r_x, r_y):
+    @pytest.mark.parametrize("beta,mode,r_x,r_y,decay", [
+        (0.0, "theory", 2.0, 2.0, 0.0),
+        (0.05, "theory", 2.0, 2.0, 0.0),
+        (0.0, "practice", 1.5, 1.5, 0.0),
+        (0.0, "theory", 1.5, 2.0, 0.0),  # r* != p*: seed by seed
+        (0.0, "practice", 1.5, 1.5, 0.1),  # decaying steps: seed by seed
+    ], ids=["0.0-theory-2.0-2.0", "0.05-theory-2.0-2.0", "0.0-practice-1.5-1.5",
+            "0.0-theory-1.5-2.0", "0.0-practice-1.5-1.5-decay-0.1"])
+    def test_rows_and_fit_identical(self, beta, mode, r_x, r_y, decay):
         problem = build_benchmark(41, 0.9, 1.1, beta, n_blocks=5, seed=3)
         # delta = 1 stops at k = 0: its row is the distance of x0 = 0
         cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.5, seed=5,
+                                step_decay_exponent=decay,
                                 stopping=StoppingRule("a_priori", delta=1.0,
                                                       gamma_budget=0.4))
         args = (problem, StabilityParams(1.0, 1.0), [1.0, 0.1, 0.03], cfg, 4)
@@ -289,6 +295,30 @@ class TestStackedStudyMatchesSerial:
         raised = _raised(noisy_rate_study, *args)
         assert raised == _raised(serial_study, *args)
         assert raised[0] is ValueError and "finite" in raised[1]
+
+    def test_the_shipped_study_stays_stacked(self, monkeypatch):
+        # configs/benchmark_rates.ini's study with 2 seeds, configured as
+        # cmd_rates configures it: every level must run as a seed stack
+        cfg = parse_config(Path(__file__).parents[1] / "configs"
+                           / "benchmark_rates.ini")
+        problem, _ = _build_problem(cfg)
+        p, q = cfg.resolved_pq()
+        deltas = cfg.rate_delta_list()
+        config = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
+                              mu0=cfg.resolved_mu0(),
+                              step_decay_exponent=cfg.decay,
+                              max_epochs=cfg.epochs, seed=cfg.solver_seed,
+                              mode=cfg.mode, record_every=cfg.n_blocks,
+                              stopping=StoppingRule(
+                                  "a_priori", delta=deltas[0],
+                                  gamma_budget=cfg.rate_gamma_budget))
+
+        def serial(*args, **kwargs):
+            raise AssertionError("a level ran seed by seed")
+
+        monkeypatch.setattr("bsgd.rates.run_sgd", serial)
+        study = noisy_rate_study(problem, problem.stability, deltas, config, 2)
+        assert len(study.rows) == len(deltas)
 
     def test_problem_without_stacked_kernel_rejected(self, small_schlieren):
         cfg = study_config()

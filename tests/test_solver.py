@@ -784,31 +784,38 @@ def _stack_inputs(problem, cfg, n_rows):
 
 
 class TestSeedStack:
-    """run_seed_stack gives each row's serial run_sgd iterates bit for bit."""
+    """run_seed_stack gives each row's serial run_sgd iterates bit for bit,
+    or declines (None) a config whose chains are not (seed, block) pairs."""
 
-    @pytest.mark.parametrize("n_rows", [2, 20])
-    @pytest.mark.parametrize("dim,beta,mode,r_x,r_y", [
-        (40, 0.0, "theory", 2.0, 2.0),
-        (40, 0.05, "theory", 2.0, 2.0),
-        (40, 0.0, "practice", 1.5, 1.5),
-        (40, 0.0, "theory", 1.5, 2.0),   # p = 2 != r_X: row norms of xi
-        (40, 0.0, "theory", 3.0, 3.0),
-        (40, 0.05, "theory", 3.0, 2.0),  # q = 3 != r_Y: row norms of residuals
-        (41, 0.05, "practice", 1.5, 1.5),
-        (43, 0.0, "theory", 1.5, 2.0),
+    @pytest.mark.parametrize("dim,beta,mode,r_x,r_y,decay", [
+        (40, 0.0, "theory", 2.0, 2.0, 0.1),      # decaying steps
+        (40, 0.05, "theory", 2.0, 2.0, 0.1),
+        (40, 0.0, "practice", 1.5, 1.5, 0.1),
+        (40, 0.0, "theory", 1.5, 2.0, 0.1),
+        (40, 0.0, "theory", 3.0, 3.0, 0.1),
+        (40, 0.05, "theory", 3.0, 2.0, 0.1),
+        (41, 0.05, "practice", 1.5, 1.5, 0.1),
+        (43, 0.0, "theory", 1.5, 2.0, 0.1),
+        (40, 0.0, "theory", 1.5, 2.0, 0.0),      # p = 2 != r_X: r* != p*
+        (43, 0.05, "theory", 3.0, 2.0, 0.0),     # q = 3 != r_Y
     ])
-    def test_matches_serial_runs(self, dim, beta, mode, r_x, r_y, n_rows):
+    def test_other_configs_are_declined(self, monkeypatch, caplog, dim, beta,
+                                        mode, r_x, r_y, decay):
+        # mu0 = 2 is inadmissible or not checkable in every case, so the
+        # serial route logs about it once per seed; the stack must not log
+        # it too, nor take a step
         problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
-        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
-                                step_decay_exponent=0.1, max_epochs=70,
+        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=2.0,
+                                step_decay_exponent=decay, max_epochs=70,
                                 record_every=None)
-        rows, configs = _stack_inputs(problem, cfg, n_rows)
-        final_x, final_dual = run_seed_stack(problem, rows, configs)
-        assert final_x.shape == final_dual.shape == (n_rows, dim)
-        for s, (y, c) in enumerate(zip(rows, configs)):
-            run = run_sgd(problem, y, c)
-            assert final_x[s].tobytes() == run.final_x.values.tobytes()
-            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+        rows, configs = _stack_inputs(problem, cfg, 3)
+        calls = _count_kernel_calls(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="bsgd.solver")
+        assert run_seed_stack(problem, rows, configs) is None
+        assert not calls
+        assert not caplog.records
+        run_sgd(problem, rows[0], configs[0])
+        assert "admissib" in caplog.records[0].getMessage()
 
     def test_a_priori_stop_and_zero_steps(self, hilbert_benchmark):
         p = hilbert_benchmark
@@ -825,15 +832,14 @@ class TestSeedStack:
 
     @pytest.mark.parametrize("n_rows", [2, 20])
     @pytest.mark.parametrize("dim,beta,mode,r_x,r_y", [
+        (40, 0.0, "theory", 2.0, 2.0),
         (40, 0.05, "theory", 2.0, 2.0),
+        (40, 0.0, "practice", 1.5, 1.5),
         (41, 0.05, "practice", 1.5, 1.5),
         (40, 0.0, "theory", 3.0, 3.0),
-        (40, 0.0, "theory", 1.5, 2.0),   # r* != p*: whole-seed chains
-        (43, 0.05, "theory", 3.0, 2.0),
     ])
     def test_matches_serial_runs_at_constant_steps(self, dim, beta, mode,
                                                    r_x, r_y, n_rows):
-        # decay 0 with r* == p* runs (seed, block) chains
         problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
         cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
                                 step_decay_exponent=0.0, max_epochs=70,
@@ -932,8 +938,8 @@ class TestSeedStack:
         assert run_seed_stack(problem, rows, configs) is None
 
     def test_random_stacks_match_serial_runs(self, caplog):
-        # theory mode: r_X = 1.5 runs whole seeds, r_X >= 2 runs chains, and
-        # three of these stacks end early
+        # theory mode with r_Y = q: r_X = 1.5 (r* != p*) has no stacked
+        # result, r_X >= 2 runs chains, and six of these stacks end early
         rng = np.random.default_rng(2024)
         caplog.set_level(logging.DEBUG, logger="bsgd.solver")
         exits = 0
@@ -943,14 +949,17 @@ class TestSeedStack:
             problem = build_benchmark(dim, 0.9, 1.1, rng.choice([0.0, 0.05]),
                                       n_blocks=n_blocks,
                                       seed=int(rng.integers(100)))
-            r_x, r_y = rng.choice([1.5, 2.0, 3.0, 4.0], size=2).tolist()
-            cfg = SolverConfig.make("theory", r_X=r_x, r_Y=r_y,
+            r_x = float(rng.choice([1.5, 2.0, 3.0, 4.0]))
+            cfg = SolverConfig.make("theory", r_X=r_x, r_Y=max(r_x, 2.0),
                                     mu0=float(rng.uniform(0.1, 1.2)),
                                     max_epochs=int(rng.integers(1, 600)),
                                     record_every=None)
             rows, configs = _stack_inputs(problem, cfg, int(rng.integers(1, 5)))
             caplog.clear()
             stack = run_seed_stack(problem, rows, configs)
+            if r_x < 2.0:
+                assert stack is None
+                continue
             exits += "periodic" in caplog.text
             runs = [run_sgd(problem, y, c) for y, c in zip(rows, configs)]
             if stack is None:
