@@ -783,19 +783,54 @@ def _stack_inputs(problem, cfg, n_rows):
     return rows, configs
 
 
+def _check_stack_against_serial(monkeypatch, dim, beta, mode, r_x, r_y,
+                                n_rows, decay):
+    """The stack gives each row's serial run_sgd iterates bit for bit when
+    its chains are (seed, block) pairs (r_X == p, r_Y == q, decay 0); any
+    other config gets None before any kernel call, which sends a study's
+    rows to run_sgd one by one."""
+    problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
+    cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
+                            step_decay_exponent=decay, max_epochs=70,
+                            record_every=None)
+    rows, configs = _stack_inputs(problem, cfg, n_rows)
+    calls = _count_kernel_calls(monkeypatch)
+    stack = run_seed_stack(problem, rows, configs)
+    if decay != 0.0 or cfg.r_X != cfg.p or cfg.r_Y != cfg.q:
+        assert stack is None
+        assert not calls
+        return
+    final_x, final_dual = stack
+    assert final_x.shape == final_dual.shape == (n_rows, dim)
+    for s, (y, c) in enumerate(zip(rows, configs)):
+        run = run_sgd(problem, y, c)
+        assert final_x[s].tobytes() == run.final_x.values.tobytes()
+        assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+
+
 class TestSeedStack:
     """run_seed_stack gives each row's serial run_sgd iterates bit for bit,
     or declines (None) a config whose chains are not (seed, block) pairs."""
 
+    @pytest.mark.parametrize("n_rows", [2, 20])
+    @pytest.mark.parametrize("dim,beta,mode,r_x,r_y", [
+        (40, 0.0, "theory", 2.0, 2.0),
+        (40, 0.05, "theory", 2.0, 2.0),
+        (40, 0.0, "practice", 1.5, 1.5),
+        (40, 0.0, "theory", 1.5, 2.0),
+        (40, 0.0, "theory", 3.0, 3.0),
+        (40, 0.05, "theory", 3.0, 2.0),
+        (41, 0.05, "practice", 1.5, 1.5),
+        (43, 0.0, "theory", 1.5, 2.0),
+    ])
+    def test_matches_serial_runs(self, monkeypatch, dim, beta, mode, r_x, r_y,
+                                 n_rows):
+        # decaying steps: no stacked result, so every row runs serially
+        _check_stack_against_serial(monkeypatch, dim, beta, mode, r_x, r_y,
+                                    n_rows, decay=0.1)
+
     @pytest.mark.parametrize("dim,beta,mode,r_x,r_y,decay", [
-        (40, 0.0, "theory", 2.0, 2.0, 0.1),      # decaying steps
-        (40, 0.05, "theory", 2.0, 2.0, 0.1),
-        (40, 0.0, "practice", 1.5, 1.5, 0.1),
-        (40, 0.0, "theory", 1.5, 2.0, 0.1),
-        (40, 0.0, "theory", 3.0, 3.0, 0.1),
-        (40, 0.05, "theory", 3.0, 2.0, 0.1),
-        (41, 0.05, "practice", 1.5, 1.5, 0.1),
-        (43, 0.0, "theory", 1.5, 2.0, 0.1),
+        (40, 0.0, "practice", 1.5, 1.5, 0.1),    # decaying steps
         (40, 0.0, "theory", 1.5, 2.0, 0.0),      # p = 2 != r_X: r* != p*
         (43, 0.05, "theory", 3.0, 2.0, 0.0),     # q = 3 != r_Y
     ])
@@ -837,19 +872,14 @@ class TestSeedStack:
         (40, 0.0, "practice", 1.5, 1.5),
         (41, 0.05, "practice", 1.5, 1.5),
         (40, 0.0, "theory", 3.0, 3.0),
+        (40, 0.0, "theory", 1.5, 2.0),   # r* != p*: declined
+        (43, 0.05, "theory", 3.0, 2.0),  # r_Y != q: declined
     ])
-    def test_matches_serial_runs_at_constant_steps(self, dim, beta, mode,
-                                                   r_x, r_y, n_rows):
-        problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
-        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
-                                step_decay_exponent=0.0, max_epochs=70,
-                                record_every=None)
-        rows, configs = _stack_inputs(problem, cfg, n_rows)
-        final_x, final_dual = run_seed_stack(problem, rows, configs)
-        for s, (y, c) in enumerate(zip(rows, configs)):
-            run = run_sgd(problem, y, c)
-            assert final_x[s].tobytes() == run.final_x.values.tobytes()
-            assert final_dual[s].tobytes() == run.final_dual.values.tobytes()
+    def test_matches_serial_runs_at_constant_steps(self, monkeypatch, dim,
+                                                   beta, mode, r_x, r_y,
+                                                   n_rows):
+        _check_stack_against_serial(monkeypatch, dim, beta, mode, r_x, r_y,
+                                    n_rows, decay=0.0)
 
     @pytest.mark.parametrize("mode,r_x,budget", [
         ("theory", 2.0, 0.0175),
