@@ -79,7 +79,8 @@ def _build_problem(cfg: RunConfig):
     return problem, {"gamma_hat": gamma_hat, "L_max_hat": L_hat}
 
 
-def _solver_config(cfg: RunConfig, delta: float | None) -> SolverConfig:
+def _solver_config(cfg: RunConfig, delta: float | None,
+                   n_blocks: int) -> SolverConfig:
     p, q = cfg.resolved_pq()
     if cfg.stopping == "a_priori":
         if delta is None or delta <= 0:
@@ -90,8 +91,6 @@ def _solver_config(cfg: RunConfig, delta: float | None) -> SolverConfig:
                                 gamma_budget=cfg.gamma_budget)
     else:
         stopping = StoppingRule(cfg.stopping)
-    n_blocks = cfg.n_blocks if cfg.experiment == "benchmark" \
-        else cfg.n_angles // cfg.batch_size
     record_every = cfg.record_every if cfg.record_every > 0 else \
         (1 if cfg.algorithm == "landweber" else n_blocks)
     return SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
@@ -127,7 +126,8 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     y_obs = apply_noise(problem.y_exact, spec) if spec else list(problem.y_exact)
     deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
-    solver_cfg = _solver_config(cfg, delta if delta > 0 else None)
+    solver_cfg = _solver_config(cfg, delta if delta > 0 else None,
+                                problem.n_blocks)
     runner = run_landweber if cfg.algorithm == "landweber" else run_sgd
     run = runner(problem, y_obs, solver_cfg, x0=cfg.x0)
 
@@ -165,16 +165,12 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
 
 def cmd_run(config_path, out_dir, *, seed: int | None = None,
             epochs: int | None = None, quiet: bool = False) -> int:
-    try:
-        cfg = parse_config(config_path)
-        if seed is not None:
-            cfg = replace(cfg, solver_seed=seed)
-        if epochs is not None:
-            cfg = replace(cfg, epochs=epochs)
-        execute_run(cfg, out_dir, quiet)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = parse_config(config_path)
+    if seed is not None:
+        cfg = replace(cfg, solver_seed=seed)
+    if epochs is not None:
+        cfg = replace(cfg, epochs=epochs)
+    execute_run(cfg, out_dir, quiet)
     return 0
 
 
@@ -196,107 +192,95 @@ def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
 
 def cmd_sweep(config_path, axis: str, values, out_dir, *,
               quiet: bool = False) -> int:
-    try:
-        cfg = parse_config(config_path)
-        tokens = [v.strip() for v in values if str(v).strip()]
-        if not tokens:
-            raise ValueError("sweep needs at least one axis value")
-        cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
-                   for tok, cell_cfg in cells]
+    cfg = parse_config(config_path)
+    tokens = [v.strip() for v in values if str(v).strip()]
+    if not tokens:
+        raise ValueError("sweep needs at least one axis value")
+    cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
+               for tok, cell_cfg in cells]
 
-        lines = ["axis,value,best_error,best_iteration,delta,metric"]
-        for (tok, _), res in zip(cells, results):
-            lines.append(f"{axis},{tok},{res['best_metric']!r},"
-                         f"{res['best_iteration']},{res['delta']!r},"
-                         f"{res['metric_kind']}")
-        (out / "summary.csv").write_text("\n".join(lines) + "\n")
-        _say(quiet, f"sweep complete: {len(cells)} cells under {out}")
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lines = ["axis,value,best_error,best_iteration,delta,metric"]
+    for (tok, _), res in zip(cells, results):
+        lines.append(f"{axis},{tok},{res['best_metric']!r},"
+                     f"{res['best_iteration']},{res['delta']!r},"
+                     f"{res['metric_kind']}")
+    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    _say(quiet, f"sweep complete: {len(cells)} cells under {out}")
     return 0
 
 
 def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
-    try:
-        cfg = parse_config(config_path)
-        if cfg.experiment != "benchmark":
-            raise ValueError("rate studies run on the benchmark experiment")
-        deltas = cfg.rate_delta_list()
-        if not deltas:
-            raise ValueError("rate study needs a nonempty noise-level list")
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    cfg = parse_config(config_path)
+    if cfg.experiment != "benchmark":
+        raise ValueError("rate studies run on the benchmark experiment")
+    deltas = cfg.rate_delta_list()
+    if not deltas:
+        raise ValueError("rate study needs a nonempty noise-level list")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-        problem, _ = _build_problem(cfg)
-        if problem.stability is None:
-            raise ValueError("rate studies need the linear benchmark (beta = 0)")
-        p, q = cfg.resolved_pq()
-        base = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
-                            mu0=cfg.resolved_mu0(),
-                            step_decay_exponent=cfg.decay,
-                            max_epochs=cfg.epochs, seed=cfg.solver_seed,
-                            mode=cfg.mode, record_every=cfg.n_blocks)
+    problem, _ = _build_problem(cfg)
+    if problem.stability is None:
+        raise ValueError("rate studies need the linear benchmark (beta = 0)")
+    p, q = cfg.resolved_pq()
+    base = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
+                        mu0=cfg.resolved_mu0(),
+                        step_decay_exponent=cfg.decay,
+                        max_epochs=cfg.epochs, seed=cfg.solver_seed,
+                        mode=cfg.mode, record_every=problem.n_blocks)
 
-        histories = []
-        for s in range(cfg.rate_seeds):
-            run = run_sgd(problem, problem.y_exact,
-                          replace(base, seed=cfg.solver_seed + s), x0=0.0)
-            histories.append(run.history)
-        exact_fit = rates_mod.fit_exact_rate(histories, problem.stability.alpha)
-        bound = rates_mod.theoretical_contraction_factor(
-            base.mu0, gamma=problem.gamma, L_max=problem.L_max,
-            G_pstar=base.geometry_x().G_pstar, p=base.p,
-            C_alpha=problem.stability.C_alpha, n_blocks=problem.n_blocks)
-        exact_ok = exact_fit.fitted_rate <= bound + 0.05 \
-            and exact_fit.r_squared >= 0.95
+    histories = []
+    for s in range(cfg.rate_seeds):
+        run = run_sgd(problem, problem.y_exact,
+                      replace(base, seed=cfg.solver_seed + s), x0=0.0)
+        histories.append(run.history)
+    exact_fit = rates_mod.fit_exact_rate(histories, problem.stability.alpha)
+    bound = rates_mod.theoretical_contraction_factor(
+        base.mu0, gamma=problem.gamma, L_max=problem.L_max,
+        G_pstar=base.geometry_x().G_pstar, p=base.p,
+        C_alpha=problem.stability.C_alpha, n_blocks=problem.n_blocks)
+    exact_ok = exact_fit.fitted_rate <= bound + 0.05 \
+        and exact_fit.r_squared >= 0.95
 
-        noisy_cfg = replace(
-            base,
-            stopping=StoppingRule("a_priori", delta=deltas[0],
-                                  gamma_budget=cfg.rate_gamma_budget),
-        )
-        study = rates_mod.noisy_rate_study(problem, problem.stability, deltas,
-                                           noisy_cfg, cfg.rate_seeds)
-        noisy_ok = study.slope_within(0.2) and study.fit.r_squared >= 0.9
+    noisy_cfg = replace(
+        base,
+        stopping=StoppingRule("a_priori", delta=deltas[0],
+                              gamma_budget=cfg.rate_gamma_budget),
+    )
+    study = rates_mod.noisy_rate_study(problem, problem.stability, deltas,
+                                       noisy_cfg, cfg.rate_seeds)
+    noisy_ok = study.slope_within(0.2) and study.fit.r_squared >= 0.9
 
-        rates_mod.write_study_csv(study, out / "noisy_study.csv")
-        rates_mod.write_study_summary(
-            study, out / "rates_summary.txt",
-            extra={
-                "exact_contraction_factor": exact_fit.fitted_rate,
-                "exact_theoretical_bound": bound,
-                "exact_r_squared": exact_fit.r_squared,
-                "exact_within_bound": exact_ok,
-            })
-        _say(quiet, f"exact fit: factor {exact_fit.fitted_rate:.4f} "
-                    f"(bound {bound:.4f}, r2 {exact_fit.r_squared:.3f})")
-        _say(quiet, f"noisy fit: slope {study.fit.fitted_rate:.3f} "
-                    f"(target {study.target_slope:.1f}, r2 {study.fit.r_squared:.3f})")
-        if not (exact_ok and noisy_ok):
-            print("error: rate study outside acceptance tolerances",
-                  file=sys.stderr)
-            return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+    rates_mod.write_study_csv(study, out / "noisy_study.csv")
+    rates_mod.write_study_summary(
+        study, out / "rates_summary.txt",
+        extra={
+            "exact_contraction_factor": exact_fit.fitted_rate,
+            "exact_theoretical_bound": bound,
+            "exact_r_squared": exact_fit.r_squared,
+            "exact_within_bound": exact_ok,
+        })
+    _say(quiet, f"exact fit: factor {exact_fit.fitted_rate:.4f} "
+                f"(bound {bound:.4f}, r2 {exact_fit.r_squared:.3f})")
+    _say(quiet, f"noisy fit: slope {study.fit.fitted_rate:.3f} "
+                f"(target {study.target_slope:.1f}, r2 {study.fit.r_squared:.3f})")
+    if not (exact_ok and noisy_ok):
+        print("error: rate study outside acceptance tolerances",
+              file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_phantom(shape: str, n_blobs: int, amplitude: float, seed: int,
                 out_path, *, quiet: bool = False) -> int:
-    try:
-        rows, cols = (int(tok) for tok in shape.lower().split("x", 1))
-        phantom = make_phantom("sparse_blobs", (rows, cols), n_blobs,
-                               amplitude, seed)
-        write_array(out_path, phantom)
-        _say(quiet, f"wrote {rows}x{cols} phantom to {out_path}")
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows, cols = (int(tok) for tok in shape.lower().split("x", 1))
+    phantom = make_phantom("sparse_blobs", (rows, cols), n_blobs,
+                           amplitude, seed)
+    write_array(out_path, phantom)
+    _say(quiet, f"wrote {rows}x{cols} phantom to {out_path}")
     return 0
 
 
@@ -361,6 +345,9 @@ def main(argv=None) -> int:
             return cmd_rates(args.config, args.out, quiet=args.quiet)
         return cmd_phantom(args.shape, args.blobs, args.amplitude, args.seed,
                            args.out, quiet=args.quiet)
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         log.removeHandler(handler)
         log.setLevel(level)

@@ -21,6 +21,11 @@ and ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
 wrappers; the constant estimators use them.  ``linearization`` and
 ``normal_operator`` fix the linearisation point once for the two constant
 estimators, so the Schlieren problem projects it once.
+
+A Schlieren block is a batch of its Radon system, and the Schlieren
+functions take that batch's index: every projection is one sparse product,
+``RadonSystem.project_batch``.  ``build_schlieren_problem`` regroups a
+system built in other batches once, with the same bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .geometry import (
     _duality_map_rows,
     lr_norm,
 )
-from .radon import RadonSystem, make_interleaved_batches
+from .radon import RadonSystem
 
 __all__ = [
     "StabilityParams",
@@ -48,7 +53,6 @@ __all__ = [
     "schlieren_apply",
     "schlieren_derivative_apply",
     "schlieren_adjoint_apply",
-    "make_interleaved_batches",
     "build_schlieren_problem",
     "build_benchmark",
     "estimate_tcc_gamma",
@@ -155,50 +159,53 @@ class ForwardProblem:
             raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
 
 
-def schlieren_apply(system: RadonSystem, batch, x: GridVector) -> GridVector:
-    """Componentwise square of the stacked line integrals over the batch."""
+def schlieren_apply(system: RadonSystem, k: int, x: GridVector) -> GridVector:
+    """Componentwise square of batch k's stacked line integrals."""
+    _check_batch(system, k)
     _check_image(system, x)
-    return GridVector(_schlieren_forward(system, batch, x.values))
+    return GridVector(_schlieren_forward(system, k, x.values))
 
 
-def _schlieren_forward(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
+def _schlieren_forward(system: RadonSystem, k: int, x: np.ndarray) -> np.ndarray:
     """Raw ``schlieren_apply``: arrays in, arrays out, nothing validated."""
-    proj = _project_batch(system, batch, x)
+    proj = system.project_batch(k, x)
     return proj * proj
 
 
-def schlieren_derivative_apply(system: RadonSystem, batch, x: GridVector,
+def schlieren_derivative_apply(system: RadonSystem, k: int, x: GridVector,
                                h: GridVector, *,
                                px: np.ndarray | None = None) -> GridVector:
-    """Derivative action: 2 * (R x) * (R h), stacked over the batch.
+    """Derivative action: 2 * (R x) * (R h), stacked over batch k.
 
     ``px``, the stacked projections R x, spares projecting x, as in
     ``schlieren_adjoint_apply``.
     """
+    _check_batch(system, k)
     _check_image(system, x)
     _check_image(system, h)
     if px is None:
-        px = _project_batch(system, batch, x.values)
-    ph = _project_batch(system, batch, h.values)
-    return GridVector(2.0 * px * ph)
+        px = system.project_batch(k, x.values)
+    return GridVector(2.0 * px * system.project_batch(k, h.values))
 
 
-def schlieren_adjoint_apply(system: RadonSystem, batch, x, g, *,
+def schlieren_adjoint_apply(system: RadonSystem, k: int, x, g, *,
                             px: np.ndarray | None = None) -> DualVector:
-    """Adjoint of the derivative: R^T (2 * (R x) * g).
+    """Adjoint of the derivative on batch k: R^T (2 * (R x) * g).
 
     ``px``, the stacked projections R x of the batch, spares projecting x
     a second time when the caller has already made them; x is then only
     shape-checked and may be a raw array.
     """
+    _check_batch(system, k)
     _check_image(system, x)
+    batch = system.batches[k]
     gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
     if gv.shape != (len(batch), system.n_detectors):
         raise ValueError(
             f"data block shape {gv.shape} != {(len(batch), system.n_detectors)}"
         )
     if px is None:
-        px = _project_batch(system, batch, x.values)
+        px = system.project_batch(k, x.values)
     # accumulated angle by angle in batch order
     out = np.zeros(system.image_shape[0] * system.image_shape[1])
     for a, row in zip(batch, 2.0 * px * gv):
@@ -206,16 +213,9 @@ def schlieren_adjoint_apply(system: RadonSystem, batch, x, g, *,
     return DualVector(out.reshape(system.image_shape))
 
 
-def _project_batch(system: RadonSystem, batch, x: np.ndarray) -> np.ndarray:
-    """Stacked projections (len(batch), n_detectors) of the angle list.
-
-    One sparse product when the list is one of the system's batches, else
-    one per angle; each row is summed on its own, so the bits are the same.
-    """
-    k = system.batch_of.get(tuple(batch))
-    if k is not None:
-        return system.project_batch(k, x)
-    return np.stack([system.project(a, x) for a in batch])
+def _check_batch(system: RadonSystem, k: int) -> None:
+    if not 0 <= k < len(system.batches):
+        raise IndexError(f"batch index {k} out of range [0, {len(system.batches)})")
 
 
 def _check_image(system: RadonSystem, x: GridVector) -> None:
@@ -224,67 +224,63 @@ def _check_image(system: RadonSystem, x: GridVector) -> None:
 
 
 class SchlierenProblem(ForwardProblem):
+    """The Schlieren operator with one block per batch of ``system``."""
+
     kind = "schlieren"
 
-    def __init__(self, system: RadonSystem, batches, y_exact, x_truth=None,
-                 L_max=None, gamma=None):
+    def __init__(self, system: RadonSystem, y_exact, x_truth=None, L_max=None,
+                 gamma=None):
         self.system = system
-        super().__init__(batches, y_exact, x_truth, L_max, gamma)
+        super().__init__(system.batches, y_exact, x_truth, L_max, gamma)
 
     @property
     def domain_shape(self):
         return self.system.image_shape
 
     def apply_block(self, i, x):
-        self._check_block(i)
-        return schlieren_apply(self.system, self.batches[i], x)
+        return schlieren_apply(self.system, i, x)
 
     def block_forward(self, i, x):
-        return _schlieren_forward(self.system, self.batches[i], x)
+        return _schlieren_forward(self.system, i, x)
 
     def derivative_apply(self, i, x, h):
-        self._check_block(i)
-        return schlieren_derivative_apply(self.system, self.batches[i], x, h)
+        return schlieren_derivative_apply(self.system, i, x, h)
 
     def adjoint_apply(self, i, x, g):
-        self._check_block(i)
-        return schlieren_adjoint_apply(self.system, self.batches[i], x, g)
+        return schlieren_adjoint_apply(self.system, i, x, g)
 
     def linearization(self, i, x):
         self._check_block(i)
         _check_image(self.system, x)
-        batch = self.batches[i]
-        px = _project_batch(self.system, batch, x.values)
+        px = self.system.project_batch(i, x.values)
         return GridVector(px * px), lambda h: schlieren_derivative_apply(
-            self.system, batch, x, h, px=px)
+            self.system, i, x, h, px=px)
 
     def normal_operator(self, i, x):
         self._check_block(i)
         _check_image(self.system, x)
-        batch = self.batches[i]
-        px = _project_batch(self.system, batch, x.values)
+        px = self.system.project_batch(i, x.values)
 
         def apply(v):
-            w = schlieren_derivative_apply(self.system, batch, x, GridVector(v),
-                                           px=px)
-            return schlieren_adjoint_apply(self.system, batch, x, w, px=px).values
+            w = schlieren_derivative_apply(self.system, i, x, GridVector(v), px=px)
+            return schlieren_adjoint_apply(self.system, i, x, w, px=px).values
         return apply
 
     def block_residual_gradient(self, i, x, y_i, gy):
         # schlieren_apply, then schlieren_adjoint_apply on its projections
-        batch = self.batches[i]
-        px = _project_batch(self.system, batch, x)
+        px = self.system.project_batch(i, x)
         resid = px * px - y_i
         w = _duality_map_raw(resid, gy.r, gy.p)
-        return resid, schlieren_adjoint_apply(self.system, batch, x, w, px=px).values
+        return resid, schlieren_adjoint_apply(self.system, i, x, w, px=px).values
 
 
 def build_schlieren_problem(system: RadonSystem, batch_size: int,
                             x_truth: GridVector) -> SchlierenProblem:
-    """Batch the angles, compute exact data from the ground truth."""
-    batches = make_interleaved_batches(system.n_angles, batch_size)
-    y_exact = [schlieren_apply(system, b, x_truth) for b in batches]
-    return SchlierenProblem(system, batches, y_exact, x_truth=x_truth)
+    """The problem on ``system`` regrouped into batches of ``batch_size``
+    (``RadonSystem.regrouped``), with exact data from the ground truth."""
+    system = system.regrouped(batch_size)
+    y_exact = [schlieren_apply(system, k, x_truth) for k in range(len(system.batches))]
+    return SchlierenProblem(system, y_exact, x_truth=x_truth)
 
 
 class BenchmarkProblem(ForwardProblem):

@@ -28,7 +28,6 @@ __all__ = [
     "duality_map",
     "inverse_duality_map",
     "bregman_distance",
-    "convexity_constant",
     "smoothness_constant",
 ]
 
@@ -111,17 +110,15 @@ def conjugate_exponent(e: float) -> float:
 class GeometryParams:
     """Exponent pack governing duality maps and Bregman distances.
 
-    ``C_p`` (p-convexity constant of the space) and ``G_pstar``
-    (p*-smoothness constant of the dual) are optional; closed forms are
-    known only for special exponent combinations, see
-    :func:`convexity_constant` and :func:`smoothness_constant`.
+    ``G_pstar`` (p*-smoothness constant of the dual) is optional; closed
+    forms are known only for special exponent combinations, see
+    :func:`smoothness_constant`.
     """
 
     r: float
     p: float
     r_star: float
     p_star: float
-    C_p: float | None = None
     G_pstar: float | None = None
 
     def __post_init__(self):
@@ -144,7 +141,6 @@ class GeometryParams:
             p=p,
             r_star=conjugate_exponent(r),
             p_star=conjugate_exponent(p),
-            C_p=convexity_constant(r, p),
             G_pstar=smoothness_constant(conjugate_exponent(r), conjugate_exponent(p)),
         )
 
@@ -260,11 +256,11 @@ def bregman_distance(z: GridVector, w: GridVector, g: GeometryParams) -> float:
     return nz**g.p / g.p_star + nw**g.p / g.p - float(np.dot(jz.ravel(), wv.ravel()))
 
 
-def _scalar_bregman_ratio_extremum(s: float, find_max: bool) -> float:
-    """Extremum over scalars of D_s(t, t+1) for the L^s gauge power p = s.
+def _scalar_bregman_ratio_max(s: float) -> float:
+    """Maximum over scalars of D_s(t, t+1) for the L^s gauge power p = s.
 
     With p = s the Bregman distance is separable across coordinates, so a
-    scalar extremum of D(z, w)/|w - z|^s gives a valid vector constant.
+    scalar maximum of D(z, w)/|w - z|^s gives a valid vector constant.
     """
     s_star = conjugate_exponent(s)
 
@@ -274,31 +270,13 @@ def _scalar_bregman_ratio_extremum(s: float, find_max: bool) -> float:
 
     ts = np.concatenate([-np.logspace(-3, 3, 400)[::-1], [0.0], np.logspace(-3, 3, 400)])
     fs = np.array([f(t) for t in ts])
-    idx = int(np.argmax(fs) if find_max else np.argmin(fs))
+    idx = int(np.argmax(fs))
     lo = ts[max(idx - 1, 0)]
     hi = ts[min(idx + 1, len(ts) - 1)]
     from scipy.optimize import minimize_scalar
 
-    sign = -1.0 if find_max else 1.0
-    res = minimize_scalar(lambda t: sign * f(t), bounds=(lo, hi), method="bounded")
-    return float(sign * res.fun)
-
-
-@lru_cache(maxsize=None)
-def convexity_constant(r: float, p: float) -> float | None:
-    """p-convexity constant C_p of L^r: D(z,w) >= (C_p/p) ||w-z||_r^p.
-
-    Known cases: Hilbert (r = p = 2) gives 1; 1 < r <= 2 with p = 2 gives
-    r - 1; r > 2 with p = r is computed from the separable scalar problem.
-    Returns None outside the p-convex regime.
-    """
-    if r == 2.0 and p == 2.0:
-        return 1.0
-    if 1.0 < r <= 2.0 and p == 2.0:
-        return r - 1.0
-    if r > 2.0 and p == r:
-        return r * _scalar_bregman_ratio_extremum(r, find_max=False)
-    return None
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded")
+    return float(-res.fun)
 
 
 @lru_cache(maxsize=None)
@@ -314,5 +292,5 @@ def smoothness_constant(r_star: float, p_star: float) -> float | None:
     if r_star >= 2.0 and p_star == 2.0:
         return r_star - 1.0
     if 1.0 < r_star < 2.0 and p_star == r_star:
-        return r_star * _scalar_bregman_ratio_extremum(r_star, find_max=True)
+        return r_star * _scalar_bregman_ratio_max(r_star)
     return None

@@ -28,15 +28,17 @@ the kernel itself would read out of bounds.
 
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
-a batch projects with one sparse product.  Each row is summed on its own,
-so that product has the bits of projecting angle by angle.  The per-angle
-matrices and their transposes are zero-copy views into the batch arrays:
-slices of ``data``/``indices`` with a rebased ``indptr``.
+a batch projects with one sparse product, and that is the only projection
+there is.  ``RadonSystem.regrouped`` restacks a system built in other
+batches; ``_batch_matrix`` stacks every batch CSR, built or regrouped, so
+the two give the same bytes.  The per-angle matrices and their transposes
+are zero-copy views into the batch arrays: slices of ``data``/``indices``
+with a rebased ``indptr``.  The transposes back-project angle by angle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -102,11 +104,6 @@ class RadonSystem:
     def n_angles(self) -> int:
         return int(self.angles.size)
 
-    @cached_property
-    def batch_of(self) -> dict[tuple[int, ...], int]:
-        """Batch index of each batch's angle tuple."""
-        return {b: k for k, b in enumerate(self.batches)}
-
     def project_batch(self, k: int, image: np.ndarray) -> np.ndarray:
         """Line integrals at batch k's angles from one sparse product;
         returns (len(batches[k]), n_detectors)."""
@@ -128,10 +125,6 @@ class RadonSystem:
                                        (n_det, m.shape[1]))
         return tuple(views)
 
-    def project(self, angle_index: int, image: np.ndarray) -> np.ndarray:
-        """Line integrals at one angle; returns (n_detectors,)."""
-        return _matvec(self.matrices[angle_index], image)
-
     @cached_property
     def transposes(self) -> tuple[sparse.csc_matrix, ...]:
         """Per-angle transposes, built once; each shares its matrix's arrays."""
@@ -143,6 +136,19 @@ class RadonSystem:
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
         return _matvec(self.transposes[angle_index], sino)
+
+    def regrouped(self, batch_size: int) -> RadonSystem:
+        """This system in ``make_interleaved_batches(n_angles, batch_size)``:
+        itself when its batches are those already, else a copy whose batch
+        matrices have the bytes of ``build_radon(..., batch_size)``."""
+        batches = make_interleaved_batches(self.n_angles, batch_size)
+        if [list(b) for b in self.batches] == batches:
+            return self
+        parts = [(m.data, m.indices, np.diff(m.indptr)) for m in self.matrices]
+        n_pixels = self.image_shape[0] * self.image_shape[1]
+        return replace(self, batches=tuple(map(tuple, batches)),
+                       batch_matrices=tuple(_batch_matrix([parts[a] for a in b], n_pixels)
+                                            for b in batches))
 
 
 def _matvec(m, v) -> np.ndarray:
@@ -234,17 +240,18 @@ def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
             np.bincount(kept_det, minlength=n_det))
 
 
-def _batch_matrix(thetas, detector_s, x_lo, x_hi, y_lo, y_hi) -> sparse.csr_matrix:
-    """One CSR holding the angles' rows, stacked in the order given."""
+def _batch_matrix(parts, n_pixels: int) -> sparse.csr_matrix:
+    """One CSR holding the angles' rows, stacked in the order given; each
+    part is one angle's CSR (data, indices) and its per-row entry counts."""
     from scipy import sparse
 
-    parts = [_angle_entries(t, detector_s, x_lo, x_hi, y_lo, y_hi) for t in thetas]
-    indptr = np.zeros(len(parts) * detector_s.size + 1, dtype=np.int32)
-    np.cumsum(np.concatenate([counts for _, _, counts in parts]), out=indptr[1:])
+    counts = np.concatenate([counts for _, _, counts in parts])
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
     data = np.concatenate([data for data, _, _ in parts])
     indices = np.concatenate([indices for _, indices, _ in parts])
     return sparse.csr_matrix((data, indices, indptr),
-                             shape=(indptr.size - 1, x_lo.size))
+                             shape=(indptr.size - 1, n_pixels))
 
 
 def build_radon(image_shape, n_angles: int, n_detectors: int,
@@ -281,7 +288,9 @@ def build_radon(image_shape, n_angles: int, n_detectors: int,
     y_lo = y_hi - dy
 
     batch_matrices = tuple(
-        _batch_matrix(angles[b], detector_s, x_lo, x_hi, y_lo, y_hi) for b in batches
+        _batch_matrix([_angle_entries(t, detector_s, x_lo, x_hi, y_lo, y_hi)
+                       for t in angles[b]], x_lo.size)
+        for b in batches
     )
     angles_ro = angles.copy()
     angles_ro.setflags(write=False)

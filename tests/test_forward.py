@@ -10,7 +10,6 @@ from bsgd.forward import (
     build_schlieren_problem,
     estimate_lipschitz_Lmax,
     estimate_tcc_gamma,
-    make_interleaved_batches,
     schlieren_adjoint_apply,
     schlieren_apply,
     schlieren_derivative_apply,
@@ -23,11 +22,17 @@ from bsgd.geometry import (
     lr_norm,
     pairing,
 )
-from bsgd.radon import RadonSystem, build_radon
+from bsgd.radon import RadonSystem, build_radon, make_interleaved_batches
 
 
-def dense_matrix(system, batch):
-    return np.vstack([system.matrices[a].toarray() for a in batch])
+def dense_matrix(system, k):
+    return np.vstack([system.matrices[a].toarray() for a in system.batches[k]])
+
+
+@pytest.fixture(scope="module")
+def small_pairs(small_radon):
+    """small_radon regrouped into batches of two angles, {k, k + 5}."""
+    return small_radon.regrouped(2)
 
 
 class TestBatches:
@@ -45,93 +50,102 @@ class TestBatches:
 
 
 class TestSchlierenOps:
-    def test_zero_image(self, small_radon):
-        out = schlieren_apply(small_radon, [0, 1], GridVector(np.zeros((16, 16))))
+    def test_zero_image(self, small_pairs):
+        out = schlieren_apply(small_pairs, 0, GridVector(np.zeros((16, 16))))
         assert np.all(out.values == 0.0)
 
-    def test_degree_two_homogeneity(self, small_radon, rng):
+    def test_degree_two_homogeneity(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        base = schlieren_apply(small_radon, [1, 4], x)
-        scaled = schlieren_apply(small_radon, [1, 4], 3.0 * x)
+        base = schlieren_apply(small_pairs, 1, x)
+        scaled = schlieren_apply(small_pairs, 1, 3.0 * x)
         np.testing.assert_allclose(scaled.values, 9.0 * base.values, rtol=1e-12)
 
-    def test_matches_dense_matrix_oracle(self, small_radon, rng):
-        batch = [0, 3, 7]
-        dense = dense_matrix(small_radon, batch)
+    def test_matches_dense_matrix_oracle(self, small_pairs, rng):
+        dense = dense_matrix(small_pairs, 3)
         x = rng.standard_normal((16, 16))
         expected = (dense @ x.ravel()) ** 2
-        out = schlieren_apply(small_radon, batch, GridVector(x))
+        out = schlieren_apply(small_pairs, 3, GridVector(x))
         np.testing.assert_allclose(out.values.ravel(), expected, rtol=1e-12)
 
     def test_derivative_zero_direction(self, small_radon, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        out = schlieren_derivative_apply(small_radon, [2], x,
+        out = schlieren_derivative_apply(small_radon, 2, x,
                                          GridVector(np.zeros((16, 16))))
         assert np.all(out.values == 0.0)
 
-    def test_derivative_linear_in_direction(self, small_radon, rng):
+    def test_derivative_linear_in_direction(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
         h1 = GridVector(rng.standard_normal((16, 16)))
         h2 = GridVector(rng.standard_normal((16, 16)))
-        batch = [1, 5]
-        combo = schlieren_derivative_apply(small_radon, batch, x,
+        combo = schlieren_derivative_apply(small_pairs, 1, x,
                                            2.0 * h1 + (-0.5) * h2)
-        parts = (2.0 * schlieren_derivative_apply(small_radon, batch, x, h1)
-                 + (-0.5) * schlieren_derivative_apply(small_radon, batch, x, h2))
+        parts = (2.0 * schlieren_derivative_apply(small_pairs, 1, x, h1)
+                 + (-0.5) * schlieren_derivative_apply(small_pairs, 1, x, h2))
         np.testing.assert_allclose(combo.values, parts.values, atol=1e-12)
 
-    def test_finite_difference_slope(self, small_radon, rng):
+    def test_finite_difference_slope(self, small_pairs, rng):
         # second difference of the quadratic map is exactly t * (R h)^2
         x = GridVector(rng.standard_normal((16, 16)))
         h = GridVector(rng.standard_normal((16, 16)))
-        batch = [0, 4, 8]
-        deriv = schlieren_derivative_apply(small_radon, batch, x, h)
+        deriv = schlieren_derivative_apply(small_pairs, 4, x, h)
         ts = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for t in ts:
-            fd = (schlieren_apply(small_radon, batch, x + t * h).values
-                  - schlieren_apply(small_radon, batch, x).values) / t
+            fd = (schlieren_apply(small_pairs, 4, x + t * h).values
+                  - schlieren_apply(small_pairs, 4, x).values) / t
             errs.append(np.linalg.norm(fd - deriv.values))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
 
-    def test_adjoint_zero(self, small_radon, rng):
+    def test_adjoint_zero(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        out = schlieren_adjoint_apply(small_radon, [0, 1], x,
+        out = schlieren_adjoint_apply(small_pairs, 0, x,
                                       DualVector(np.zeros((2, 23))))
         assert np.all(out.values == 0.0)
 
-    def test_adjoint_pairing(self, small_radon, rng):
-        batch = [2, 6, 9]
+    def test_adjoint_pairing(self, small_pairs, rng):
         for _ in range(20):
             x = GridVector(rng.standard_normal((16, 16)))
             h = GridVector(rng.standard_normal((16, 16)))
-            g = DualVector(rng.standard_normal((len(batch), 23)))
-            lhs = pairing(g, schlieren_derivative_apply(small_radon, batch, x, h))
-            rhs = pairing(schlieren_adjoint_apply(small_radon, batch, x, g), h)
+            g = DualVector(rng.standard_normal((2, 23)))
+            lhs = pairing(g, schlieren_derivative_apply(small_pairs, 2, x, h))
+            rhs = pairing(schlieren_adjoint_apply(small_pairs, 2, x, g), h)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
     def test_adjoint_matches_dense_transpose(self, small_radon, rng):
-        batch = [3]
         x = GridVector(np.full((16, 16), 0.7))
         g = rng.standard_normal((1, 23))
-        dense = dense_matrix(small_radon, batch)
+        dense = dense_matrix(small_radon, 3)
         expected = dense.T @ (2.0 * (dense @ x.values.ravel()) * g.ravel())
-        out = schlieren_adjoint_apply(small_radon, batch, x, DualVector(g))
+        out = schlieren_adjoint_apply(small_radon, 3, x, DualVector(g))
         np.testing.assert_allclose(out.values.ravel(), expected, rtol=1e-12)
 
-    def test_adjoint_reuses_given_projections(self, small_radon, rng):
-        batch = [1, 5, 8]
+    def test_adjoint_reuses_given_projections(self, small_radon, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        g = rng.standard_normal((len(batch), 23))
-        px = np.stack([small_radon.project(a, x.values) for a in batch])
-        reused = schlieren_adjoint_apply(small_radon, batch, x, g, px=px)
-        fresh = schlieren_adjoint_apply(small_radon, batch, x, g)
+        g = rng.standard_normal((2, 23))
+        # per-angle projections from the batch-1 system: the same bits
+        px = np.concatenate([small_radon.project_batch(a, x.values)
+                             for a in small_pairs.batches[1]])
+        reused = schlieren_adjoint_apply(small_pairs, 1, x, g, px=px)
+        fresh = schlieren_adjoint_apply(small_pairs, 1, x, g)
         assert reused.values.tobytes() == fresh.values.tobytes()
 
-    def test_shape_mismatch_rejected(self, small_radon):
+    def test_shape_mismatch_rejected(self, small_pairs):
         with pytest.raises(ValueError, match="shape"):
-            schlieren_apply(small_radon, [0], GridVector(np.zeros((4, 4))))
+            schlieren_apply(small_pairs, 0, GridVector(np.zeros((4, 4))))
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_batch_index_out_of_range_rejected(self, small_pairs, k):
+        x = GridVector(np.ones((16, 16)))
+        g = np.ones((2, 23))
+        with pytest.raises(IndexError, match="batch index"):
+            schlieren_apply(small_pairs, k, x)
+        with pytest.raises(IndexError, match="batch index"):
+            schlieren_derivative_apply(small_pairs, k, x, x)
+        with pytest.raises(IndexError, match="batch index"):
+            schlieren_adjoint_apply(small_pairs, k, x, g)
+        with pytest.raises(IndexError, match="batch index"):
+            schlieren_adjoint_apply(small_pairs, k, x, g, px=g)
 
 
 class TestBenchmark:
@@ -271,6 +285,7 @@ def _tcc_oracle(problem, ball_center, ball_radius, n_samples, rng_seed,
 
 @pytest.fixture(scope="module")
 def desk_schlieren(desk_radon, desk_phantom):
+    """The acceptance layout: a batch-1 system, regrouped into batches of 6."""
     return build_schlieren_problem(desk_radon, 6, desk_phantom)
 
 
@@ -286,8 +301,8 @@ def desk_batched(desk_phantom):
                                    desk_phantom)
 
 
-def _count_projections(monkeypatch, method="project"):
-    """Record the first argument (angle or batch index) of each call."""
+def _count_projections(monkeypatch, method="project_batch"):
+    """Record the first argument (batch or angle index) of each call."""
     calls = []
     original = getattr(RadonSystem, method)
 
@@ -316,9 +331,9 @@ class TestEstimators:
         calls = _count_projections(monkeypatch)
         estimate_lipschitz_Lmax(desk_schlieren, desk_schlieren.x_truth,
                                 *DESK_LMAX_ARGS, n_power_iter=20)
-        # 2 samples x 5 blocks x 6 angles: x once, then h in each of the
-        # 20 power steps (the oracle also projects x twice per step: 3,600)
-        assert len(calls) == 60 * (1 + 20) == 1260
+        # 2 samples x 5 blocks: x once, then h in each of the 20 power
+        # steps (the oracle also projects x twice per step: 600)
+        assert len(calls) == 10 * (1 + 20) == 210
 
     def test_tcc_matches_oracle_desk(self, desk_schlieren):
         args = (desk_schlieren, desk_schlieren.x_truth) + DESK_TCC_ARGS
@@ -337,9 +352,9 @@ class TestEstimators:
         calls = _count_projections(monkeypatch)
         estimate_tcc_gamma(desk_schlieren, desk_schlieren.x_truth,
                            *DESK_TCC_ARGS, r_Y=2.0)
-        # 10 samples x 5 blocks x 6 angles: x, x~ and x - x~ once each
-        # (the oracle projects x again for the linear term: 1,200)
-        assert len(calls) == 300 * 3 == 900
+        # 10 samples x 5 blocks: x, x~ and x - x~ once each (the oracle
+        # projects x again for the linear term: 200)
+        assert len(calls) == 50 * 3 == 150
 
     def test_tcc_zero_for_linear(self):
         problem = build_benchmark(20, 0.5, 1.5, 0.0, n_blocks=4, seed=1)
@@ -434,51 +449,53 @@ class TestBlockResidualGradient:
 
 
 class TestBatchLayout:
-    """A system stored per batch projects each batch with one product."""
+    """A problem on a batch-1 system (the acceptance layout) projects each
+    batch with one product, as on a system built in its batches."""
 
-    def test_lipschitz_makes_one_product_per_batch(self, desk_batched,
+    def test_lipschitz_makes_one_product_per_batch(self, desk_schlieren,
                                                    monkeypatch):
-        batch_calls = _count_projections(monkeypatch, "project_batch")
-        angle_calls = _count_projections(monkeypatch)
-        estimate_lipschitz_Lmax(desk_batched, desk_batched.x_truth,
+        batch_calls = _count_projections(monkeypatch)
+        estimate_lipschitz_Lmax(desk_schlieren, desk_schlieren.x_truth,
                                 *DESK_LMAX_ARGS, n_power_iter=20)
         # 2 samples x 5 blocks: x once, then h in each of the 20 power steps
-        assert len(batch_calls) == 10 * (1 + 20) == 210
-        assert angle_calls == []
+        assert batch_calls == [k for _ in range(2) for k in range(5)
+                               for _ in range(1 + 20)]
 
     def test_step_makes_one_forward_product(self, desk_batched, desk_schlieren,
                                             monkeypatch):
         gy = GeometryParams.for_lebesgue(2.0)
-        x = desk_batched.x_truth.values + 0.01
-        y = desk_batched.y_exact[2].values
-        want = desk_schlieren.block_residual_gradient(2, x, y, gy)
-        batch_calls = _count_projections(monkeypatch, "project_batch")
-        angle_calls = _count_projections(monkeypatch)
+        x = desk_schlieren.x_truth.values + 0.01
+        y = desk_schlieren.y_exact[2].values
+        want = desk_batched.block_residual_gradient(2, x, y, gy)
+        batch_calls = _count_projections(monkeypatch)
         back_calls = _count_projections(monkeypatch, "back_project")
-        got = desk_batched.block_residual_gradient(2, x, y, gy)
-        assert batch_calls == [2] and angle_calls == []
+        got = desk_schlieren.block_residual_gradient(2, x, y, gy)
+        assert batch_calls == [2]
         # the adjoint still back-projects angle by angle, in batch order
-        assert back_calls == list(desk_batched.batches[2])
+        assert back_calls == list(desk_schlieren.batches[2]) == \
+            make_interleaved_batches(30, 6)[2]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_step_makes_one_adjoint_call(self, desk_batched, monkeypatch):
+    def test_step_makes_one_adjoint_call(self, desk_schlieren, monkeypatch):
         # Through the module-level name, which perfbench/spans.py rebinds to
         # time the step's back-projection as one span.
         calls = []
         original = forward.schlieren_adjoint_apply
 
-        def counting(system, batch, *args, **kwargs):
-            calls.append(list(batch))
-            return original(system, batch, *args, **kwargs)
+        def counting(system, k, *args, **kwargs):
+            calls.append(k)
+            return original(system, k, *args, **kwargs)
 
         monkeypatch.setattr(forward, "schlieren_adjoint_apply", counting)
         gy = GeometryParams.for_lebesgue(2.0)
-        x = desk_batched.x_truth.values + 0.01
-        desk_batched.block_residual_gradient(2, x, desk_batched.y_exact[2].values, gy)
-        assert calls == [list(desk_batched.batches[2])]
+        x = desk_schlieren.x_truth.values + 0.01
+        desk_schlieren.block_residual_gradient(2, x, desk_schlieren.y_exact[2].values,
+                                               gy)
+        assert calls == [2]
 
     def test_estimates_match_the_per_angle_layout(self, desk_batched,
                                                   desk_schlieren):
+        # desk_schlieren regroups a batch-1 system, desk_batched is built at 6
         def estimates(problem):
             return (estimate_lipschitz_Lmax(problem, problem.x_truth,
                                             *DESK_LMAX_ARGS, n_power_iter=20),

@@ -13,7 +13,6 @@ from bsgd.geometry import (
     GridVector,
     bregman_distance,
     conjugate_exponent,
-    convexity_constant,
     duality_map,
     inverse_duality_map,
     lr_norm,
@@ -239,7 +238,6 @@ class TestGeometryParams:
     def test_for_lebesgue_defaults(self):
         g = GeometryParams.for_lebesgue(1.5)
         assert g.p == 2.0 and g.r_star == pytest.approx(3.0)
-        assert g.C_p == pytest.approx(0.5)
         assert g.G_pstar == pytest.approx(2.0)
 
     def test_practice_mode_flagged(self):
@@ -247,21 +245,9 @@ class TestGeometryParams:
         assert g.G_pstar is None
 
     def test_known_constants(self):
-        assert convexity_constant(2.0, 2.0) == 1.0
         assert smoothness_constant(2.0, 2.0) == 1.0
         assert smoothness_constant(3.0, 2.0) == pytest.approx(2.0)
-        assert convexity_constant(1.1, 2.0) == pytest.approx(0.1)
-        assert convexity_constant(3.0, 3.0) is not None
         assert smoothness_constant(1.5, 1.5) is not None
-
-    def test_sampled_constants_hold(self, rng):
-        g = GeometryParams.for_lebesgue(3.0, 3.0)
-        c = g.C_p
-        for _ in range(300):
-            z = GridVector(rng.standard_normal(5))
-            w = GridVector(rng.standard_normal(5))
-            sep = lr_norm(w - z, 3.0)
-            assert bregman_distance(z, w, g) >= c / 3.0 * sep**3 - 1e-10
 
 
 class TestVectors:

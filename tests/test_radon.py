@@ -66,7 +66,7 @@ def test_full_scale_discretization_shape():
 def test_constant_image_axis_aligned(desk_radon):
     image = np.ones(desk_radon.image_shape)
     for idx in (0, desk_radon.n_angles // 2):  # angles 0 and pi/2
-        proj = desk_radon.project(idx, image)
+        proj = desk_radon.project_batch(idx, image)
         np.testing.assert_allclose(proj, 2.0, rtol=0, atol=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_impulse_support_and_lengths_against_clipping_oracle():
     box = pixel_box(rows, cols, i, j)
     for angle_idx in (0, 2, 5):
         theta = system.angles[angle_idx]
-        proj = system.project(angle_idx, image)
+        proj = system.project_batch(angle_idx, image)[0]
         for d, s in enumerate(system.detector_s):
             expected = quadrature_ray_length(s, theta, *box)
             assert proj[d] == pytest.approx(expected, abs=2e-4)
@@ -106,7 +106,7 @@ def test_deterministic_assembly():
 def test_back_project_is_transpose(small_radon, rng):
     g = rng.standard_normal(small_radon.n_detectors)
     x = rng.standard_normal(small_radon.image_shape)
-    lhs = np.dot(small_radon.project(3, x), g)
+    lhs = np.dot(small_radon.project_batch(3, x)[0], g)
     rhs = np.dot(x.ravel(), small_radon.back_project(3, g))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -202,7 +202,7 @@ def test_batch_layout_keeps_the_per_angle_matrices(shape, n_angles, n_detectors,
             for arrays in (got, tr):
                 assert np.shares_memory(arrays.data, bm.data)
                 assert np.shares_memory(arrays.indices, bm.indices)
-        stacked = np.stack([system.project(a, x) for a in batch])
+        stacked = np.concatenate([single.project_batch(a, x) for a in batch])
         assert system.project_batch(k, x).tobytes() == stacked.tobytes()
 
 
@@ -241,15 +241,36 @@ def test_products_keep_the_bytes_of_scipy_matmul(shape, n_angles, n_detectors,
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
         for a in system.batches[k]:
-            for image in (x, x_int):
-                want = system.matrices[a] @ image.ravel()
-                assert system.project(a, image).tobytes() == want.tobytes()
             want = system.transposes[a] @ g
             assert system.back_project(a, g).tobytes() == want.tobytes()
     # the compiled kernels do not check lengths; the methods must
     with pytest.raises(ValueError, match="length"):
         system.project_batch(0, np.zeros(shape[0] * shape[1] + 1))
     with pytest.raises(ValueError, match="length"):
-        system.project(0, np.zeros(shape[0] * shape[1] - 1))
+        system.project_batch(0, np.zeros(shape[0] * shape[1] - 1))
     with pytest.raises(ValueError, match="length"):
         system.back_project(0, np.zeros(n_detectors + 1))
+
+
+@pytest.mark.parametrize("shape, n_angles, n_detectors, built_at, batch_size", [
+    ((32, 32), 30, 45, 1, 6),
+    # every detector lies on a pixel edge at theta = 0 and pi/2
+    ((10, 10), 4, 5, 1, 2),
+    ((110, 110), 180, 155, 1, 18),
+    ((16, 16), 10, 23, 2, 5),
+])
+def test_regrouped_system_has_the_bytes_of_the_batch_build(
+        shape, n_angles, n_detectors, built_at, batch_size):
+    system = build_radon(shape, n_angles, n_detectors, built_at)
+    regrouped = system.regrouped(batch_size)
+    want = build_radon(shape, n_angles, n_detectors, batch_size)
+    assert regrouped.batches == want.batches
+    for got, ref in zip(regrouped.batch_matrices, want.batch_matrices):
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(ref, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+    # a system already in those batches is kept as it is
+    assert want.regrouped(batch_size) is want
+    assert system.regrouped(built_at) is system

@@ -284,6 +284,7 @@ class TestStackedStudyMatchesSerial:
         assert raised == _raised(serial_study, *args)
         assert raised[0] is RuntimeError and "diverged" in raised[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_level_raises_the_serial_error(self):
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6,

@@ -477,6 +477,7 @@ class TestNonFiniteAndDivergence:
         return next(s for s in range(100)
                     if first_draw_of_block(s, n_blocks, block) > n_blocks)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_primal_overflow_mid_run_raises(self):
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6, far below the
         # 1e12 guard; the spike pushes xi there on the first draw of its block
@@ -492,6 +493,7 @@ class TestNonFiniteAndDivergence:
         with pytest.raises(ValueError, match="finite"):
             run_sgd(problem, y, dataclasses.replace(cfg, max_epochs=10), x0=0.01)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_residual_overflow_mid_run_raises(self):
         # beta > 0: the spike moves xi_j to ~2e3, far inside the guard, and
         # x_j = xi_j^50 ~ 1e165 is finite, but its square in F overflows
@@ -1025,6 +1027,7 @@ class TestSeedStack:
         assert run_seed_stack(problem, rows[:1], configs[:1]) is not None
         assert run_seed_stack(problem, rows, configs) is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_row_stops_the_stack(self):
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
