@@ -43,7 +43,7 @@ from .geometry import (
     _duality_map_rows,
     lr_norm,
 )
-from .radon import RadonSystem
+from .radon import RadonSystem, _check_index
 
 __all__ = [
     "StabilityParams",
@@ -161,7 +161,6 @@ class ForwardProblem:
 
 def schlieren_apply(system: RadonSystem, k: int, x: GridVector) -> GridVector:
     """Componentwise square of batch k's stacked line integrals."""
-    _check_batch(system, k)
     _check_image(system, x)
     return GridVector(_schlieren_forward(system, k, x.values))
 
@@ -180,7 +179,6 @@ def schlieren_derivative_apply(system: RadonSystem, k: int, x: GridVector,
     ``px``, the stacked projections R x, spares projecting x, as in
     ``schlieren_adjoint_apply``.
     """
-    _check_batch(system, k)
     _check_image(system, x)
     _check_image(system, h)
     if px is None:
@@ -196,7 +194,7 @@ def schlieren_adjoint_apply(system: RadonSystem, k: int, x, g, *,
     a second time when the caller has already made them; x is then only
     shape-checked and may be a raw array.
     """
-    _check_batch(system, k)
+    _check_index(k, len(system.batches), "batch")
     _check_image(system, x)
     batch = system.batches[k]
     gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
@@ -211,11 +209,6 @@ def schlieren_adjoint_apply(system: RadonSystem, k: int, x, g, *,
     for a, row in zip(batch, 2.0 * px * gv):
         out += system.back_project(a, row)
     return DualVector(out.reshape(system.image_shape))
-
-
-def _check_batch(system: RadonSystem, k: int) -> None:
-    if not 0 <= k < len(system.batches):
-        raise IndexError(f"batch index {k} out of range [0, {len(system.batches)})")
 
 
 def _check_image(system: RadonSystem, x: GridVector) -> None:
@@ -250,14 +243,12 @@ class SchlierenProblem(ForwardProblem):
         return schlieren_adjoint_apply(self.system, i, x, g)
 
     def linearization(self, i, x):
-        self._check_block(i)
         _check_image(self.system, x)
         px = self.system.project_batch(i, x.values)
         return GridVector(px * px), lambda h: schlieren_derivative_apply(
             self.system, i, x, h, px=px)
 
     def normal_operator(self, i, x):
-        self._check_block(i)
         _check_image(self.system, x)
         px = self.system.project_batch(i, x.values)
 

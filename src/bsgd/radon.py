@@ -14,40 +14,39 @@ detector spacings (the argument is at ``_angle_entries``).  The length
 cutoff still decides which entries exist, so the matrices equal those of
 clipping every pair, and no dense detectors x pixels table is formed.
 
-scipy is imported only where a system is built, viewed or applied, so
-importing the package (and running the benchmark problem) loads no scipy.
-
-Products call scipy's compiled ``csr_matvec``/``csc_matvec`` directly, not
-through ``@``: a solver step makes one batch product and one back-projection
-per angle, and on the desk problem ``@``'s Python dispatch cost about as
-much as the kernel itself.  ``csr_matrix @ v`` ends in the same kernel with
-the same zeroed float64 output for a 1-D float64 vector, so the bits are the
-same.  The checks ``@`` made are kept (``_matvec``): the input is made a
-contiguous float64 vector, and a wrong length raises ``ValueError``, since
-the kernel itself would read out of bounds.
+Products call scipy's compiled ``csr_matvec``/``csc_matvec`` directly, loaded
+once from its ``_sparsetools`` extension file (``_sparsetools``).  ``@``'s
+Python dispatch cost about as much as a desk-scale kernel, and importing
+``scipy.sparse`` about 0.3 s and 14 MB per process for a package init that
+no product uses, so the system is stored in plain arrays (``CSR``) and no
+scipy package is imported.  ``csr_matrix @ v`` ends in the same kernel with
+the same zeroed float64 output, so the bits are those of ``@``, and its
+checks are kept (``_matvec``): the input is made a contiguous float64
+vector, and a wrong length raises ``ValueError``.  ``RadonSystem`` checks
+the arrays, since the kernels read out of bounds on malformed ones.
 
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
 a batch projects with one sparse product, and that is the only projection
 there is.  ``RadonSystem.regrouped`` restacks a system built in other
 batches; ``_batch_matrix`` stacks every batch CSR, built or regrouped, so
-the two give the same bytes.  The per-angle matrices and their transposes
-are zero-copy views into the batch arrays: slices of ``data``/``indices``
-with a rebased ``indptr``.  The transposes back-project angle by angle.
+the two give the same bytes.  The per-angle matrices are zero-copy views
+into the batch arrays: slices of ``data``/``indices`` with a rebased
+``indptr``.  An angle back-projects with ``csc_matvec`` on its CSR arrays,
+which are the CSC arrays of its transpose.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
-__all__ = ["RadonSystem", "build_radon", "make_interleaved_batches"]
+__all__ = ["CSR", "RadonSystem", "build_radon", "make_interleaved_batches"]
 
 _LENGTH_CUTOFF = 1e-14
 _BAND_MARGIN = 1e-6  # detector spacings added to each side of a pixel's shadow
@@ -64,6 +63,41 @@ def make_interleaved_batches(n_indices: int, batch_size: int) -> list[list[int]]
     return [list(range(k, n_indices, n_batches)) for k in range(n_batches)]
 
 
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix in compressed sparse rows: row i holds
+    ``data[indptr[i]:indptr[i + 1]]`` at columns ``indices[...]``, the
+    arrays scipy's ``csr_matrix`` keeps."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+def _check_csr(m: CSR, shape: tuple[int, int]) -> None:
+    """Reject arrays the compiled kernels would misread: float64 data, int32
+    indices and indptr, one pointer per row plus one rising from 0 to the
+    entry count, and every column index inside the matrix."""
+    if m.shape != shape:
+        raise ValueError(f"matrix shape {m.shape} inconsistent with system")
+    if (m.data.dtype, m.indices.dtype, m.indptr.dtype) != (np.float64, np.int32, np.int32):
+        raise ValueError("CSR arrays must be float64 data and int32 indices and indptr")
+    ptr = m.indptr
+    if ptr.shape != (shape[0] + 1,) or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
+        raise ValueError("indptr must hold rows + 1 pointers rising from 0")
+    if not m.data.shape == m.indices.shape == (ptr[-1],):
+        raise ValueError("indptr must end at the entry count of data and indices")
+    if m.nnz and (m.indices.min() < 0 or m.indices.max() >= shape[1]):
+        raise ValueError(f"column index outside [0, {shape[1]})")
+    if m.nnz and m.data.min() < 0:
+        raise ValueError("intersection lengths must be nonnegative")
+
+
 @dataclass(frozen=True)
 class RadonSystem:
     """Sparse projection matrices for one discretization, one CSR per batch.
@@ -78,7 +112,7 @@ class RadonSystem:
     n_detectors: int
     detector_s: np.ndarray
     batches: tuple[tuple[int, ...], ...]
-    batch_matrices: tuple[sparse.csr_matrix, ...]
+    batch_matrices: tuple[CSR, ...]
 
     def __post_init__(self):
         rows, cols = self.image_shape
@@ -95,10 +129,7 @@ class RadonSystem:
         if len(self.batch_matrices) != len(self.batches):
             raise ValueError("one matrix per batch required")
         for b, m in zip(self.batches, self.batch_matrices):
-            if m.shape != (len(b) * self.n_detectors, rows * cols):
-                raise ValueError(f"matrix shape {m.shape} inconsistent with system")
-            if m.nnz and m.data.min() < 0:
-                raise ValueError("intersection lengths must be nonnegative")
+            _check_csr(m, (len(b) * self.n_detectors, rows * cols))
 
     @property
     def n_angles(self) -> int:
@@ -107,35 +138,26 @@ class RadonSystem:
     def project_batch(self, k: int, image: np.ndarray) -> np.ndarray:
         """Line integrals at batch k's angles from one sparse product;
         returns (len(batches[k]), n_detectors)."""
+        _check_index(k, len(self.batch_matrices), "batch")
         return _matvec(self.batch_matrices[k], image).reshape(-1, self.n_detectors)
 
     @cached_property
-    def matrices(self) -> tuple[sparse.csr_matrix, ...]:
+    def matrices(self) -> tuple[CSR, ...]:
         """Per-angle matrices, each a zero-copy view into its batch's arrays."""
-        from scipy import sparse
-
         n_det = self.n_detectors
         views = [None] * self.n_angles
         for batch, m in zip(self.batches, self.batch_matrices):
             for row, a in enumerate(batch):
                 ptr = m.indptr[row * n_det:(row + 1) * n_det + 1]
                 lo, hi = ptr[0], ptr[-1]
-                views[a] = _compressed(sparse.csr_matrix, m.data[lo:hi],
-                                       m.indices[lo:hi], ptr - lo,
-                                       (n_det, m.shape[1]))
+                views[a] = CSR(m.data[lo:hi], m.indices[lo:hi], ptr - lo,
+                               (n_det, m.shape[1]))
         return tuple(views)
-
-    @cached_property
-    def transposes(self) -> tuple[sparse.csc_matrix, ...]:
-        """Per-angle transposes, built once; each shares its matrix's arrays."""
-        from scipy import sparse
-
-        return tuple(_compressed(sparse.csc_matrix, m.data, m.indices, m.indptr,
-                                 m.shape[::-1]) for m in self.matrices)
 
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
-        return _matvec(self.transposes[angle_index], sino)
+        _check_index(angle_index, self.n_angles, "angle")
+        return _matvec(self.matrices[angle_index], sino, transpose=True)
 
     def regrouped(self, batch_size: int) -> RadonSystem:
         """This system in ``make_interleaved_batches(n_angles, batch_size)``:
@@ -151,36 +173,46 @@ class RadonSystem:
                                             for b in batches))
 
 
-def _matvec(m, v) -> np.ndarray:
-    """``m @ v`` for a CSR or CSC matrix of float64 entries, bit for bit,
-    through scipy's compiled kernel (module docstring)."""
-    n_row, n_col = m.shape
+def _check_index(i: int, n: int, what: str) -> None:
+    if not 0 <= i < n:
+        raise IndexError(f"{what} index {i} out of range [0, {n})")
+
+
+def _matvec(m: CSR, v, transpose: bool = False) -> np.ndarray:
+    """``m @ v``, or ``m.T @ v`` with ``transpose``, bit for bit as scipy's
+    ``@`` computes it, through its compiled kernel (module docstring).  The
+    CSC arrays of ``m.T`` are the CSR arrays of ``m``."""
+    n_row, n_col = m.shape[::-1] if transpose else m.shape
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.size != n_col:
         raise ValueError(f"vector of length {v.size} for a matrix with {n_col} columns")
     out = np.zeros(n_row)
-    _kernel(m.format)(n_row, n_col, m.indptr, m.indices, m.data, v, out)
+    kernel = getattr(_sparsetools(), "csc_matvec" if transpose else "csr_matvec")
+    kernel(n_row, n_col, m.indptr, m.indices, m.data, v, out)
     return out
 
 
 @cache
-def _kernel(fmt: str):
-    """scipy's matrix-vector kernel for a "csr" or "csc" matrix."""
-    from scipy.sparse import _sparsetools
-
-    return getattr(_sparsetools, fmt + "_matvec")
-
-
-def _compressed(cls, data, indices, indptr, shape):
-    """A CSR or CSC matrix on exactly these arrays.
-
-    scipy's (data, indices, indptr) constructor, and so ``.T``, prunes: it
-    copies a ``data`` or ``indices`` view smaller than half its base, which
-    would double the stored system.  Filling an empty matrix keeps views.
-    """
-    m = cls(shape)
-    m.data, m.indices, m.indptr = data, indices, indptr
-    return m
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded from their extension file in
+    scipy's package directory without importing any scipy package (module
+    docstring).  Being a single-phase extension module, the interpreter
+    records it in ``sys.modules`` under its own name, as any import would."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("bsgd.radon needs scipy's compiled sparse kernels; "
+                          "scipy is not installed")
+    folder = Path(spec.origin).parent / "sparse"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_sparsetools{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _sparsetools extension file in {folder}")
+    spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _slab_interval(p0, direction, lo, hi):
@@ -240,18 +272,15 @@ def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
             np.bincount(kept_det, minlength=n_det))
 
 
-def _batch_matrix(parts, n_pixels: int) -> sparse.csr_matrix:
+def _batch_matrix(parts, n_pixels: int) -> CSR:
     """One CSR holding the angles' rows, stacked in the order given; each
     part is one angle's CSR (data, indices) and its per-row entry counts."""
-    from scipy import sparse
-
     counts = np.concatenate([counts for _, _, counts in parts])
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     data = np.concatenate([data for data, _, _ in parts])
     indices = np.concatenate([indices for _, indices, _ in parts])
-    return sparse.csr_matrix((data, indices, indptr),
-                             shape=(indptr.size - 1, n_pixels))
+    return CSR(data, indices, indptr, (indptr.size - 1, n_pixels))
 
 
 def build_radon(image_shape, n_angles: int, n_detectors: int,
@@ -261,11 +290,9 @@ def build_radon(image_shape, n_angles: int, n_detectors: int,
 
     Batches are assembled one at a time and only candidate pairs are clipped
     (module docstring), so peak memory stays near the size of the final CSR
-    arrays.  The per-angle matrices are views into the batch arrays, made
-    without scipy's constructor (see ``_compressed``): built from views, it
-    copied them and doubled the full-scale system at batch size 18 (88.4 MB
-    traced against 44.4 MB).  Deterministic given its inputs; matrices are
-    assembled once and meant to be shared read-only afterwards.
+    arrays, and the per-angle matrices are views into them.  Deterministic
+    given its inputs; matrices are assembled once and meant to be shared
+    read-only afterwards.
     """
     rows, cols = int(image_shape[0]), int(image_shape[1])
     if rows <= 0 or cols <= 0:
@@ -292,15 +319,13 @@ def build_radon(image_shape, n_angles: int, n_detectors: int,
                        for t in angles[b]], x_lo.size)
         for b in batches
     )
-    angles_ro = angles.copy()
-    angles_ro.setflags(write=False)
-    det_ro = detector_s.copy()
-    det_ro.setflags(write=False)
+    angles.setflags(write=False)
+    detector_s.setflags(write=False)
     return RadonSystem(
         image_shape=(rows, cols),
-        angles=angles_ro,
+        angles=angles,
         n_detectors=n_detectors,
-        detector_s=det_ro,
+        detector_s=detector_s,
         batches=tuple(map(tuple, batches)),
         batch_matrices=batch_matrices,
     )

@@ -33,6 +33,14 @@ def hilbert_benchmark():
     return build_benchmark(40, 0.9, 1.1, 0.0, n_blocks=5, seed=3)
 
 
+def scipy_csr(m):
+    """scipy's ``csr_matrix`` on the arrays of a ``radon.CSR``: the oracle
+    that the products, whose kernels are scipy's, must match byte for byte."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def random_grid(rng, shape, scale=1.0):
     return GridVector(scale * rng.standard_normal(shape))
 

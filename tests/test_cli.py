@@ -264,17 +264,24 @@ def _modules_after_command(args):
 
 
 class TestScipyImport:
-    """scipy is imported only by a command that builds a Radon system."""
+    """These commands import no scipy package: a Radon system loads scipy's
+    compiled kernels from their extension file alone."""
 
     def test_rates_loads_no_scipy(self, benchmark_cfg, tmp_path):
         assert _modules_after_command(
             ["rates", "--config", str(benchmark_cfg), "--out",
              str(tmp_path / "rates"), "--quiet"]) == ["0", "False", "False"]
 
-    def test_schlieren_run_loads_scipy_sparse(self, schlieren_cfg, tmp_path):
+    def test_schlieren_run_and_sweep_load_no_scipy_sparse(self, schlieren_cfg,
+                                                          tmp_path):
         assert _modules_after_command(
             ["run", "--config", str(schlieren_cfg), "--out",
-             str(tmp_path / "run"), "--quiet"]) == ["0", "True", "True"]
+             str(tmp_path / "run"), "--quiet"]) == ["0", "False", "False"]
+        assert _modules_after_command(
+            ["sweep", "--config", str(schlieren_cfg), "--out",
+             str(tmp_path / "sweep"), "--axis", "space_exponent",
+             "--values", "1.1:2,2:2,1.1:1.1,1.5:1.5", "--quiet"]) == \
+            ["0", "False", "False"]
 
 
 class TestCmdPhantom:

@@ -23,10 +23,12 @@ from bsgd.geometry import (
     pairing,
 )
 from bsgd.radon import RadonSystem, build_radon, make_interleaved_batches
+from conftest import scipy_csr
 
 
 def dense_matrix(system, k):
-    return np.vstack([system.matrices[a].toarray() for a in system.batches[k]])
+    return np.vstack([scipy_csr(system.matrices[a]).toarray()
+                      for a in system.batches[k]])
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bsgd.radon import (
     build_radon,
     make_interleaved_batches,
 )
+from conftest import scipy_csr
 
 
 def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
@@ -26,6 +28,14 @@ def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
     mat = sparse.csr_matrix(lengths)
     mat.eliminate_zeros()
     return mat
+
+
+def assert_same_arrays(got, want):
+    """Two CSRs hold the same dtypes and bytes in all three arrays."""
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
 
 
 def pixel_slabs(rows, cols):
@@ -100,7 +110,7 @@ def test_deterministic_assembly():
     a = build_radon((9, 9), 5, 11)
     b = build_radon((9, 9), 5, 11)
     for ma, mb in zip(a.matrices, b.matrices):
-        assert (ma != mb).nnz == 0
+        assert_same_arrays(ma, mb)
 
 
 def test_back_project_is_transpose(small_radon, rng):
@@ -139,19 +149,13 @@ def test_band_assembly_is_bitwise_the_dense_oracle(shape, n_angles, n_detectors,
     system = build_radon(shape, n_angles, n_detectors)
     slabs = pixel_slabs(*shape)
     for a in angle_indices or range(n_angles):
-        got = system.matrices[a]
         want = dense_angle_matrix(system.angles[a], system.detector_s, *slabs)
-        assert got.indices.dtype == want.indices.dtype
-        assert got.indptr.dtype == want.indptr.dtype
-        assert got.indptr.tobytes() == want.indptr.tobytes()
-        assert got.indices.tobytes() == want.indices.tobytes()
-        assert got.data.tobytes() == want.data.tobytes()
+        assert_same_arrays(system.matrices[a], want)
 
 
 def test_full_scale_assembly_peak_memory_near_matrix_size():
-    # scipy must be imported before tracing starts (it is, at the top of this
-    # module): build_radon imports it on first use, and a first import inside
-    # the trace counts about 14 MB of module objects.
+    # build_radon imports nothing (scipy's kernels load on the first product),
+    # so the trace counts assembly alone.
     tracemalloc.start()
     try:
         system = build_radon((110, 110), 180, 155)
@@ -162,18 +166,6 @@ def test_full_scale_assembly_peak_memory_near_matrix_size():
                     for m in system.matrices)
     assert sum(m.nnz for m in system.matrices) == 3_668_024
     assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
-
-
-def test_back_project_uses_cached_transposes_sharing_the_matrices():
-    system = build_radon((16, 16), 10, 23)
-    v = np.random.default_rng(5).standard_normal(23)
-    assert system.transposes is system.transposes
-    for a in range(system.n_angles):
-        mat, tr = system.matrices[a], system.transposes[a]
-        assert system.back_project(a, v).tobytes() == (mat.T @ v).tobytes()
-        assert np.shares_memory(tr.data, mat.data)
-        assert np.shares_memory(tr.indices, mat.indices)
-        assert np.shares_memory(tr.indptr, mat.indptr)
 
 
 LAYOUTS = [((16, 16), 10, 23, b) for b in (1, 2, 5, 10)] + [
@@ -190,24 +182,20 @@ def test_batch_layout_keeps_the_per_angle_matrices(shape, n_angles, n_detectors,
     assert [list(b) for b in system.batches] == \
         make_interleaved_batches(n_angles, batch_size)
     x = np.random.default_rng(3).standard_normal(shape)
+    assert system.matrices is system.matrices
     for k, (batch, bm) in enumerate(zip(system.batches, system.batch_matrices)):
         assert bm.shape == (len(batch) * n_detectors, shape[0] * shape[1])
         for a in batch:
-            got, want = system.matrices[a], single.matrices[a]
-            for name in ("indptr", "indices", "data"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert g.dtype == w.dtype, (a, name)
-                assert g.tobytes() == w.tobytes(), (a, name)
-            tr = system.transposes[a]
-            for arrays in (got, tr):
-                assert np.shares_memory(arrays.data, bm.data)
-                assert np.shares_memory(arrays.indices, bm.indices)
+            got = system.matrices[a]
+            assert_same_arrays(got, single.matrices[a])
+            assert np.shares_memory(got.data, bm.data)
+            assert np.shares_memory(got.indices, bm.indices)
         stacked = np.concatenate([single.project_batch(a, x) for a in batch])
         assert system.project_batch(k, x).tobytes() == stacked.tobytes()
 
 
 def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
-    # scipy is imported before tracing starts, as in the batch-1 guard above.
+    # build_radon imports nothing, as in the batch-1 guard above.
     tracemalloc.start()
     try:
         system = build_radon((110, 110), 180, 155, 18)
@@ -225,6 +213,7 @@ def test_full_scale_batched_assembly_peak_memory_near_matrix_size():
     ((32, 32), 30, 45, 6, None),
     ((10, 10), 4, 5, 1, None),
     ((110, 110), 180, 155, 18, [0]),
+    ((16, 16), 10, 23, 1, None),
 ])
 def test_products_keep_the_bytes_of_scipy_matmul(shape, n_angles, n_detectors,
                                                  batch_size, batch_ids):
@@ -234,14 +223,14 @@ def test_products_keep_the_bytes_of_scipy_matmul(shape, n_angles, n_detectors,
     x_int = rng.integers(-9, 10, shape)
     g = rng.standard_normal(n_detectors)
     for k in batch_ids or range(len(system.batches)):
-        bm = system.batch_matrices[k]
+        bm = scipy_csr(system.batch_matrices[k])
         for image in (x, x_int):
             want = (bm @ image.ravel()).reshape(-1, n_detectors)
             got = system.project_batch(k, image)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
         for a in system.batches[k]:
-            want = system.transposes[a] @ g
+            want = scipy_csr(system.matrices[a]).T @ g
             assert system.back_project(a, g).tobytes() == want.tobytes()
     # the compiled kernels do not check lengths; the methods must
     with pytest.raises(ValueError, match="length"):
@@ -267,10 +256,61 @@ def test_regrouped_system_has_the_bytes_of_the_batch_build(
     assert regrouped.batches == want.batches
     for got, ref in zip(regrouped.batch_matrices, want.batch_matrices):
         assert got.shape == ref.shape
-        for name in ("indptr", "indices", "data"):
-            g, w = getattr(got, name), getattr(ref, name)
-            assert g.dtype == w.dtype, name
-            assert g.tobytes() == w.tobytes(), name
+        assert_same_arrays(got, ref)
     # a system already in those batches is kept as it is
     assert want.regrouped(batch_size) is want
     assert system.regrouped(built_at) is system
+
+
+@pytest.mark.parametrize("batch, angle", [(-1, -1), (5, 10)])
+def test_index_out_of_range_rejected(batch, angle):
+    # tuple indexing would wrap a negative index round to the last batch
+    system = build_radon((16, 16), 10, 23, 2)
+    with pytest.raises(IndexError, match="batch index"):
+        system.project_batch(batch, np.ones((16, 16)))
+    with pytest.raises(IndexError, match="angle index"):
+        system.back_project(angle, np.ones(23))
+
+
+def _with_entry(array, i, value):
+    array = array.copy()
+    array[i] = value
+    return array
+
+
+def _falling(indptr):
+    i = int(np.flatnonzero(np.diff(indptr))[0])  # first non-empty row
+    return _with_entry(indptr, i + 1, indptr[i] - 1)
+
+
+MALFORMED = {
+    "float32 data": (lambda m: replace(m, data=m.data.astype(np.float32)), "float64"),
+    "int64 indices": (lambda m: replace(m, indices=m.indices.astype(np.int64)), "int32"),
+    "int64 indptr": (lambda m: replace(m, indptr=m.indptr.astype(np.int64)), "int32"),
+    "short indptr": (lambda m: replace(m, indptr=m.indptr[:-1]), "rows \\+ 1"),
+    "indptr from 1": (lambda m: replace(m, indptr=_with_entry(m.indptr, 0, 1)), "from 0"),
+    "falling indptr": (lambda m: replace(m, indptr=_falling(m.indptr)), "rising"),
+    "indptr past the entries": (
+        lambda m: replace(m, data=m.data[:-1], indices=m.indices[:-1]), "entry count"),
+    "indices shorter than data": (
+        lambda m: replace(m, indices=m.indices[:-1]), "entry count"),
+    "negative index": (
+        lambda m: replace(m, indices=_with_entry(m.indices, 0, -1)), "column index"),
+    "index past the pixels": (
+        lambda m: replace(m, indices=_with_entry(m.indices, -1, 256)), "column index"),
+    "negative length": (
+        lambda m: replace(m, data=_with_entry(m.data, 3, -0.5)), "nonnegative"),
+    "wrong shape": (lambda m: replace(m, shape=(m.shape[0], 255)), "shape"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_csr_rejected(case):
+    # the compiled kernels read out of bounds on such arrays, so the system
+    # refuses them when it is made, before any product
+    system = build_radon((16, 16), 10, 23, 2)
+    corrupt, match = MALFORMED[case]
+    bad = list(system.batch_matrices)
+    bad[1] = corrupt(bad[1])
+    with pytest.raises(ValueError, match=match):
+        replace(system, batch_matrices=tuple(bad))
