@@ -79,14 +79,9 @@ def _build_problem(cfg: RunConfig):
     return problem, {"gamma_hat": gamma_hat, "L_max_hat": L_hat}
 
 
-def _solver_config(cfg: RunConfig, delta: float | None,
-                   n_blocks: int) -> SolverConfig:
+def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
     p, q = cfg.resolved_pq()
     if cfg.stopping == "a_priori":
-        if delta is None or delta <= 0:
-            raise ValueError("a_priori stopping needs noisy data (delta > 0)")
-        if cfg.gamma_budget <= 0:
-            raise ValueError("a_priori stopping needs a positive gamma_budget")
         stopping = StoppingRule("a_priori", delta=delta,
                                 gamma_budget=cfg.gamma_budget)
     else:
@@ -126,8 +121,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     y_obs = apply_noise(problem.y_exact, spec) if spec else list(problem.y_exact)
     deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
-    solver_cfg = _solver_config(cfg, delta if delta > 0 else None,
-                                problem.n_blocks)
+    solver_cfg = _solver_config(cfg, delta, problem.n_blocks)
     runner = run_landweber if cfg.algorithm == "landweber" else run_sgd
     run = runner(problem, y_obs, solver_cfg, x0=cfg.x0)
 
@@ -179,8 +173,14 @@ _SWEEP_AXES = ("noise_level", "batch_size", "space_exponent")
 
 def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
     if axis == "noise_level":
+        if cfg.noise_kind not in ("gaussian", "impulsive"):
+            raise ValueError(f"sweep axis noise_level sets epsilon, which "
+                             f"{cfg.noise_kind!r} noise does not read")
         return replace(cfg, epsilon=float(token))
     if axis == "batch_size":
+        if cfg.experiment != "schlieren":
+            raise ValueError(f"sweep axis batch_size is not read by the "
+                             f"{cfg.experiment} experiment (it reads n_blocks)")
         return replace(cfg, batch_size=int(token))
     if axis == "space_exponent":
         if ":" in token:

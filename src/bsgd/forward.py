@@ -10,22 +10,22 @@ Adjoints are plain matrix transposes: with the unit-cell duality pairing
 L^r spaces and their duals.  A smoothed (Laplacian-preconditioned) adjoint
 would be a preconditioner here, not an adjoint, and is not implemented.
 
-Each problem has one raw-array kernel for the SGD step,
+Each problem class owns its operator.  A subclass defines the raw block
+forward ``block_forward`` and the validated ``derivative_apply`` and
+``adjoint_apply``; the base wraps ``block_forward`` as ``apply_block``,
+checking the block index and the shape of x.  Without ``y_exact`` a problem
+makes its exact data by applying its blocks to the ground truth.
+
+One raw-array kernel per problem serves the SGD step,
 ``block_residual_gradient``: a single forward pass gives the block residual,
-and the gradient F_i'(x)* J_q(residual) reuses that pass.  The Schlieren
-kernel hands its projections to ``schlieren_adjoint_apply``, so the step's
-back-projection is the adjoint of the validated API, not a copy of it.  The
-solver loop calls only the kernel, and its records call ``block_forward``,
-the raw F_i(x) under ``apply_block``.  ``apply_block``, ``derivative_apply``
-and ``adjoint_apply`` take and return validated ``GridVector``/``DualVector``
-wrappers; the constant estimators use them.  ``linearization`` and
-``normal_operator`` fix the linearisation point once for the two constant
+and the gradient F_i'(x)* J_q(residual) reuses it (the Schlieren kernel
+hands its projections to ``adjoint_apply``).  ``linearization`` and
+``normal_operator`` fix the linearisation point once for the constant
 estimators, so the Schlieren problem projects it once.
 
-A Schlieren block is a batch of its Radon system, and the Schlieren
-functions take that batch's index: every projection is one sparse product,
-``RadonSystem.project_batch``.  ``build_schlieren_problem`` regroups a
-system built in other batches once, with the same bytes.
+A Schlieren block is a batch of its Radon system, so every projection is
+one sparse product, ``RadonSystem.project_batch``.  ``build_schlieren_problem``
+regroups a system built in other batches once, with the same bytes.
 """
 
 from __future__ import annotations
@@ -43,16 +43,13 @@ from .geometry import (
     _duality_map_rows,
     lr_norm,
 )
-from .radon import RadonSystem, _check_index
+from .radon import RadonSystem
 
 __all__ = [
     "StabilityParams",
     "ForwardProblem",
     "SchlierenProblem",
     "BenchmarkProblem",
-    "schlieren_apply",
-    "schlieren_derivative_apply",
-    "schlieren_adjoint_apply",
     "build_schlieren_problem",
     "build_benchmark",
     "estimate_tcc_gamma",
@@ -82,13 +79,14 @@ class ForwardProblem:
     Subclasses implement the block actions; this base owns the batch map,
     exact data, optional ground truth, and the operator bounds ``L_max``
     (derivative norm) and ``gamma`` (tangential cone constant, exact where
-    known and a sampled estimate otherwise).
+    known and a sampled estimate otherwise).  Without ``y_exact`` the exact
+    data are the blocks applied to ``x_truth``.
     """
 
     kind = "abstract"
 
-    def __init__(self, batches, y_exact, x_truth=None, L_max=None, gamma=None,
-                 stability=None):
+    def __init__(self, batches, y_exact=None, x_truth=None, L_max=None,
+                 gamma=None):
         batches = [list(map(int, b)) for b in batches]
         if not batches or any(len(b) == 0 for b in batches):
             raise ValueError("every batch must be nonempty")
@@ -96,13 +94,18 @@ class ForwardProblem:
         if flat != list(range(len(flat))):
             raise ValueError("batches must partition the full index set")
         self.batches = batches
-        self.y_exact = list(y_exact)
-        if len(self.y_exact) != len(batches):
-            raise ValueError("need one exact data block per batch")
         self.x_truth = x_truth
         self.L_max = L_max
         self.gamma = gamma
-        self.stability = stability
+        self.stability = None
+        if y_exact is None:
+            if x_truth is None:
+                raise ValueError("need exact data or a ground truth to make them from")
+            self.y_exact = [self.apply_block(i, x_truth) for i in range(len(batches))]
+            return
+        self.y_exact = list(y_exact)
+        if len(self.y_exact) != len(batches):
+            raise ValueError("need one exact data block per batch")
         if x_truth is not None:
             for i, y_i in enumerate(self.y_exact):
                 diff = lr_norm(self.apply_block(i, x_truth) - y_i, 2.0)
@@ -122,7 +125,10 @@ class ForwardProblem:
         raise NotImplementedError
 
     def apply_block(self, i: int, x: GridVector) -> GridVector:
-        raise NotImplementedError
+        """F_i(x), with the block index and the shape of x checked."""
+        self._check_block(i)
+        self._check_point(x)
+        return GridVector(self.block_forward(i, x.values))
 
     def block_forward(self, i: int, x: np.ndarray) -> np.ndarray:
         """Raw F_i(x), the array ``apply_block`` wraps: arrays in, arrays
@@ -158,71 +164,18 @@ class ForwardProblem:
         if not 0 <= i < self.n_blocks:
             raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
 
-
-def schlieren_apply(system: RadonSystem, k: int, x: GridVector) -> GridVector:
-    """Componentwise square of batch k's stacked line integrals."""
-    _check_image(system, x)
-    return GridVector(_schlieren_forward(system, k, x.values))
-
-
-def _schlieren_forward(system: RadonSystem, k: int, x: np.ndarray) -> np.ndarray:
-    """Raw ``schlieren_apply``: arrays in, arrays out, nothing validated."""
-    proj = system.project_batch(k, x)
-    return proj * proj
-
-
-def schlieren_derivative_apply(system: RadonSystem, k: int, x: GridVector,
-                               h: GridVector, *,
-                               px: np.ndarray | None = None) -> GridVector:
-    """Derivative action: 2 * (R x) * (R h), stacked over batch k.
-
-    ``px``, the stacked projections R x, spares projecting x, as in
-    ``schlieren_adjoint_apply``.
-    """
-    _check_image(system, x)
-    _check_image(system, h)
-    if px is None:
-        px = system.project_batch(k, x.values)
-    return GridVector(2.0 * px * system.project_batch(k, h.values))
-
-
-def schlieren_adjoint_apply(system: RadonSystem, k: int, x, g, *,
-                            px: np.ndarray | None = None) -> DualVector:
-    """Adjoint of the derivative on batch k: R^T (2 * (R x) * g).
-
-    ``px``, the stacked projections R x of the batch, spares projecting x
-    a second time when the caller has already made them; x is then only
-    shape-checked and may be a raw array.
-    """
-    _check_index(k, len(system.batches), "batch")
-    _check_image(system, x)
-    batch = system.batches[k]
-    gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
-    if gv.shape != (len(batch), system.n_detectors):
-        raise ValueError(
-            f"data block shape {gv.shape} != {(len(batch), system.n_detectors)}"
-        )
-    if px is None:
-        px = system.project_batch(k, x.values)
-    # accumulated angle by angle in batch order
-    out = np.zeros(system.image_shape[0] * system.image_shape[1])
-    for a, row in zip(batch, 2.0 * px * gv):
-        out += system.back_project(a, row)
-    return DualVector(out.reshape(system.image_shape))
-
-
-def _check_image(system: RadonSystem, x: GridVector) -> None:
-    if x.shape != system.image_shape:
-        raise ValueError(f"image shape {x.shape} != {system.image_shape}")
+    def _check_point(self, x) -> None:
+        if x.shape != self.domain_shape:
+            raise ValueError(f"point shape {x.shape} != domain shape {self.domain_shape}")
 
 
 class SchlierenProblem(ForwardProblem):
-    """The Schlieren operator with one block per batch of ``system``."""
+    """The Schlieren operator (R_k x)^2 with one block per batch k of ``system``."""
 
     kind = "schlieren"
 
-    def __init__(self, system: RadonSystem, y_exact, x_truth=None, L_max=None,
-                 gamma=None):
+    def __init__(self, system: RadonSystem, y_exact=None, x_truth=None,
+                 L_max=None, gamma=None):
         self.system = system
         super().__init__(system.batches, y_exact, x_truth, L_max, gamma)
 
@@ -230,48 +183,71 @@ class SchlierenProblem(ForwardProblem):
     def domain_shape(self):
         return self.system.image_shape
 
-    def apply_block(self, i, x):
-        return schlieren_apply(self.system, i, x)
-
     def block_forward(self, i, x):
-        return _schlieren_forward(self.system, i, x)
+        proj = self.system.project_batch(i, x)
+        return proj * proj
 
-    def derivative_apply(self, i, x, h):
-        return schlieren_derivative_apply(self.system, i, x, h)
+    def derivative_apply(self, i, x, h, *, px: np.ndarray | None = None):
+        """Derivative action 2 * (R x) * (R h), stacked over batch i.
 
-    def adjoint_apply(self, i, x, g):
-        return schlieren_adjoint_apply(self.system, i, x, g)
+        ``px``, the stacked projections R x, spares projecting x, as in
+        ``adjoint_apply``.
+        """
+        self._check_point(x)
+        self._check_point(h)
+        if px is None:
+            px = self.system.project_batch(i, x.values)
+        return GridVector(2.0 * px * self.system.project_batch(i, h.values))
+
+    def adjoint_apply(self, i, x, g, *, px: np.ndarray | None = None):
+        """Adjoint of the derivative on batch i: R^T (2 * (R x) * g).
+
+        ``px``, the stacked projections R x of the batch, spares projecting x
+        a second time when the caller has already made them; x is then only
+        shape-checked and may be a raw array.
+        """
+        self._check_block(i)
+        self._check_point(x)
+        batch = self.system.batches[i]
+        n_det = self.system.n_detectors
+        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
+        if gv.shape != (len(batch), n_det):
+            raise ValueError(f"data block shape {gv.shape} != {(len(batch), n_det)}")
+        if px is None:
+            px = self.system.project_batch(i, x.values)
+        # accumulated angle by angle in batch order
+        out = np.zeros(self.domain_shape[0] * self.domain_shape[1])
+        for a, row in zip(batch, 2.0 * px * gv):
+            out += self.system.back_project(a, row)
+        return DualVector(out.reshape(self.domain_shape))
 
     def linearization(self, i, x):
-        _check_image(self.system, x)
+        self._check_point(x)
         px = self.system.project_batch(i, x.values)
-        return GridVector(px * px), lambda h: schlieren_derivative_apply(
-            self.system, i, x, h, px=px)
+        return GridVector(px * px), lambda h: self.derivative_apply(i, x, h, px=px)
 
     def normal_operator(self, i, x):
-        _check_image(self.system, x)
+        self._check_point(x)
         px = self.system.project_batch(i, x.values)
 
         def apply(v):
-            w = schlieren_derivative_apply(self.system, i, x, GridVector(v), px=px)
-            return schlieren_adjoint_apply(self.system, i, x, w, px=px).values
+            w = self.derivative_apply(i, x, GridVector(v), px=px)
+            return self.adjoint_apply(i, x, w, px=px).values
         return apply
 
     def block_residual_gradient(self, i, x, y_i, gy):
-        # schlieren_apply, then schlieren_adjoint_apply on its projections
+        # block_forward, then adjoint_apply on its projections
         px = self.system.project_batch(i, x)
         resid = px * px - y_i
         w = _duality_map_raw(resid, gy.r, gy.p)
-        return resid, schlieren_adjoint_apply(self.system, i, x, w, px=px).values
+        return resid, self.adjoint_apply(i, x, w, px=px).values
 
 
 def build_schlieren_problem(system: RadonSystem, batch_size: int,
                             x_truth: GridVector) -> SchlierenProblem:
     """The problem on ``system`` regrouped into batches of ``batch_size``
     (``RadonSystem.regrouped``), with exact data from the ground truth."""
-    system = system.regrouped(batch_size)
-    y_exact = [schlieren_apply(system, k, x_truth) for k in range(len(system.batches))]
-    return SchlierenProblem(system, y_exact, x_truth=x_truth)
+    return SchlierenProblem(system.regrouped(batch_size), x_truth=x_truth)
 
 
 class BenchmarkProblem(ForwardProblem):
@@ -279,11 +255,11 @@ class BenchmarkProblem(ForwardProblem):
 
     kind = "benchmark"
 
-    def __init__(self, diag, beta, batches, y_exact, x_truth=None, L_max=None,
-                 gamma=None, stability=None):
+    def __init__(self, diag, beta, batches, y_exact=None, x_truth=None,
+                 L_max=None, gamma=None):
         self.diag = np.asarray(diag, dtype=np.float64)
         self.beta = float(beta)
-        super().__init__(batches, y_exact, x_truth, L_max, gamma, stability)
+        super().__init__(batches, y_exact, x_truth, L_max, gamma)
 
     @property
     def dim(self) -> int:
@@ -304,10 +280,6 @@ class BenchmarkProblem(ForwardProblem):
 
     def _slope(self, d, xv):
         return d * (1.0 + 2.0 * self.beta * xv)
-
-    def apply_block(self, i, x):
-        self._check_block(i)
-        return GridVector(self.block_forward(i, x.values))
 
     def block_forward(self, i, x):
         idx, d = self._blocks[i]
@@ -390,29 +362,23 @@ def build_benchmark(dim: int, diag_min: float, diag_max: float,
     x_truth = GridVector(truth_scale * gen.standard_normal(dim))
     batches = [list(b) for b in np.array_split(np.arange(dim), n_blocks)]
 
-    beta = float(nonlinearity_beta)
-    probe = BenchmarkProblem(diag, beta, batches,
-                             y_exact=[GridVector(diag[idx] * (x_truth.values[idx]
-                                                              + beta * x_truth.values[idx] ** 2))
-                                      for idx in batches],
-                             x_truth=x_truth)
-    if beta == 0.0:
-        gamma = 0.0
-        L_max = float(diag_max)
-        stability = StabilityParams(alpha=1.0, C_alpha=2.0 * diag_min**2)
-    else:
-        gamma = estimate_tcc_gamma(probe, x_truth, gamma_ball_radius,
-                                   gamma_samples, seed)
-        if gamma >= 0.5:
-            raise ValueError(
-                f"benchmark nonlinearity too strong: estimated tangential cone "
-                f"constant {gamma:.4f} >= 0.5 on the working ball"
-            )
-        reach = float(np.max(np.abs(x_truth.values))) + gamma_ball_radius
-        L_max = float(diag_max) * (1.0 + 2.0 * abs(beta) * reach)
-        stability = None
-    return BenchmarkProblem(diag, beta, batches, probe.y_exact, x_truth=x_truth,
-                            L_max=L_max, gamma=gamma, stability=stability)
+    problem = BenchmarkProblem(diag, nonlinearity_beta, batches, x_truth=x_truth)
+    if problem.beta == 0.0:
+        problem.gamma = 0.0
+        problem.L_max = float(diag_max)
+        problem.stability = StabilityParams(alpha=1.0, C_alpha=2.0 * diag_min**2)
+        return problem
+    gamma = estimate_tcc_gamma(problem, x_truth, gamma_ball_radius,
+                               gamma_samples, seed)
+    if gamma >= 0.5:
+        raise ValueError(
+            f"benchmark nonlinearity too strong: estimated tangential cone "
+            f"constant {gamma:.4f} >= 0.5 on the working ball"
+        )
+    reach = float(np.max(np.abs(x_truth.values))) + gamma_ball_radius
+    problem.gamma = gamma
+    problem.L_max = float(diag_max) * (1.0 + 2.0 * abs(problem.beta) * reach)
+    return problem
 
 
 def _ball_sample(gen, center: np.ndarray, radius: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import GridVector, bregman_distance, lr_norm
+from .geometry import GridVector, bregman_distance, conjugate_exponent, lr_norm
 from .solver import (
     SolverConfig,
     a_priori_stop_index,
@@ -190,8 +190,8 @@ def theoretical_contraction_factor(mu0: float, *, gamma: float, L_max: float,
                                    n_blocks: int, C_q: float = 1.0) -> float:
     """Per-iteration factor 1 - (C_q C_alpha / N) * margin * mu0 bounding the
     expected Bregman decay under conditional stability with exponent 1."""
-    p_star = p / (p - 1.0)
-    _, margin = check_step_admissibility([mu0], gamma, L_max, G_pstar, p_star)
+    _, margin = check_step_admissibility([mu0], gamma, L_max, G_pstar,
+                                         conjugate_exponent(p))
     if margin <= 0:
         raise ValueError(f"step-size {mu0} is inadmissible (margin {margin:.3e})")
     return 1.0 - (C_q * C_alpha / n_blocks) * margin * mu0
@@ -352,7 +352,7 @@ class DescentConstants:
 
     @property
     def p_star(self) -> float:
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
 @dataclass(frozen=True)
@@ -396,14 +396,12 @@ def descent_margin_audit(history, constants: DescentConstants,
         if cur.psi_batch_pre is None or cur.mu is None:
             raise ValueError("audit needs per-step block objectives")
         n_steps += 1
-        margin = 1.0 - c.gamma - c.L_max**c.p_star * (c.G_pstar / c.p_star) \
-            * cur.mu ** (c.p_star - 1.0)
+        _, margin = check_step_admissibility([cur.mu], c.gamma, c.L_max,
+                                             c.G_pstar, c.p_star, c.omega)
         allowance = 0.0
-        if c.omega is not None:
-            margin -= c.omega**c.p_star / c.p_star
-            if c.delta is not None:
-                allowance = (c.omega ** (-c.p) / c.p) * (1.0 + c.gamma) ** c.p \
-                    * c.delta**c.p * cur.mu
+        if c.omega is not None and c.delta is not None:
+            allowance = (c.omega ** (-c.p) / c.p) * (1.0 + c.gamma) ** c.p \
+                * c.delta**c.p * cur.mu
         slack = prev.bregman_to_truth + allowance \
             - c.p * margin * cur.mu * cur.psi_batch_pre - cur.bregman_to_truth
         min_slack = min(min_slack, slack)

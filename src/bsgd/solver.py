@@ -214,19 +214,11 @@ def _require_finite(vals: np.ndarray) -> None:
         raise ValueError("vector entries must be finite (no NaN/Inf)")
 
 
-def _check_domain(problem, x: GridVector) -> None:
-    if x.shape != problem.domain_shape:
-        raise ValueError(f"iterate shape {x.shape} != {problem.domain_shape}")
-
-
 def stochastic_gradient(problem, x: GridVector, y_obs, block_index: int,
                         q: float, r_Y: float) -> DualVector:
     """One-block gradient F_i'(x)* J_q(F_i(x) - y_i)."""
-    if not 0 <= block_index < problem.n_blocks:
-        raise IndexError(
-            f"block index {block_index} out of range [0, {problem.n_blocks})"
-        )
-    _check_domain(problem, x)
+    problem._check_block(block_index)
+    problem._check_point(x)
     resid, grad = problem.block_residual_gradient(
         block_index, x.values, y_obs[block_index].values, _geometry(r_Y, q))
     _require_finite(resid)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import bsgd
 from bsgd.array_io import read_array
 from bsgd.cli import main
+from bsgd.solver import a_priori_stop_index
 
 SCHLIEREN_INI = """
 [experiment]
@@ -71,6 +73,18 @@ seed = 2
 [rates]
 deltas = 1e-1,1e-2,3e-3
 n_seeds = 2
+gamma_budget = 0.5
+"""
+
+
+# Gaussian noise and a-priori stopping, to put before BENCHMARK_INI's solver keys
+A_PRIORI_SECTIONS = """[noise]
+kind = gaussian
+epsilon = 1e-2
+seed = 3
+
+[solver]
+stopping = a_priori
 gamma_budget = 0.5
 """
 
@@ -154,6 +168,31 @@ class TestCmdRun:
         recon = read_array(out / "final.bsgd")
         assert recon.shape == (40,)
 
+    def test_a_priori_run_stops_at_the_stop_index(self, tmp_path):
+        path = tmp_path / "a_priori.ini"
+        path.write_text(BENCHMARK_INI.replace("[solver]\n", A_PRIORI_SECTIONS))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.txt")
+        result, solver = manifest["result"], manifest["solver"]
+        k_stop = a_priori_stop_index(
+            result.getfloat("delta"), solver.getfloat("mu0"),
+            solver.getfloat("decay"), solver.getfloat("gamma_budget"),
+            manifest["space"].getfloat("p"))
+        assert k_stop > 0
+        assert result.getint("k_delta") == result.getint("n_iterations") == k_stop
+
+    def test_a_priori_run_without_noise_fails(self, tmp_path, capsys):
+        path = tmp_path / "a_priori.ini"
+        path.write_text(BENCHMARK_INI.replace(
+            "[solver]\n", A_PRIORI_SECTIONS.replace("kind = gaussian", "kind = none")))
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 1
+        assert "a_priori stopping needs a positive noise level" in \
+            capsys.readouterr().err
+
 
 class TestCmdSweep:
     def test_noise_sweep_summary(self, schlieren_cfg, tmp_path):
@@ -217,6 +256,25 @@ class TestCmdSweep:
         rows = (out / "summary.csv").read_text().strip().splitlines()
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("text,axis,values,message", [
+        (SCHLIEREN_INI.replace("kind = gaussian\nepsilon = 1e-2",
+                               "kind = salt_pepper\nkappa = 0.1"),
+         "noise_level", "1e-2,2e-1", "'salt_pepper' noise does not read"),
+        (SCHLIEREN_INI.replace("kind = gaussian\nepsilon = 1e-2", "kind = none"),
+         "noise_level", "1e-2,2e-1", "'none' noise does not read"),
+        (BENCHMARK_INI, "batch_size", "1,5", "benchmark experiment"),
+    ])
+    def test_axis_the_config_never_reads_rejected(self, tmp_path, capsys, text,
+                                                  axis, values, message):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--axis", axis, "--values", values, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep axis {axis}" in err and message in err
+        assert not out.exists()
+
     def test_bad_axis_rejected(self, schlieren_cfg, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(schlieren_cfg), "--out",
@@ -249,6 +307,7 @@ class TestCmdRates:
 _MODULES_AFTER_COMMAND = """
 import sys
 from bsgd.cli import main
+from bsgd.solver import a_priori_stop_index
 code = main(sys.argv[1:])
 print(code, "scipy" in sys.modules, "scipy.sparse" in sys.modules)
 """

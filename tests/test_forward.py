@@ -1,18 +1,19 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from bsgd import forward
+import bsgd
 from bsgd.forward import (
     BenchmarkProblem,
     ForwardProblem,
+    SchlierenProblem,
     _ball_sample,
     build_benchmark,
     build_schlieren_problem,
     estimate_lipschitz_Lmax,
     estimate_tcc_gamma,
-    schlieren_adjoint_apply,
-    schlieren_apply,
-    schlieren_derivative_apply,
 )
 from bsgd.geometry import (
     DualVector,
@@ -26,15 +27,28 @@ from bsgd.radon import RadonSystem, build_radon, make_interleaved_batches
 from conftest import scipy_csr
 
 
-def dense_matrix(system, k):
+def dense_matrix(problem, k):
+    system = problem.system
     return np.vstack([scipy_csr(system.matrices[a]).toarray()
                       for a in system.batches[k]])
 
 
+def _operator(system):
+    """The Schlieren problem on ``system``, its data made from a ones image."""
+    return SchlierenProblem(system, x_truth=GridVector(np.ones(system.image_shape)))
+
+
 @pytest.fixture(scope="module")
 def small_pairs(small_radon):
-    """small_radon regrouped into batches of two angles, {k, k + 5}."""
-    return small_radon.regrouped(2)
+    """The operator on small_radon regrouped into batches of two angles,
+    {k, k + 5}."""
+    return _operator(small_radon.regrouped(2))
+
+
+@pytest.fixture(scope="module")
+def small_angles(small_radon):
+    """The operator on small_radon, one angle per block."""
+    return _operator(small_radon)
 
 
 class TestBatches:
@@ -53,56 +67,53 @@ class TestBatches:
 
 class TestSchlierenOps:
     def test_zero_image(self, small_pairs):
-        out = schlieren_apply(small_pairs, 0, GridVector(np.zeros((16, 16))))
+        out = small_pairs.apply_block(0, GridVector(np.zeros((16, 16))))
         assert np.all(out.values == 0.0)
 
     def test_degree_two_homogeneity(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        base = schlieren_apply(small_pairs, 1, x)
-        scaled = schlieren_apply(small_pairs, 1, 3.0 * x)
+        base = small_pairs.apply_block(1, x)
+        scaled = small_pairs.apply_block(1, 3.0 * x)
         np.testing.assert_allclose(scaled.values, 9.0 * base.values, rtol=1e-12)
 
     def test_matches_dense_matrix_oracle(self, small_pairs, rng):
         dense = dense_matrix(small_pairs, 3)
         x = rng.standard_normal((16, 16))
         expected = (dense @ x.ravel()) ** 2
-        out = schlieren_apply(small_pairs, 3, GridVector(x))
+        out = small_pairs.apply_block(3, GridVector(x))
         np.testing.assert_allclose(out.values.ravel(), expected, rtol=1e-12)
 
-    def test_derivative_zero_direction(self, small_radon, rng):
+    def test_derivative_zero_direction(self, small_angles, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        out = schlieren_derivative_apply(small_radon, 2, x,
-                                         GridVector(np.zeros((16, 16))))
+        out = small_angles.derivative_apply(2, x, GridVector(np.zeros((16, 16))))
         assert np.all(out.values == 0.0)
 
     def test_derivative_linear_in_direction(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
         h1 = GridVector(rng.standard_normal((16, 16)))
         h2 = GridVector(rng.standard_normal((16, 16)))
-        combo = schlieren_derivative_apply(small_pairs, 1, x,
-                                           2.0 * h1 + (-0.5) * h2)
-        parts = (2.0 * schlieren_derivative_apply(small_pairs, 1, x, h1)
-                 + (-0.5) * schlieren_derivative_apply(small_pairs, 1, x, h2))
+        combo = small_pairs.derivative_apply(1, x, 2.0 * h1 + (-0.5) * h2)
+        parts = (2.0 * small_pairs.derivative_apply(1, x, h1)
+                 + (-0.5) * small_pairs.derivative_apply(1, x, h2))
         np.testing.assert_allclose(combo.values, parts.values, atol=1e-12)
 
     def test_finite_difference_slope(self, small_pairs, rng):
         # second difference of the quadratic map is exactly t * (R h)^2
         x = GridVector(rng.standard_normal((16, 16)))
         h = GridVector(rng.standard_normal((16, 16)))
-        deriv = schlieren_derivative_apply(small_pairs, 4, x, h)
+        deriv = small_pairs.derivative_apply(4, x, h)
         ts = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for t in ts:
-            fd = (schlieren_apply(small_pairs, 4, x + t * h).values
-                  - schlieren_apply(small_pairs, 4, x).values) / t
+            fd = (small_pairs.apply_block(4, x + t * h).values
+                  - small_pairs.apply_block(4, x).values) / t
             errs.append(np.linalg.norm(fd - deriv.values))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
 
     def test_adjoint_zero(self, small_pairs, rng):
         x = GridVector(rng.standard_normal((16, 16)))
-        out = schlieren_adjoint_apply(small_pairs, 0, x,
-                                      DualVector(np.zeros((2, 23))))
+        out = small_pairs.adjoint_apply(0, x, DualVector(np.zeros((2, 23))))
         assert np.all(out.values == 0.0)
 
     def test_adjoint_pairing(self, small_pairs, rng):
@@ -110,16 +121,16 @@ class TestSchlierenOps:
             x = GridVector(rng.standard_normal((16, 16)))
             h = GridVector(rng.standard_normal((16, 16)))
             g = DualVector(rng.standard_normal((2, 23)))
-            lhs = pairing(g, schlieren_derivative_apply(small_pairs, 2, x, h))
-            rhs = pairing(schlieren_adjoint_apply(small_pairs, 2, x, g), h)
+            lhs = pairing(g, small_pairs.derivative_apply(2, x, h))
+            rhs = pairing(small_pairs.adjoint_apply(2, x, g), h)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
-    def test_adjoint_matches_dense_transpose(self, small_radon, rng):
+    def test_adjoint_matches_dense_transpose(self, small_angles, rng):
         x = GridVector(np.full((16, 16), 0.7))
         g = rng.standard_normal((1, 23))
-        dense = dense_matrix(small_radon, 3)
+        dense = dense_matrix(small_angles, 3)
         expected = dense.T @ (2.0 * (dense @ x.values.ravel()) * g.ravel())
-        out = schlieren_adjoint_apply(small_radon, 3, x, DualVector(g))
+        out = small_angles.adjoint_apply(3, x, DualVector(g))
         np.testing.assert_allclose(out.values.ravel(), expected, rtol=1e-12)
 
     def test_adjoint_reuses_given_projections(self, small_radon, small_pairs, rng):
@@ -128,26 +139,28 @@ class TestSchlierenOps:
         # per-angle projections from the batch-1 system: the same bits
         px = np.concatenate([small_radon.project_batch(a, x.values)
                              for a in small_pairs.batches[1]])
-        reused = schlieren_adjoint_apply(small_pairs, 1, x, g, px=px)
-        fresh = schlieren_adjoint_apply(small_pairs, 1, x, g)
+        reused = small_pairs.adjoint_apply(1, x, g, px=px)
+        fresh = small_pairs.adjoint_apply(1, x, g)
         assert reused.values.tobytes() == fresh.values.tobytes()
 
     def test_shape_mismatch_rejected(self, small_pairs):
         with pytest.raises(ValueError, match="shape"):
-            schlieren_apply(small_pairs, 0, GridVector(np.zeros((4, 4))))
+            small_pairs.apply_block(0, GridVector(np.zeros((4, 4))))
 
     @pytest.mark.parametrize("k", [-1, 5])
     def test_batch_index_out_of_range_rejected(self, small_pairs, k):
         x = GridVector(np.ones((16, 16)))
         g = np.ones((2, 23))
-        with pytest.raises(IndexError, match="batch index"):
-            schlieren_apply(small_pairs, k, x)
-        with pytest.raises(IndexError, match="batch index"):
-            schlieren_derivative_apply(small_pairs, k, x, x)
-        with pytest.raises(IndexError, match="batch index"):
-            schlieren_adjoint_apply(small_pairs, k, x, g)
-        with pytest.raises(IndexError, match="batch index"):
-            schlieren_adjoint_apply(small_pairs, k, x, g, px=g)
+        # apply_block and adjoint_apply check the block index, the
+        # derivative leaves it to RadonSystem.project_batch's batch index
+        with pytest.raises(IndexError, match="(block|batch) index"):
+            small_pairs.apply_block(k, x)
+        with pytest.raises(IndexError, match="(block|batch) index"):
+            small_pairs.derivative_apply(k, x, x)
+        with pytest.raises(IndexError, match="(block|batch) index"):
+            small_pairs.adjoint_apply(k, x, g)
+        with pytest.raises(IndexError, match="(block|batch) index"):
+            small_pairs.adjoint_apply(k, x, g, px=g)
 
 
 class TestBenchmark:
@@ -212,6 +225,38 @@ class TestBenchmark:
             BenchmarkProblem(np.ones(4), 0.0, [[0, 1], [1, 2]],
                              [GridVector([1.0, 1.0])] * 2)
 
+    def test_needs_data_or_truth(self):
+        with pytest.raises(ValueError, match="ground truth"):
+            BenchmarkProblem(np.ones(4), 0.0, [[0, 1], [2, 3]])
+
+    def test_apply_block_rejects_misshaped_point(self):
+        problem = build_benchmark(12, 0.8, 1.2, 0.0, n_blocks=3, seed=5)
+        with pytest.raises(ValueError, match="shape"):
+            problem.apply_block(0, GridVector(np.ones(13)))
+
+
+class TestDerivedData:
+    """A problem built from its truth alone holds F_i(x_truth), byte for byte."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_benchmark(self, beta):
+        problem = build_benchmark(30, 0.8, 1.2, beta, n_blocks=4, seed=2)
+        for i, y_i in enumerate(problem.y_exact):
+            want = problem.block_forward(i, problem.x_truth.values)
+            assert y_i.values.tobytes() == want.tobytes()
+
+    def test_schlieren(self, small_schlieren):
+        p = small_schlieren
+        for i, y_i in enumerate(p.y_exact):
+            assert y_i.values.tobytes() == p.block_forward(i, p.x_truth.values).tobytes()
+
+
+def test_every_export_resolves():
+    for info in pkgutil.iter_modules(bsgd.__path__):
+        module = importlib.import_module(f"bsgd.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"bsgd.{info.name}.{name}"
+
 
 class _ZeroProblem(ForwardProblem):
     kind = "zero"
@@ -223,8 +268,8 @@ class _ZeroProblem(ForwardProblem):
     def domain_shape(self):
         return (3,)
 
-    def apply_block(self, i, x):
-        return GridVector(np.zeros(3))
+    def block_forward(self, i, x):
+        return np.zeros(3)
 
     def derivative_apply(self, i, x, h):
         return GridVector(np.zeros(3))
@@ -479,16 +524,16 @@ class TestBatchLayout:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_step_makes_one_adjoint_call(self, desk_schlieren, monkeypatch):
-        # Through the module-level name, which perfbench/spans.py rebinds to
-        # time the step's back-projection as one span.
+        # Through the method, which perfbench/spans.py wraps to time the
+        # step's back-projection as one span.
         calls = []
-        original = forward.schlieren_adjoint_apply
+        original = SchlierenProblem.adjoint_apply
 
-        def counting(system, k, *args, **kwargs):
+        def counting(problem, k, *args, **kwargs):
             calls.append(k)
-            return original(system, k, *args, **kwargs)
+            return original(problem, k, *args, **kwargs)
 
-        monkeypatch.setattr(forward, "schlieren_adjoint_apply", counting)
+        monkeypatch.setattr(SchlierenProblem, "adjoint_apply", counting)
         gy = GeometryParams.for_lebesgue(2.0)
         x = desk_schlieren.x_truth.values + 0.01
         desk_schlieren.block_residual_gradient(2, x, desk_schlieren.y_exact[2].values,
