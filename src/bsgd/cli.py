@@ -34,6 +34,7 @@ from .phantoms import make_phantom
 from .solver import (
     SolverConfig,
     StoppingRule,
+    format_value,
     history_to_csv,
     run_landweber,
     run_sgd,
@@ -204,9 +205,9 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
 
     lines = ["axis,value,best_error,best_iteration,delta,metric"]
     for (tok, _), res in zip(cells, results):
-        lines.append(f"{axis},{tok},{res['best_metric']!r},"
-                     f"{res['best_iteration']},{res['delta']!r},"
-                     f"{res['metric_kind']}")
+        lines.append(",".join(map(format_value, (
+            axis, tok, res["best_metric"], res["best_iteration"], res["delta"],
+            res["metric_kind"]))))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     _say(quiet, f"sweep complete: {len(cells)} cells under {out}")
     return 0
@@ -219,23 +220,25 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
     deltas = cfg.rate_delta_list()
     if not deltas:
         raise ValueError("rate study needs a nonempty noise-level list")
+    # both studies run SGD from 0 and set their own stopping rules
+    for key, value, want in (("algorithm", cfg.algorithm, "sgd"),
+                             ("x0", cfg.x0, 0.0),
+                             ("stopping", cfg.stopping, "max_epochs")):
+        if value != want:
+            raise ValueError(f"rate studies need [solver] {key} = {want}, "
+                             f"got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     problem, _ = _build_problem(cfg)
     if problem.stability is None:
         raise ValueError("rate studies need the linear benchmark (beta = 0)")
-    p, q = cfg.resolved_pq()
-    base = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
-                        mu0=cfg.resolved_mu0(),
-                        step_decay_exponent=cfg.decay,
-                        max_epochs=cfg.epochs, seed=cfg.solver_seed,
-                        mode=cfg.mode, record_every=problem.n_blocks)
+    base = _solver_config(cfg, 0.0, problem.n_blocks)
 
     histories = []
     for s in range(cfg.rate_seeds):
         run = run_sgd(problem, problem.y_exact,
-                      replace(base, seed=cfg.solver_seed + s), x0=0.0)
+                      replace(base, seed=cfg.solver_seed + s))
         histories.append(run.history)
     exact_fit = rates_mod.fit_exact_rate(histories, problem.stability.alpha)
     bound = rates_mod.theoretical_contraction_factor(

@@ -5,18 +5,19 @@ canonical writer always emits the full key set, so parse -> serialize ->
 parse is the identity and two semantically equal configs serialize to
 byte-identical text.  A run manifest is the same document plus a [result]
 section, which the parser ignores; any manifest is therefore a valid
-config that reproduces its run.  Any other section or key outside the
-schema is rejected, so a misspelled key fails instead of running on a
-default.
+config that reproduces its run.  The schema is the fields of
+``RunConfig``: each names its section and key, and the type of its default
+converts the text.  Any other section or key is rejected, so a misspelled
+key fails instead of running on a default.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 
-from .solver import mode_exponents
+from .solver import format_value, mode_exponents
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "default_mu0"]
 
@@ -39,121 +40,66 @@ def default_mu0(experiment: str, r_x: float, r_y: float) -> float:
     return 0.5
 
 
-_SCHEMA = {
-    "experiment": [("kind", "experiment", str)],
-    "problem": [
-        ("rows", "rows", int),
-        ("cols", "cols", int),
-        ("n_angles", "n_angles", int),
-        ("n_detectors", "n_detectors", int),
-        ("batch_size", "batch_size", int),
-        ("dim", "dim", int),
-        ("diag_min", "diag_min", float),
-        ("diag_max", "diag_max", float),
-        ("beta", "beta", float),
-        ("n_blocks", "n_blocks", int),
-        ("problem_seed", "problem_seed", int),
-        ("truth_scale", "truth_scale", float),
-    ],
-    "phantom": [
-        ("kind", "phantom_kind", str),
-        ("n_blobs", "n_blobs", int),
-        ("amplitude", "amplitude", float),
-        ("seed", "phantom_seed", int),
-        ("background", "phantom_background", float),
-        ("path", "phantom_path", str),
-    ],
-    "space": [
-        ("r_x", "r_x", float),
-        ("r_y", "r_y", float),
-        ("p", "p", float),
-        ("q", "q", float),
-        ("mode", "mode", str),
-    ],
-    "noise": [
-        ("kind", "noise_kind", str),
-        ("epsilon", "epsilon", float),
-        ("kappa", "kappa", float),
-        ("seed", "noise_seed", int),
-    ],
-    "solver": [
-        ("algorithm", "algorithm", str),
-        ("mu0", "mu0", float),
-        ("decay", "decay", float),
-        ("epochs", "epochs", int),
-        ("seed", "solver_seed", int),
-        ("x0", "x0", float),
-        ("record_every", "record_every", int),
-        ("stopping", "stopping", str),
-        ("gamma_budget", "gamma_budget", float),
-    ],
-    "estimates": [
-        ("ball_radius", "gamma_ball_radius", float),
-        ("n_samples", "gamma_samples", int),
-        ("seed", "estimate_seed", int),
-    ],
-    "rates": [
-        ("deltas", "rate_deltas", str),
-        ("n_seeds", "rate_seeds", int),
-        ("gamma_budget", "rate_gamma_budget", float),
-    ],
-}
+def _entry(section: str, default, key: str | None = None):
+    """A config field read from ``key`` (default: the field name) in
+    ``[section]``, converted by the type of ``default``."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass
 class RunConfig:
-    experiment: str = "schlieren"
+    """The config schema: each field is one INI entry, in file order."""
+
+    experiment: str = _entry("experiment", "schlieren", key="kind")
     # Schlieren discretization
-    rows: int = 32
-    cols: int = 32
-    n_angles: int = 30
-    n_detectors: int = 45
-    batch_size: int = 6
+    rows: int = _entry("problem", 32)
+    cols: int = _entry("problem", 32)
+    n_angles: int = _entry("problem", 30)
+    n_detectors: int = _entry("problem", 45)
+    batch_size: int = _entry("problem", 6)
     # benchmark problem
-    dim: int = 40
-    diag_min: float = 0.9
-    diag_max: float = 1.1
-    beta: float = 0.0
-    n_blocks: int = 5
-    problem_seed: int = 0
-    truth_scale: float = 1.0
-    # phantom
-    phantom_kind: str = "sparse_blobs"
-    n_blobs: int = 4
-    amplitude: float = 1.0
-    phantom_seed: int = 7
-    phantom_background: float = 0.0
-    phantom_path: str = ""
-    # spaces; p = q = 0 means "derive from the mode"
-    r_x: float = 2.0
-    r_y: float = 2.0
-    p: float = 0.0
-    q: float = 0.0
-    mode: str = "practice"
-    # noise
-    noise_kind: str = "none"
-    epsilon: float = 0.0
-    kappa: float = 0.0
-    noise_seed: int = 99
-    # solver; mu0 = 0 means "use the calibrated default", record_every = 0
-    # means "once per epoch"
-    algorithm: str = "sgd"
-    mu0: float = 0.0
-    decay: float = 0.0
-    epochs: int = 100
-    solver_seed: int = 0
-    x0: float = 0.01
-    record_every: int = 0
-    stopping: str = "max_epochs"
-    gamma_budget: float = 0.0
+    dim: int = _entry("problem", 40)
+    diag_min: float = _entry("problem", 0.9)
+    diag_max: float = _entry("problem", 1.1)
+    beta: float = _entry("problem", 0.0)
+    n_blocks: int = _entry("problem", 5)
+    problem_seed: int = _entry("problem", 0)
+    truth_scale: float = _entry("problem", 1.0)
+    phantom_kind: str = _entry("phantom", "sparse_blobs", key="kind")
+    n_blobs: int = _entry("phantom", 4)
+    amplitude: float = _entry("phantom", 1.0)
+    phantom_seed: int = _entry("phantom", 7, key="seed")
+    phantom_background: float = _entry("phantom", 0.0, key="background")
+    phantom_path: str = _entry("phantom", "", key="path")
+    # p = q = 0 means "derive from the mode"
+    r_x: float = _entry("space", 2.0)
+    r_y: float = _entry("space", 2.0)
+    p: float = _entry("space", 0.0)
+    q: float = _entry("space", 0.0)
+    mode: str = _entry("space", "practice")
+    noise_kind: str = _entry("noise", "none", key="kind")
+    epsilon: float = _entry("noise", 0.0)
+    kappa: float = _entry("noise", 0.0)
+    noise_seed: int = _entry("noise", 99, key="seed")
+    # mu0 = 0 means "use the calibrated default", record_every = 0 means
+    # "once per epoch"
+    algorithm: str = _entry("solver", "sgd")
+    mu0: float = _entry("solver", 0.0)
+    decay: float = _entry("solver", 0.0)
+    epochs: int = _entry("solver", 100)
+    solver_seed: int = _entry("solver", 0, key="seed")
+    x0: float = _entry("solver", 0.01)
+    record_every: int = _entry("solver", 0)
+    stopping: str = _entry("solver", "max_epochs")
+    gamma_budget: float = _entry("solver", 0.0)
     # constant estimation (tangential cone / derivative bound sampling)
-    gamma_ball_radius: float = 0.25
-    gamma_samples: int = 10
-    estimate_seed: int = 1234
+    gamma_ball_radius: float = _entry("estimates", 0.25, key="ball_radius")
+    gamma_samples: int = _entry("estimates", 10, key="n_samples")
+    estimate_seed: int = _entry("estimates", 1234, key="seed")
     # rate-study driver
-    rate_deltas: str = "1e-1,3e-2,1e-2,3e-3"
-    rate_seeds: int = 20
-    rate_gamma_budget: float = 0.5
+    rate_deltas: str = _entry("rates", "1e-1,3e-2,1e-2,3e-3", key="deltas")
+    rate_seeds: int = _entry("rates", 20, key="n_seeds")
+    rate_gamma_budget: float = _entry("rates", 0.5, key="gamma_budget")
 
     def __post_init__(self):
         if self.experiment not in ("schlieren", "benchmark"):
@@ -180,6 +126,18 @@ class RunConfig:
         return [float(tok) for tok in self.rate_deltas.split(",") if tok.strip()]
 
 
+def _sections() -> dict[str, dict[str, Field]]:
+    """{section: {key: field}} in declaration order."""
+    sections: dict[str, dict[str, Field]] = {}
+    for f in fields(RunConfig):
+        key = f.metadata["key"] or f.name
+        sections.setdefault(f.metadata["section"], {})[key] = f
+    return sections
+
+
+_SECTIONS = _sections()
+
+
 def parse_config(source) -> RunConfig:
     """Parse a config (or manifest) from a path or a string."""
     parser = configparser.ConfigParser()
@@ -193,36 +151,25 @@ def parse_config(source) -> RunConfig:
     for section in parser.sections():
         if section == "result":
             continue
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        entries = {key: (attr, conv) for key, attr, conv in _SCHEMA[section]}
+        entries = _SECTIONS[section]
         for key in parser.options(section):
             if key not in entries:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]")
-            attr, conv = entries[key]
-            kwargs[attr] = conv(parser.get(section, key))
+            f = entries[key]
+            kwargs[f.name] = type(f.default)(parser.get(section, key))
     return RunConfig(**kwargs)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def serialize_config(config: RunConfig, extra_sections: dict | None = None) -> str:
     """Canonical text form: full key set, fixed section and key order."""
-    known = {f.name for f in fields(config)}
     out = io.StringIO()
-    for section, entries in _SCHEMA.items():
-        out.write(f"[{section}]\n")
-        for key, attr, _ in entries:
-            if attr in known:
-                out.write(f"{key} = {_fmt(getattr(config, attr))}\n")
-        out.write("\n")
-    for section, mapping in (extra_sections or {}).items():
+    sections = {section: {key: getattr(config, f.name) for key, f in entries.items()}
+                for section, entries in _SECTIONS.items()}
+    for section, mapping in {**sections, **(extra_sections or {})}.items():
         out.write(f"[{section}]\n")
         for key, value in mapping.items():
-            out.write(f"{key} = {_fmt(value)}\n")
+            out.write(f"{key} = {format_value(value)}\n")
         out.write("\n")
     return out.getvalue()

@@ -2,8 +2,11 @@
 
 All randomness comes from the counter-based Philox generator keyed by the
 spec's 64-bit seed, with Gaussian variates produced by a Box-Muller
-transform of uniform pairs.  Both choices are deterministic across
-platforms, so identical specs give bitwise-identical noisy data.
+transform of uniform pairs.  Identical specs give bitwise-identical noisy
+data on one machine and numpy build.  The Philox uniforms are the same
+everywhere, but numpy's vectorized log, cos and sin are not: with its
+AVX-512 kernels disabled, 333 of 200,000 normals change their last bits
+(README, "Reproducibility").
 """
 
 from __future__ import annotations

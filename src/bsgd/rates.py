@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .solver import (
     SolverConfig,
     a_priori_stop_index,
     check_step_admissibility,
+    format_value,
     run_seed_stack,
     run_sgd,
     schedule_prefix,
@@ -318,8 +319,7 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
 def write_study_csv(study: NoisyRateStudy, path) -> None:
     lines = ["delta,k_delta,mean_bregman,std_bregman,n_seeds"]
     for row in study.rows:
-        lines.append(f"{row.delta!r},{row.k_delta},{row.mean_bregman!r},"
-                     f"{row.std_bregman!r},{row.n_seeds}")
+        lines.append(",".join(map(format_value, astuple(row))))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

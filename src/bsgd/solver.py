@@ -65,6 +65,7 @@ __all__ = [
     "run_landweber",
     "relative_error",
     "history_to_csv",
+    "format_value",
 ]
 
 logger = logging.getLogger(__name__)
@@ -639,12 +640,15 @@ def run_landweber(problem, y_obs, config: SolverConfig, x0=None,
                                collect_snapshots=collect_snapshots)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Text form of a value in a CSV cell or an INI entry: empty for None,
+    shortest round-trip repr for a float (numpy scalars print as plain
+    floats), ``str`` otherwise."""
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
 def history_to_csv(records, path, iters_per_epoch: int) -> None:
@@ -656,10 +660,8 @@ def history_to_csv(records, path, iters_per_epoch: int) -> None:
     lines = ["epoch,iter,mu,batch,psi,residual,rel_l2_err,bregman"]
     for rec in records:
         epoch = rec.k // iters_per_epoch
-        lines.append(",".join([
-            str(epoch), str(rec.k), _fmt(rec.mu), _fmt(rec.batch_index),
-            _fmt(rec.psi), _fmt(rec.residual), _fmt(rec.rel_l2_error),
-            _fmt(rec.bregman_to_truth),
-        ]))
+        lines.append(",".join(map(format_value, (
+            epoch, rec.k, rec.mu, rec.batch_index, rec.psi, rec.residual,
+            rec.rel_l2_error, rec.bregman_to_truth))))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -69,6 +69,7 @@ mode = theory
 mu0 = 0.5
 epochs = 40
 seed = 2
+x0 = 0.0
 
 [rates]
 deltas = 1e-1,1e-2,3e-3
@@ -301,6 +302,23 @@ class TestCmdRates:
         assert main(["rates", "--config", str(schlieren_cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("x0 = 0.0", "x0 = 0.5", "[solver] x0 = 0.0, got 0.5"),
+        ("x0 = 0.0", "x0 = 0.0\nalgorithm = landweber",
+         "[solver] algorithm = sgd, got landweber"),
+        ("[solver]\n", A_PRIORI_SECTIONS,
+         "[solver] stopping = max_epochs, got a_priori"),
+    ])
+    def test_solver_keys_the_study_ignores_rejected(self, tmp_path, capsys,
+                                                    old, new, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(BENCHMARK_INI.replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Runs one CLI command in a fresh interpreter, then prints its exit code and
 # whether scipy and scipy.sparse were imported.
@@ -324,12 +342,22 @@ def _modules_after_command(args):
 
 class TestScipyImport:
     """These commands import no scipy package: a Radon system loads scipy's
-    compiled kernels from their extension file alone."""
+    compiled kernels from their extension file alone, and the dual
+    smoothness constant at p = r_X > 2 is a golden-section search."""
 
     def test_rates_loads_no_scipy(self, benchmark_cfg, tmp_path):
         assert _modules_after_command(
             ["rates", "--config", str(benchmark_cfg), "--out",
              str(tmp_path / "rates"), "--quiet"]) == ["0", "False", "False"]
+
+    def test_run_at_r_x_above_2_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "benchmark.ini"
+        path.write_text(BENCHMARK_INI.replace(
+            "r_x = 2.0\nr_y = 2.0\nmode = theory",
+            "r_x = 3.0\nr_y = 2.0\nmode = practice"))
+        assert _modules_after_command(
+            ["run", "--config", str(path), "--out", str(tmp_path / "run"),
+             "--epochs", "2", "--quiet"]) == ["0", "False", "False"]
 
     def test_schlieren_run_and_sweep_load_no_scipy_sparse(self, schlieren_cfg,
                                                           tmp_path):

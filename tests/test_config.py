@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from bsgd.config import parse_config, serialize_config
+from bsgd.config import RunConfig, parse_config, serialize_config
 
 
 MINIMAL = """
@@ -94,3 +94,30 @@ def test_default_mu0_lookup():
 def test_unknown_keys_and_sections_rejected(text, message):
     with pytest.raises(ValueError, match=message):
         parse_config(text)
+
+
+# str fields that RunConfig checks against a fixed set of names
+_OTHER_NAMES = {"experiment": "benchmark", "algorithm": "landweber",
+                "stopping": "a_priori"}
+
+
+def _other_value(f):
+    """A value of the field's declared type that differs from its default."""
+    if f.type == "int":
+        return f.default + 3
+    if f.type == "float":
+        return f.default + 0.375
+    assert f.type == "str", f.name
+    return _OTHER_NAMES.get(f.name, f.default + "_other")
+
+
+def test_every_field_round_trips_through_its_entry():
+    cfg = RunConfig(**{f.name: _other_value(f)
+                       for f in dataclasses.fields(RunConfig)})
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    for f in dataclasses.fields(RunConfig):
+        assert type(getattr(again, f.name)).__name__ == f.type, f.name
+        assert getattr(again, f.name) != f.default, f.name
+    assert serialize_config(again) == text

@@ -249,6 +249,15 @@ class TestGeometryParams:
         assert smoothness_constant(3.0, 2.0) == pytest.approx(2.0)
         assert smoothness_constant(1.5, 1.5) is not None
 
+    @pytest.mark.parametrize("s", [1.05, 1.2, 1.5, 1.95])
+    def test_separable_constant_is_the_dense_grid_maximum(self, s):
+        # G = s * max_t D_s(t, t + 1); the maximum lies in (-0.5, 0) for s < 2
+        t = np.linspace(-0.5, 0.0, 500_001)
+        d = np.abs(t) ** s / conjugate_exponent(s) + np.abs(t + 1.0) ** s / s \
+            - np.sign(t) * np.abs(t) ** (s - 1.0) * (t + 1.0)
+        peak = smoothness_constant(s, s) / s
+        assert d.max() <= peak <= d.max() * (1.0 + 1e-9)
+
 
 class TestVectors:
     def test_immutability(self):
