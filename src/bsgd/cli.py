@@ -29,7 +29,7 @@ from .forward import (
     estimate_tcc_gamma,
 )
 from .radon import build_radon
-from .noise import NoiseSpec, apply_noise, noise_level
+from .noise import apply_noise, noise_level
 from .phantoms import make_phantom
 from .solver import (
     SolverConfig,
@@ -64,20 +64,19 @@ def _build_problem(cfg: RunConfig):
         problem = build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
                                   n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
                                   truth_scale=cfg.truth_scale)
-        return problem, {"gamma_hat": problem.gamma, "L_max_hat": problem.L_max}
+        return problem
     phantom = _load_phantom(cfg)
     system = build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors,
                          cfg.batch_size)
     problem = build_schlieren_problem(system, cfg.batch_size, phantom)
-    gamma_hat = estimate_tcc_gamma(problem, phantom, cfg.gamma_ball_radius,
-                                   cfg.gamma_samples, cfg.estimate_seed,
-                                   r_Y=cfg.r_y)
-    L_hat = estimate_lipschitz_Lmax(problem, phantom, cfg.gamma_ball_radius,
-                                    max(1, cfg.gamma_samples // 4),
-                                    cfg.estimate_seed, n_power_iter=20)
-    problem.gamma = gamma_hat
-    problem.L_max = L_hat
-    return problem, {"gamma_hat": gamma_hat, "L_max_hat": L_hat}
+    problem.gamma = estimate_tcc_gamma(problem, phantom, cfg.gamma_ball_radius,
+                                       cfg.gamma_samples, cfg.estimate_seed,
+                                       r_Y=cfg.r_y)
+    problem.L_max = estimate_lipschitz_Lmax(problem, phantom,
+                                            cfg.gamma_ball_radius,
+                                            max(1, cfg.gamma_samples // 4),
+                                            cfg.estimate_seed, n_power_iter=20)
+    return problem
 
 
 def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
@@ -113,13 +112,9 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
 
-    problem, estimates = _build_problem(cfg)
-    spec = None
-    if cfg.noise_kind != "none":
-        kappa = cfg.kappa if cfg.noise_kind in ("salt_pepper", "impulsive") else None
-        spec = NoiseSpec(kind=cfg.noise_kind, epsilon=cfg.epsilon, kappa=kappa,
-                         seed=cfg.noise_seed)
-    y_obs = apply_noise(problem.y_exact, spec) if spec else list(problem.y_exact)
+    problem = _build_problem(cfg)
+    y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
+                        cfg.noise_seed)
     deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
     solver_cfg = _solver_config(cfg, delta, problem.n_blocks)
@@ -135,8 +130,8 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     p, q = cfg.resolved_pq()
     resolved = replace(cfg, mu0=solver_cfg.mu0, p=p, q=q)
     result = {
-        "gamma_hat": estimates["gamma_hat"],
-        "L_max_hat": estimates["L_max_hat"],
+        "gamma_hat": problem.gamma,
+        "L_max_hat": problem.L_max,
         "delta": delta,
         "delta_max_block": max(deltas),
         "k_delta": run.n_iterations if cfg.stopping == "a_priori" else "",
@@ -230,7 +225,7 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    problem, _ = _build_problem(cfg)
+    problem = _build_problem(cfg)
     if problem.stability is None:
         raise ValueError("rate studies need the linear benchmark (beta = 0)")
     base = _solver_config(cfg, 0.0, problem.n_blocks)

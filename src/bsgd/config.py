@@ -17,6 +17,7 @@ import configparser
 import io
 from dataclasses import Field, dataclass, field, fields
 
+from .noise import _KINDS as _NOISE_KINDS
 from .solver import format_value, mode_exponents
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "default_mu0"]
@@ -111,6 +112,15 @@ class RunConfig:
         if self.p < 0 or self.q < 0 or (self.p > 0) != (self.q > 0):
             raise ValueError(f"[space] p and q must both be positive or both "
                              f"0 (from the mode), got p={self.p}, q={self.q}")
+        mode_exponents(self.mode, self.r_x, self.r_y)  # rejects an unknown mode
+        if self.noise_kind not in _NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.noise_kind!r}; "
+                             f"expected one of {_NOISE_KINDS}")
+        for key, value in (("[noise] epsilon", self.epsilon),
+                           ("[solver] mu0", self.mu0),
+                           ("[solver] record_every", self.record_every)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
 
     def resolved_pq(self) -> tuple[float, float]:
         if self.p > 0 and self.q > 0:

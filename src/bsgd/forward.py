@@ -19,9 +19,9 @@ makes its exact data by applying its blocks to the ground truth.
 One raw-array kernel per problem serves the SGD step,
 ``block_residual_gradient``: a single forward pass gives the block residual,
 and the gradient F_i'(x)* J_q(residual) reuses it (the Schlieren kernel
-hands its projections to ``adjoint_apply``).  ``linearization`` and
-``normal_operator`` fix the linearisation point once for the constant
-estimators, so the Schlieren problem projects it once.
+hands its projections to ``adjoint_apply``).  For the constant estimators,
+``linearization`` gives the value, the derivative and the adjoint at one
+point, so the Schlieren problem projects that point once.
 
 A Schlieren block is a batch of its Radon system, so every projection is
 one sparse product, ``RadonSystem.project_batch``.  ``build_schlieren_problem``
@@ -142,13 +142,11 @@ class ForwardProblem:
         raise NotImplementedError
 
     def linearization(self, i: int, x: GridVector):
-        """F_i(x) and the map h -> F_i'(x) h, for a fixed x."""
-        return self.apply_block(i, x), lambda h: self.derivative_apply(i, x, h)
-
-    def normal_operator(self, i: int, x: GridVector):
-        """The map v -> F_i'(x)* F_i'(x) v on raw arrays, for a fixed x."""
-        return lambda v: self.adjoint_apply(
-            i, x, self.derivative_apply(i, x, GridVector(v))).values
+        """F_i(x) and the maps h -> F_i'(x) h and g -> F_i'(x)* g, for a
+        fixed x."""
+        return (self.apply_block(i, x),
+                lambda h: self.derivative_apply(i, x, h),
+                lambda g: self.adjoint_apply(i, x, g))
 
     def block_residual_gradient(self, i: int, x: np.ndarray, y_i: np.ndarray,
                                 gy: GeometryParams) -> tuple[np.ndarray, np.ndarray]:
@@ -224,16 +222,9 @@ class SchlierenProblem(ForwardProblem):
     def linearization(self, i, x):
         self._check_point(x)
         px = self.system.project_batch(i, x.values)
-        return GridVector(px * px), lambda h: self.derivative_apply(i, x, h, px=px)
-
-    def normal_operator(self, i, x):
-        self._check_point(x)
-        px = self.system.project_batch(i, x.values)
-
-        def apply(v):
-            w = self.derivative_apply(i, x, GridVector(v), px=px)
-            return self.adjoint_apply(i, x, w, px=px).values
-        return apply
+        return (GridVector(px * px),
+                lambda h: self.derivative_apply(i, x, h, px=px),
+                lambda g: self.adjoint_apply(i, x, g, px=px))
 
     def block_residual_gradient(self, i, x, y_i, gy):
         # block_forward, then adjoint_apply on its projections
@@ -410,7 +401,7 @@ def estimate_tcc_gamma(problem: ForwardProblem, ball_center: GridVector,
         xt = GridVector(_ball_sample(gen, center, ball_radius))
         step = x - xt
         for i in range(problem.n_blocks):
-            fx, derivative = problem.linearization(i, x)
+            fx, derivative, _ = problem.linearization(i, x)
             fxt = problem.apply_block(i, xt)
             den = lr_norm(fx - fxt, r_Y)
             if den < 1e-14:
@@ -444,10 +435,10 @@ def estimate_lipschitz_Lmax(problem: ForwardProblem, ball_center: GridVector,
             if vn == 0.0:
                 continue
             v /= vn
-            normal = problem.normal_operator(i, x)
+            _, derivative, adjoint = problem.linearization(i, x)
             sigma = 0.0
             for _ in range(n_power_iter):
-                back = normal(v)
+                back = adjoint(derivative(GridVector(v))).values
                 bn = np.linalg.norm(back)
                 if bn < 1e-300:
                     sigma = 0.0

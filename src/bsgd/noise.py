@@ -1,9 +1,9 @@
 """Seeded noise generators and noise-level computation.
 
-All randomness comes from the counter-based Philox generator keyed by the
-spec's 64-bit seed, with Gaussian variates produced by a Box-Muller
-transform of uniform pairs.  Identical specs give bitwise-identical noisy
-data on one machine and numpy build.  The Philox uniforms are the same
+All randomness comes from the counter-based Philox generator keyed by a
+64-bit seed, with Gaussian variates produced by a Box-Muller transform of
+uniform pairs.  Identical arguments give bitwise-identical noisy data on
+one machine and numpy build.  The Philox uniforms are the same
 everywhere, but numpy's vectorized log, cos and sin are not: with its
 AVX-512 kernels disabled, 333 of 200,000 normals change their last bits
 (README, "Reproducibility").
@@ -11,14 +11,11 @@ AVX-512 kernels disabled, 333 of 200,000 normals change their last bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import GridVector, lr_norm
 
 __all__ = [
-    "NoiseSpec",
     "add_gaussian",
     "add_salt_pepper",
     "add_impulsive",
@@ -28,26 +25,6 @@ __all__ = [
 
 _KINDS = ("none", "gaussian", "salt_pepper", "impulsive")
 _TINY = np.finfo(np.float64).tiny
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str
-    epsilon: float = 0.0
-    kappa: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected {_KINDS}")
-        if self.epsilon < 0:
-            raise ValueError(f"noise magnitude must be >= 0, got {self.epsilon}")
-        if self.kind in ("salt_pepper", "impulsive"):
-            if self.kappa is None or not 0.0 < self.kappa < 1.0:
-                raise ValueError(
-                    f"{self.kind} noise needs a corruption fraction in (0, 1), "
-                    f"got {self.kappa}"
-                )
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -128,15 +105,19 @@ def add_impulsive(y: list[GridVector], kappa: float, epsilon: float,
     return out
 
 
-def apply_noise(y: list[GridVector], spec: NoiseSpec) -> list[GridVector]:
-    """Dispatch on the noise kind; 'none' returns the input blocks."""
-    if spec.kind == "none":
+def apply_noise(y: list[GridVector], kind: str, epsilon: float, kappa: float,
+                seed: int) -> list[GridVector]:
+    """Dispatch on the noise kind; 'none' returns the input blocks.  Each
+    generator reads only its own parameters and checks them."""
+    if kind == "none":
         return list(y)
-    if spec.kind == "gaussian":
-        return add_gaussian(y, spec.epsilon, spec.seed)
-    if spec.kind == "salt_pepper":
-        return add_salt_pepper(y, spec.kappa, spec.seed)
-    return add_impulsive(y, spec.kappa, spec.epsilon, spec.seed)
+    if kind == "gaussian":
+        return add_gaussian(y, epsilon, seed)
+    if kind == "salt_pepper":
+        return add_salt_pepper(y, kappa, seed)
+    if kind == "impulsive":
+        return add_impulsive(y, kappa, epsilon, seed)
+    raise ValueError(f"unknown noise kind {kind!r}; expected {_KINDS}")
 
 
 def noise_level(y_exact: list[GridVector], y_noisy: list[GridVector],

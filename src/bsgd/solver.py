@@ -34,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +83,6 @@ _COUNT_CHUNK = 8192
 # at 3 (a copy or a compare every round) a stack that never cycles ran 12%
 # slower, at 64 it runs as fast as with no test
 _CYCLE_CHECK = 64
-
-
-@lru_cache(maxsize=None)
-def _geometry(r: float, p: float) -> GeometryParams:
-    return GeometryParams.for_lebesgue(r, p)
 
 
 def mode_exponents(mode: str, r_X: float, r_Y: float) -> tuple[float, float]:
@@ -163,10 +157,10 @@ class SolverConfig:
         return cls(r_X=r_X, r_Y=r_Y, p=p, q=q, mu0=mu0, mode=mode, **kwargs)
 
     def geometry_x(self) -> GeometryParams:
-        return _geometry(self.r_X, self.p)
+        return GeometryParams.for_lebesgue(self.r_X, self.p)
 
     def geometry_y(self) -> GeometryParams:
-        return _geometry(self.r_Y, self.q)
+        return GeometryParams.for_lebesgue(self.r_Y, self.q)
 
 
 @dataclass
@@ -221,7 +215,8 @@ def stochastic_gradient(problem, x: GridVector, y_obs, block_index: int,
     problem._check_block(block_index)
     problem._check_point(x)
     resid, grad = problem.block_residual_gradient(
-        block_index, x.values, y_obs[block_index].values, _geometry(r_Y, q))
+        block_index, x.values, y_obs[block_index].values,
+        GeometryParams.for_lebesgue(r_Y, q))
     _require_finite(resid)
     return DualVector(grad)
 

@@ -162,6 +162,47 @@ class TestCmdRun:
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("kind = gaussian", "kind = gausian"),
+        ("mode = practice", "mode = practise"),
+        ("epsilon = 1e-2", "epsilon = -1e-2"),
+        ("mu0 = 5e-3", "mu0 = -0.5"),
+        ("[solver]\n", "[solver]\nrecord_every = -3\n"),
+    ])
+    def test_bad_value_fails_before_out_exists(self, tmp_path, capsys, old,
+                                               new):
+        path = tmp_path / "bad.ini"
+        path.write_text(SCHLIEREN_INI.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_phantom_file_matches_generated_phantom(self, schlieren_cfg,
+                                                    tmp_path):
+        def run(cfg, name):
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+            return [(out / f).read_bytes()
+                    for f in ("history.csv", "best.bsgd", "final.bsgd")]
+
+        def run_from_file(phantom_seed):
+            # seed 11 writes the phantom SCHLIEREN_INI's [phantom] keys make
+            phantom = tmp_path / f"phantom{phantom_seed}.bsgd"
+            assert main(["phantom", "--shape", "16x16", "--blobs", "3",
+                         "--amplitude", "1.0", "--seed", str(phantom_seed),
+                         "--out", str(phantom), "--quiet"]) == 0
+            path = tmp_path / f"file{phantom_seed}.ini"
+            path.write_text(SCHLIEREN_INI.replace(
+                "[phantom]\n", f"[phantom]\npath = {phantom}\n"))
+            return run(path, f"file{phantom_seed}")
+
+        generated = run(schlieren_cfg, "generated")
+        assert run_from_file(11) == generated
+        assert run_from_file(12)[0] != generated[0]
+
     def test_benchmark_run(self, benchmark_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(benchmark_cfg), "--out", str(out),

@@ -73,6 +73,18 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
         parse_config(MINIMAL + f"\n[space]\n{space}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[noise]\nkind = gausian\n", "unknown noise kind 'gausian'"),
+    ("[space]\nmode = practise\n", "unknown mode 'practise'"),
+    ("[noise]\nepsilon = -0.01\n", r"\[noise\] epsilon must be >= 0"),
+    ("[solver]\nmu0 = -0.5\n", r"\[solver\] mu0 must be >= 0"),
+    ("[solver]\nrecord_every = -3\n", r"\[solver\] record_every must be >= 0"),
+])
+def test_misspelled_or_negative_values_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+
+
 def test_rate_delta_list_parsing():
     cfg = dataclasses.replace(parse_config(MINIMAL),
                               rate_deltas="1e-1, 3e-2,1e-2")
@@ -98,7 +110,8 @@ def test_unknown_keys_and_sections_rejected(text, message):
 
 # str fields that RunConfig checks against a fixed set of names
 _OTHER_NAMES = {"experiment": "benchmark", "algorithm": "landweber",
-                "stopping": "a_priori"}
+                "stopping": "a_priori", "noise_kind": "gaussian",
+                "mode": "theory"}
 
 
 def _other_value(f):

@@ -3,7 +3,6 @@ import pytest
 
 from bsgd.geometry import GridVector
 from bsgd.noise import (
-    NoiseSpec,
     add_gaussian,
     add_impulsive,
     add_salt_pepper,
@@ -21,19 +20,25 @@ def stacked_diff(noisy, exact):
 
 
 class TestSpec:
-    def test_valid_kinds_only(self):
-        with pytest.raises(ValueError, match="kind"):
-            NoiseSpec(kind="poisson")
+    """apply_noise passes its parameters on; each generator checks its own."""
 
-    def test_kappa_required_in_range(self):
-        with pytest.raises(ValueError, match="fraction"):
-            NoiseSpec(kind="salt_pepper", kappa=None)
-        with pytest.raises(ValueError, match="fraction"):
-            NoiseSpec(kind="impulsive", kappa=1.5, epsilon=0.1)
+    def test_valid_kinds_only(self, rng):
+        with pytest.raises(ValueError, match="unknown noise kind 'poisson'"):
+            apply_noise(blocks_from(rng), "poisson", 0.1, 0.1, 0)
 
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="gaussian", epsilon=-1.0)
+    def test_kappa_required_in_range(self, rng):
+        y = blocks_from(rng)
+        with pytest.raises(ValueError, match="fraction"):
+            apply_noise(y, "salt_pepper", 0.0, 0.0, 0)
+        with pytest.raises(ValueError, match="fraction"):
+            apply_noise(y, "impulsive", 0.1, 1.5, 0)
+
+    def test_negative_magnitude_rejected(self, rng):
+        y = blocks_from(rng)
+        with pytest.raises(ValueError, match="magnitude"):
+            apply_noise(y, "gaussian", -1.0, 0.0, 0)
+        with pytest.raises(ValueError, match="magnitude"):
+            apply_noise(y, "impulsive", -1.0, 0.5, 0)
 
 
 class TestGaussian:
@@ -178,14 +183,13 @@ class TestNoiseLevel:
 class TestDispatch:
     def test_none_kind_identity(self, rng):
         y = blocks_from(rng)
-        out = apply_noise(y, NoiseSpec(kind="none"))
+        out = apply_noise(y, "none", 0.0, 0.0, 0)
         for a, b in zip(out, y):
             assert a is b
 
     def test_dispatch_matches_direct_calls(self, rng):
         y = blocks_from(rng)
-        spec = NoiseSpec(kind="gaussian", epsilon=0.02, seed=31)
         direct = add_gaussian(y, 0.02, 31)
-        via = apply_noise(y, spec)
+        via = apply_noise(y, "gaussian", 0.02, 0.0, 31)
         for a, b in zip(direct, via):
             assert np.array_equal(a.values, b.values)

@@ -302,7 +302,7 @@ class TestStackedStudyMatchesSerial:
         # cmd_rates configures it: every level must run as a seed stack
         cfg = parse_config(Path(__file__).parents[1] / "configs"
                            / "benchmark_rates.ini")
-        problem, _ = _build_problem(cfg)
+        problem = _build_problem(cfg)
         p, q = cfg.resolved_pq()
         deltas = cfg.rate_delta_list()
         config = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
