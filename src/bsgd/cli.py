@@ -61,10 +61,9 @@ def _load_phantom(cfg: RunConfig):
 def _build_problem(cfg: RunConfig):
     """Build the forward problem and sample the operator constants."""
     if cfg.experiment == "benchmark":
-        problem = build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
-                                  n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
-                                  truth_scale=cfg.truth_scale)
-        return problem
+        return build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
+                               n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
+                               truth_scale=cfg.truth_scale)
     phantom = _load_phantom(cfg)
     system = build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors,
                          cfg.batch_size)
@@ -124,7 +123,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     history_to_csv(run.history, out / "history.csv", run.iters_per_epoch)
     write_array(out / "best.bsgd", run.best_x)
     write_array(out / "final.bsgd", run.final_x)
-    if problem.kind == "schlieren":
+    if cfg.experiment == "schlieren":
         _write_geometry_sidecar(problem, out / "geometry.txt")
 
     p, q = cfg.resolved_pq()

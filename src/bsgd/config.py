@@ -8,19 +8,21 @@ section, which the parser ignores; any manifest is therefore a valid
 config that reproduces its run.  The schema is the fields of
 ``RunConfig``: each names its section and key, and the type of its default
 converts the text.  Any other section or key is rejected, so a misspelled
-key fails instead of running on a default.
+key fails instead of running on a default, and so do values no run can
+use (README, "Configuration").
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import Field, dataclass, field, fields
 
 from .noise import _KINDS as _NOISE_KINDS
-from .solver import format_value, mode_exponents
+from .solver import check_mode_exponents, format_value, mode_exponents
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "default_mu0"]
+__all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 
 # Calibrated base step-sizes for the Schlieren operator (unit-amplitude
@@ -33,12 +35,6 @@ SCHLIEREN_MU0 = {
     (2.0, 1.1): 0.3,
     (1.1, 1.1): 0.3,
 }
-
-
-def default_mu0(experiment: str, r_x: float, r_y: float) -> float:
-    if experiment == "schlieren":
-        return SCHLIEREN_MU0.get((r_x, r_y), 0.3)
-    return 0.5
 
 
 def _entry(section: str, default, key: str | None = None):
@@ -103,6 +99,12 @@ class RunConfig:
     rate_gamma_budget: float = _entry("rates", 0.5, key="gamma_budget")
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"[{f.metadata['section']}] "
+                                 f"{f.metadata['key'] or f.name} must be "
+                                 f"finite, got {value}")
         if self.experiment not in ("schlieren", "benchmark"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.algorithm not in ("sgd", "landweber"):
@@ -112,10 +114,15 @@ class RunConfig:
         if self.p < 0 or self.q < 0 or (self.p > 0) != (self.q > 0):
             raise ValueError(f"[space] p and q must both be positive or both "
                              f"0 (from the mode), got p={self.p}, q={self.q}")
-        mode_exponents(self.mode, self.r_x, self.r_y)  # rejects an unknown mode
+        # also rejects an unknown mode
+        check_mode_exponents(self.mode, self.r_x, self.r_y, *self.resolved_pq())
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; "
                              f"expected one of {_NOISE_KINDS}")
+        if self.noise_kind in ("salt_pepper", "impulsive") \
+                and not 0.0 < self.kappa < 1.0:
+            raise ValueError(f"[noise] kappa must lie in (0, 1) for "
+                             f"{self.noise_kind} noise, got {self.kappa}")
         for key, value in (("[noise] epsilon", self.epsilon),
                            ("[solver] mu0", self.mu0),
                            ("[solver] record_every", self.record_every)):
@@ -130,7 +137,9 @@ class RunConfig:
     def resolved_mu0(self) -> float:
         if self.mu0 > 0:
             return self.mu0
-        return default_mu0(self.experiment, self.r_x, self.r_y)
+        if self.experiment == "schlieren":
+            return SCHLIEREN_MU0.get((self.r_x, self.r_y), 0.3)
+        return 0.5
 
     def rate_delta_list(self) -> list[float]:
         return [float(tok) for tok in self.rate_deltas.split(",") if tok.strip()]

@@ -100,9 +100,9 @@ class DualVector(_LebesgueVector):
 
 
 def conjugate_exponent(e: float) -> float:
-    """Conjugate exponent e* with 1/e + 1/e* = 1."""
-    if not e > 1:
-        raise ValueError(f"exponent must exceed 1, got {e}")
+    """Conjugate exponent e* with 1/e + 1/e* = 1, for e in (1, inf)."""
+    if not 1 < e < math.inf:
+        raise ValueError(f"exponent must exceed 1 and be finite, got {e}")
     return e / (e - 1.0)
 
 
@@ -122,8 +122,9 @@ class GeometryParams:
     G_pstar: float | None = None
 
     def __post_init__(self):
-        if not (self.r > 1 and self.p > 1):
-            raise ValueError(f"exponents must exceed 1: r={self.r}, p={self.p}")
+        if not all(1 < e < math.inf for e in (self.r, self.p, self.r_star, self.p_star)):
+            raise ValueError(f"exponents must exceed 1 and be finite: r={self.r}, "
+                             f"p={self.p}, r_star={self.r_star}, p_star={self.p_star}")
         for e, e_star, name in ((self.r, self.r_star, "r"), (self.p, self.p_star, "p")):
             if abs(1.0 / e + 1.0 / e_star - 1.0) > _CONJUGACY_TOL:
                 raise ValueError(
@@ -131,11 +132,8 @@ class GeometryParams:
                 )
 
     @classmethod
-    def for_lebesgue(cls, r: float, p: float | None = None) -> "GeometryParams":
-        """Parameters for L^r with gauge power p (default: the convexity
-        power max(r, 2), for which the descent theory applies)."""
-        if p is None:
-            p = max(r, 2.0)
+    def for_lebesgue(cls, r: float, p: float) -> "GeometryParams":
+        """Parameters for L^r with gauge power p."""
         return cls(
             r=r,
             p=p,
@@ -153,16 +151,14 @@ def _values(v) -> np.ndarray:
 
 
 def lr_norm(v, r: float) -> float:
-    """Discrete L^r norm (sum |v_j|^r)^(1/r); max |v_j| for r = inf."""
+    """Discrete L^r norm (sum |v_j|^r)^(1/r), for r in (1, inf)."""
     vals = _values(v).ravel()
     return _lr_norm_raw(vals, r)
 
 
 def _lr_norm_raw(vals: np.ndarray, r: float) -> float:
-    if math.isinf(r):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    if not r > 1:
-        raise ValueError(f"exponent must exceed 1 (or be inf), got {r}")
+    if not 1 < r < math.inf:
+        raise ValueError(f"exponent must exceed 1 and be finite, got {r}")
     if r == 2.0:
         # np.linalg.norm's own formula for a real vector, minus its dispatch
         return math.sqrt(vals.dot(vals))

@@ -8,16 +8,19 @@ from .geometry import GridVector
 
 __all__ = ["make_phantom"]
 
+_RADIUS_RANGE = (0.08, 0.2)
+_MAX_FILL = 0.2
+
 
 def make_phantom(kind: str, shape, n_blobs: int, amplitude: float, seed: int,
-                 *, background: float = 0.0, centers=None, radii=None,
-                 radius_range=(0.08, 0.2), max_fill: float = 0.2) -> GridVector:
+                 *, background: float = 0.0, centers=None, radii=None) -> GridVector:
     """Constant-amplitude disks on a flat background.
 
     The image covers [-1, 1]^2; blob centers and radii are either given
-    explicitly or drawn from a seeded counter-based stream.  Disks reaching
-    past the image bounds are clipped.  Zero-background phantoms must stay
-    sparse: construction fails if the painted fraction reaches ``max_fill``.
+    explicitly or drawn from a seeded counter-based stream, the radii
+    uniform on ``_RADIUS_RANGE`` = (0.08, 0.2).  Disks reaching past the
+    image bounds are clipped.  Zero-background phantoms must stay sparse:
+    construction fails if the painted fraction reaches ``_MAX_FILL`` = 0.2.
     """
     if kind != "sparse_blobs":
         raise ValueError(f"unknown phantom kind {kind!r}")
@@ -39,7 +42,7 @@ def make_phantom(kind: str, shape, n_blobs: int, amplitude: float, seed: int,
     else:
         gen = np.random.Generator(np.random.Philox(seed))
         centers = [tuple(gen.uniform(-0.8, 0.8, size=2)) for _ in range(n_blobs)]
-        lo, hi = radius_range
+        lo, hi = _RADIUS_RANGE
         radii = [float(gen.uniform(lo, hi)) for _ in range(n_blobs)]
 
     xs = -1.0 + (np.arange(cols) + 0.5) * (2.0 / cols)
@@ -52,8 +55,8 @@ def make_phantom(kind: str, shape, n_blobs: int, amplitude: float, seed: int,
 
     if background == 0.0 and centers:
         fill = np.count_nonzero(vals) / vals.size
-        if fill >= max_fill:
+        if fill >= _MAX_FILL:
             raise ValueError(
-                f"phantom fills {fill:.1%} of the image; stay below {max_fill:.0%}"
+                f"phantom fills {fill:.1%} of the image; stay below {_MAX_FILL:.0%}"
             )
     return GridVector(vals)

@@ -50,6 +50,7 @@ from .geometry import (
 
 __all__ = [
     "mode_exponents",
+    "check_mode_exponents",
     "StoppingRule",
     "SolverConfig",
     "IterationRecord",
@@ -96,6 +97,17 @@ def mode_exponents(mode: str, r_X: float, r_Y: float) -> tuple[float, float]:
     raise ValueError(f"unknown mode {mode!r}; expected theory or practice")
 
 
+def check_mode_exponents(mode: str, r_X: float, r_Y: float, p: float,
+                         q: float) -> None:
+    """Raise unless (p, q) are the gauge powers of ``mode`` for (r_X, r_Y)."""
+    want_p, want_q = mode_exponents(mode, r_X, r_Y)
+    if not (abs(p - want_p) <= _MODE_TOL and abs(q - want_q) <= _MODE_TOL):
+        raise ValueError(
+            f"{mode} mode requires p={want_p}, q={want_q} for r_X={r_X}, "
+            f"r_Y={r_Y}, got p={p}, q={q}"
+        )
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """max_epochs: fixed budget; a_priori: largest k with
@@ -131,9 +143,10 @@ class SolverConfig:
     record_every: int | None = 1
 
     def __post_init__(self):
-        if self.mu0 <= 0:
+        # written so that NaN fails them
+        if not self.mu0 > 0:
             raise ValueError(f"base step-size must be positive, got {self.mu0}")
-        if self.step_decay_exponent < 0:
+        if not self.step_decay_exponent >= 0:
             raise ValueError("step decay exponent must be >= 0")
         if self.max_epochs < 1:
             raise ValueError("need at least one epoch")
@@ -141,14 +154,9 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1 (or None for final only)")
         for name, e in (("r_X", self.r_X), ("r_Y", self.r_Y),
                         ("p", self.p), ("q", self.q)):
-            if not e > 1:
-                raise ValueError(f"{name} must exceed 1, got {e}")
-        p, q = mode_exponents(self.mode, self.r_X, self.r_Y)
-        if abs(self.p - p) > _MODE_TOL or abs(self.q - q) > _MODE_TOL:
-            raise ValueError(
-                f"{self.mode} mode requires p={p}, q={q} for r_X={self.r_X}, "
-                f"r_Y={self.r_Y}, got p={self.p}, q={self.q}"
-            )
+            if not 1 < e < math.inf:
+                raise ValueError(f"{name} must exceed 1 and be finite, got {e}")
+        check_mode_exponents(self.mode, self.r_X, self.r_Y, self.p, self.q)
 
     @classmethod
     def make(cls, mode: str, r_X: float, r_Y: float, mu0: float, **kwargs) -> "SolverConfig":

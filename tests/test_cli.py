@@ -168,6 +168,14 @@ class TestCmdRun:
         ("epsilon = 1e-2", "epsilon = -1e-2"),
         ("mu0 = 5e-3", "mu0 = -0.5"),
         ("[solver]\n", "[solver]\nrecord_every = -3\n"),
+        ("mu0 = 5e-3", "mu0 = nan"),
+        ("[solver]\n", "[solver]\ndecay = nan\n"),
+        ("r_x = 1.5", "r_x = inf"),
+        # practice mode at r_x = 1.5 needs p = 1.5
+        ("mode = practice", "mode = practice\np = 2.0\nq = 2.0"),
+        # kappa = 0 (the default) and 1 corrupt nothing or everything
+        ("kind = gaussian", "kind = salt_pepper"),
+        ("kind = gaussian", "kind = impulsive\nkappa = 1.0"),
     ])
     def test_bad_value_fails_before_out_exists(self, tmp_path, capsys, old,
                                                new):

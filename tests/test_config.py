@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -63,7 +64,8 @@ def test_resolved_pq_modes():
                                r_y=1.5).resolved_pq() == (1.1, 1.5)
     assert dataclasses.replace(cfg, mode="theory", r_x=1.1,
                                r_y=1.5).resolved_pq() == (2.0, 2.0)
-    assert dataclasses.replace(cfg, p=3.0, q=2.0).resolved_pq() == (3.0, 2.0)
+    assert dataclasses.replace(cfg, r_x=3.0, p=3.0,
+                               q=2.0).resolved_pq() == (3.0, 2.0)
 
 
 @pytest.mark.parametrize("space", ["p = 3.0", "q = 3.0", "p = 3.0\nq = -2.0",
@@ -79,10 +81,34 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[noise]\nepsilon = -0.01\n", r"\[noise\] epsilon must be >= 0"),
     ("[solver]\nmu0 = -0.5\n", r"\[solver\] mu0 must be >= 0"),
     ("[solver]\nrecord_every = -3\n", r"\[solver\] record_every must be >= 0"),
+    ("[solver]\nmu0 = nan\n", r"\[solver\] mu0 must be finite, got nan"),
+    ("[solver]\ndecay = nan\n", r"\[solver\] decay must be finite"),
+    ("[space]\nr_x = inf\n", r"\[space\] r_x must be finite, got inf"),
+    ("[estimates]\nball_radius = -inf\n", r"\[estimates\] ball_radius must be finite"),
+    ("[space]\nr_x = 1.1\np = 2.0\nq = 2.0\n", "practice mode requires p=1.1, q=2.0"),
+    ("[space]\nmode = theory\nr_x = 1.5\np = 1.5\nq = 1.5\n",
+     "theory mode requires p=2.0, q=2.0"),
+    ("[noise]\nkind = salt_pepper\n", r"\[noise\] kappa must lie in \(0, 1\)"),
+    ("[noise]\nkind = impulsive\nkappa = 1.0\n", r"\[noise\] kappa must lie in"),
 ])
 def test_misspelled_or_negative_values_rejected(text, message):
     with pytest.raises(ValueError, match=message):
         parse_config(text)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SHIPPED = sorted(_ROOT.glob("configs/*.ini")) + \
+    sorted(_ROOT.glob("perfbench/configs/*.ini"))
+
+
+@pytest.mark.parametrize("path", _SHIPPED,
+                         ids=lambda p: p.relative_to(_ROOT).as_posix())
+def test_shipped_config_parses_and_round_trips(path):
+    cfg = parse_config(path)
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text
 
 
 def test_rate_delta_list_parsing():
@@ -125,8 +151,10 @@ def _other_value(f):
 
 
 def test_every_field_round_trips_through_its_entry():
-    cfg = RunConfig(**{f.name: _other_value(f)
-                       for f in dataclasses.fields(RunConfig)})
+    values = {f.name: _other_value(f) for f in dataclasses.fields(RunConfig)}
+    # the gauge powers theory mode gives at r_x = r_y = 2.375
+    values["p"] = values["q"] = values["r_x"]
+    cfg = RunConfig(**values)
     text = serialize_config(cfg)
     again = parse_config(text)
     assert again == cfg

@@ -26,8 +26,6 @@ from bsgd.solver import SolverConfig, run_sgd
 class LinearProblem(ForwardProblem):
     """F(x) = A x, split into row blocks."""
 
-    kind = "linear"
-
     def __init__(self, A, y, n_blocks):
         self.A = A
         self.rows = np.array_split(np.arange(A.shape[0]), n_blocks)
@@ -48,8 +46,6 @@ class LinearProblem(ForwardProblem):
 
 class SquaredLinearProblem(ForwardProblem):
     """F(x) = (A x)^2 entrywise, split into row blocks."""
-
-    kind = "squared_linear"
 
     def __init__(self, A, x_truth, n_blocks):
         self.A = A

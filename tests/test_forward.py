@@ -204,8 +204,7 @@ class TestBenchmark:
 
     def test_strong_nonlinearity_rejected(self):
         with pytest.raises(ValueError, match="tangential cone"):
-            build_benchmark(20, 0.9, 1.1, 5.0, n_blocks=4, seed=0,
-                            gamma_ball_radius=2.0)
+            build_benchmark(20, 0.9, 1.1, 5.0, n_blocks=4, seed=0)
 
     def test_truth_reproduces_data(self):
         problem = build_benchmark(12, 0.8, 1.2, 0.1, n_blocks=3, seed=5)
@@ -214,11 +213,14 @@ class TestBenchmark:
             assert lr_norm(diff, 2.0) <= 1e-12
 
     def test_inconsistent_truth_rejected(self):
+        # data come from the truth, so data and a truth are never both given,
+        # whether they agree or not
         problem = build_benchmark(12, 0.8, 1.2, 0.0, n_blocks=3, seed=5)
         bad_y = [GridVector(b.values + 1.0) for b in problem.y_exact]
-        with pytest.raises(ValueError, match="reproduce"):
-            BenchmarkProblem(problem.diag, 0.0, problem.batches, bad_y,
-                             x_truth=problem.x_truth)
+        for y in (problem.y_exact, bad_y):
+            with pytest.raises(ValueError, match="exactly one"):
+                BenchmarkProblem(problem.diag, 0.0, problem.batches, y,
+                                 x_truth=problem.x_truth)
 
     def test_batch_validation(self):
         with pytest.raises(ValueError, match="partition"):
@@ -259,8 +261,6 @@ def test_every_export_resolves():
 
 
 class _ZeroProblem(ForwardProblem):
-    kind = "zero"
-
     def __init__(self):
         super().__init__([[0]], [GridVector(np.zeros(3))])
 
@@ -510,7 +510,7 @@ class TestBatchLayout:
 
     def test_step_makes_one_forward_product(self, desk_batched, desk_schlieren,
                                             monkeypatch):
-        gy = GeometryParams.for_lebesgue(2.0)
+        gy = GeometryParams.for_lebesgue(2.0, 2.0)
         x = desk_schlieren.x_truth.values + 0.01
         y = desk_schlieren.y_exact[2].values
         want = desk_batched.block_residual_gradient(2, x, y, gy)
@@ -534,7 +534,7 @@ class TestBatchLayout:
             return original(problem, k, *args, **kwargs)
 
         monkeypatch.setattr(SchlierenProblem, "adjoint_apply", counting)
-        gy = GeometryParams.for_lebesgue(2.0)
+        gy = GeometryParams.for_lebesgue(2.0, 2.0)
         x = desk_schlieren.x_truth.values + 0.01
         desk_schlieren.block_residual_gradient(2, x, desk_schlieren.y_exact[2].values,
                                                gy)

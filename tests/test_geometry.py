@@ -42,8 +42,9 @@ class TestLrNorm:
         assert lr_norm(GridVector([1.0, -2.0, 3.0]), 1.5) == pytest.approx(
             expected, rel=1e-15)
 
-    def test_sup_norm(self):
-        assert lr_norm(GridVector([1.0, -7.0, 3.0]), math.inf) == 7.0
+    def test_rejects_infinite_exponent(self):
+        with pytest.raises(ValueError, match="finite"):
+            lr_norm(GridVector([1.0, -7.0, 3.0]), math.inf)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -235,10 +236,14 @@ class TestGeometryParams:
         with pytest.raises(ValueError, match="exceed 1"):
             GeometryParams(r=1.0, p=2.0, r_star=math.inf, p_star=2.0)
 
-    def test_for_lebesgue_defaults(self):
-        g = GeometryParams.for_lebesgue(1.5)
-        assert g.p == 2.0 and g.r_star == pytest.approx(3.0)
-        assert g.G_pstar == pytest.approx(2.0)
+    @pytest.mark.parametrize("e", [math.inf, math.nan])
+    def test_nonfinite_exponents_rejected(self, e):
+        with pytest.raises(ValueError, match="finite"):
+            conjugate_exponent(e)
+        with pytest.raises(ValueError, match="finite"):
+            GeometryParams.for_lebesgue(e, e)
+        with pytest.raises(ValueError, match="finite"):
+            GeometryParams(r=2.0, p=2.0, r_star=e, p_star=2.0)
 
     def test_practice_mode_flagged(self):
         g = GeometryParams.for_lebesgue(1.5, 1.5)

@@ -395,8 +395,8 @@ class TestHistoryCsv:
 
     def test_truth_free_columns_empty(self, tmp_path):
         base = build_benchmark(12, 0.9, 1.1, 0.0, n_blocks=3, seed=2)
-        problem = BenchmarkProblem(base.diag, 0.0, base.batches, base.y_exact,
-                                   x_truth=None, L_max=base.L_max, gamma=0.0)
+        problem = BenchmarkProblem(base.diag, 0.0, base.batches, base.y_exact)
+        problem.L_max, problem.gamma = base.L_max, 0.0
         run = run_sgd(problem, base.y_exact, hilbert_config(max_epochs=2))
         path = tmp_path / "history.csv"
         history_to_csv(run.history, path, run.iters_per_epoch)
@@ -432,6 +432,16 @@ class TestConfigValidation:
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
             SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mu0": math.nan}, "step-size must be positive"),
+        ({"step_decay_exponent": math.nan}, "decay exponent"),
+        ({"r_X": math.inf, "p": math.inf, "q": math.inf}, "r_X must exceed 1 and be finite"),
+    ])
+    def test_nonfinite_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{"r_X": 2.0, "r_Y": 2.0, "p": 2.0, "q": 2.0,
+                            "mu0": 0.5, **kwargs})
 
 
 class TestSchlierenDeskScale:
@@ -734,8 +744,8 @@ class TestRawLoopMatchesWrapperOracle:
     def test_without_ground_truth(self, algorithm):
         base = build_benchmark(12, 0.9, 1.1, 0.05, n_blocks=3, seed=2)
         problem = BenchmarkProblem(base.diag, base.beta, base.batches,
-                                   base.y_exact, x_truth=None,
-                                   L_max=base.L_max, gamma=base.gamma)
+                                   base.y_exact)
+        problem.L_max, problem.gamma = base.L_max, base.gamma
         y = add_gaussian(base.y_exact, 0.05, seed=4)
         cfg = hilbert_config(mu0=0.5, max_epochs=15, seed=3, record_every=2)
         run = self._check(algorithm, problem, y, cfg, x0=GridVector(np.zeros(12)))
