@@ -25,22 +25,14 @@ from .solver import check_mode_exponents, format_value, mode_exponents
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 
-# Calibrated base step-sizes for the Schlieren operator (unit-amplitude
-# sparse phantoms, practice mode), found by a coarse grid search that
-# maximizes descent without divergence; keyed by (r_X, r_Y).
-SCHLIEREN_MU0 = {
-    (2.0, 2.0): 1.0,
-    (1.5, 2.0): 1.0,
-    (1.1, 2.0): 1.0,
-    (2.0, 1.1): 0.3,
-    (1.1, 1.1): 0.3,
-}
-
-
-def _entry(section: str, default, key: str | None = None):
+def _entry(section: str, default, key: str | None = None, *, low=None,
+           only: bool = False):
     """A config field read from ``key`` (default: the field name) in
-    ``[section]``, converted by the type of ``default``."""
-    return field(default=default, metadata={"section": section, "key": key})
+    ``[section]``, converted by the type of ``default``.  ``low`` is its
+    least legal value; with ``only`` its default is its one legal value,
+    kept so that every written manifest parses."""
+    return field(default=default, metadata={"section": section, "key": key,
+                                            "low": low, "only": only})
 
 
 @dataclass
@@ -49,24 +41,25 @@ class RunConfig:
 
     experiment: str = _entry("experiment", "schlieren", key="kind")
     # Schlieren discretization
-    rows: int = _entry("problem", 32)
-    cols: int = _entry("problem", 32)
-    n_angles: int = _entry("problem", 30)
-    n_detectors: int = _entry("problem", 45)
-    batch_size: int = _entry("problem", 6)
+    rows: int = _entry("problem", 32, low=1)
+    cols: int = _entry("problem", 32, low=1)
+    n_angles: int = _entry("problem", 30, low=1)
+    n_detectors: int = _entry("problem", 45, low=1)
+    batch_size: int = _entry("problem", 6, low=1)
     # benchmark problem
-    dim: int = _entry("problem", 40)
+    dim: int = _entry("problem", 40, low=1)
     diag_min: float = _entry("problem", 0.9)
     diag_max: float = _entry("problem", 1.1)
     beta: float = _entry("problem", 0.0)
-    n_blocks: int = _entry("problem", 5)
+    n_blocks: int = _entry("problem", 5, low=1)
     problem_seed: int = _entry("problem", 0)
     truth_scale: float = _entry("problem", 1.0)
-    phantom_kind: str = _entry("phantom", "sparse_blobs", key="kind")
+    phantom_kind: str = _entry("phantom", "sparse_blobs", key="kind", only=True)
     n_blobs: int = _entry("phantom", 4)
     amplitude: float = _entry("phantom", 1.0)
     phantom_seed: int = _entry("phantom", 7, key="seed")
-    phantom_background: float = _entry("phantom", 0.0, key="background")
+    phantom_background: float = _entry("phantom", 0.0, key="background",
+                                      only=True)
     phantom_path: str = _entry("phantom", "", key="path")
     # p = q = 0 means "derive from the mode"
     r_x: float = _entry("space", 2.0)
@@ -75,36 +68,39 @@ class RunConfig:
     q: float = _entry("space", 0.0)
     mode: str = _entry("space", "practice")
     noise_kind: str = _entry("noise", "none", key="kind")
-    epsilon: float = _entry("noise", 0.0)
+    epsilon: float = _entry("noise", 0.0, low=0.0)
     kappa: float = _entry("noise", 0.0)
     noise_seed: int = _entry("noise", 99, key="seed")
-    # mu0 = 0 means "use the calibrated default", record_every = 0 means
-    # "once per epoch"
+    # mu0 must be set; record_every = 0 means "once per epoch"
     algorithm: str = _entry("solver", "sgd")
     mu0: float = _entry("solver", 0.0)
     decay: float = _entry("solver", 0.0)
-    epochs: int = _entry("solver", 100)
+    epochs: int = _entry("solver", 100, low=1)
     solver_seed: int = _entry("solver", 0, key="seed")
     x0: float = _entry("solver", 0.01)
-    record_every: int = _entry("solver", 0)
+    record_every: int = _entry("solver", 0, low=0)
     stopping: str = _entry("solver", "max_epochs")
     gamma_budget: float = _entry("solver", 0.0)
     # constant estimation (tangential cone / derivative bound sampling)
     gamma_ball_radius: float = _entry("estimates", 0.25, key="ball_radius")
-    gamma_samples: int = _entry("estimates", 10, key="n_samples")
+    gamma_samples: int = _entry("estimates", 10, key="n_samples", low=1)
     estimate_seed: int = _entry("estimates", 1234, key="seed")
     # rate-study driver
     rate_deltas: str = _entry("rates", "1e-1,3e-2,1e-2,3e-3", key="deltas")
-    rate_seeds: int = _entry("rates", 20, key="n_seeds")
+    rate_seeds: int = _entry("rates", 20, key="n_seeds", low=1)
     rate_gamma_budget: float = _entry("rates", 0.5, key="gamma_budget")
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, low = getattr(self, f.name), f.metadata["low"]
+            where = f"[{f.metadata['section']}] {f.metadata['key'] or f.name}"
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"[{f.metadata['section']}] "
-                                 f"{f.metadata['key'] or f.name} must be "
-                                 f"finite, got {value}")
+                raise ValueError(f"{where} must be finite, got {value}")
+            if low is not None and value < low:
+                raise ValueError(f"{where} must be >= {low}, got {value}")
+            if f.metadata["only"] and value != f.default:
+                raise ValueError(f"{where} accepts only "
+                                 f"{format_value(f.default)}, got {value!r}")
         if self.experiment not in ("schlieren", "benchmark"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.algorithm not in ("sgd", "landweber"):
@@ -119,30 +115,30 @@ class RunConfig:
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; "
                              f"expected one of {_NOISE_KINDS}")
-        if self.noise_kind in ("salt_pepper", "impulsive") \
-                and not 0.0 < self.kappa < 1.0:
+        if self.noise_kind == "salt_pepper" and not 0.0 < self.kappa < 1.0:
             raise ValueError(f"[noise] kappa must lie in (0, 1) for "
                              f"{self.noise_kind} noise, got {self.kappa}")
-        for key, value in (("[noise] epsilon", self.epsilon),
-                           ("[solver] mu0", self.mu0),
-                           ("[solver] record_every", self.record_every)):
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
+        if self.experiment == "schlieren" and self.n_angles % self.batch_size:
+            raise ValueError(f"[problem] batch_size {self.batch_size} must "
+                             f"divide n_angles = {self.n_angles}")
+        self.rate_delta_list()
+        if self.mu0 <= 0:
+            raise ValueError(f"[solver] mu0 must be set > 0, got {self.mu0}")
 
     def resolved_pq(self) -> tuple[float, float]:
         if self.p > 0 and self.q > 0:
             return self.p, self.q
         return mode_exponents(self.mode, self.r_x, self.r_y)
 
-    def resolved_mu0(self) -> float:
-        if self.mu0 > 0:
-            return self.mu0
-        if self.experiment == "schlieren":
-            return SCHLIEREN_MU0.get((self.r_x, self.r_y), 0.3)
-        return 0.5
-
     def rate_delta_list(self) -> list[float]:
-        return [float(tok) for tok in self.rate_deltas.split(",") if tok.strip()]
+        try:
+            deltas = [float(tok) for tok in self.rate_deltas.split(",") if tok.strip()]
+        except ValueError:
+            deltas = []
+        if deltas and all(0.0 < d < math.inf for d in deltas):
+            return deltas
+        raise ValueError(f"[rates] deltas must list positive finite noise "
+                         f"levels, got {self.rate_deltas!r}")
 
 
 def _sections() -> dict[str, dict[str, Field]]:

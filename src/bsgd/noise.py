@@ -18,12 +18,11 @@ from .geometry import GridVector, lr_norm
 __all__ = [
     "add_gaussian",
     "add_salt_pepper",
-    "add_impulsive",
     "apply_noise",
     "noise_level",
 ]
 
-_KINDS = ("none", "gaussian", "salt_pepper", "impulsive")
+_KINDS = ("none", "gaussian", "salt_pepper")
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -82,29 +81,6 @@ def add_salt_pepper(y: list[GridVector], kappa: float, seed: int) -> list[GridVe
     return out
 
 
-def add_impulsive(y: list[GridVector], kappa: float, epsilon: float,
-                  seed: int) -> list[GridVector]:
-    """Each block kept with probability 1-kappa, else perturbed by
-    epsilon * max_i ||y_i||_inf * xi with i.i.d. standard normals."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"corruption fraction must lie in (0, 1), got {kappa}")
-    if epsilon < 0:
-        raise ValueError(f"noise magnitude must be >= 0, got {epsilon}")
-    if epsilon == 0.0:
-        return list(y)
-    scale = epsilon * float(np.max(np.abs(_stacked(y))))
-    gen = _generator(seed)
-    corrupt = gen.random(len(y)) < kappa
-    out = []
-    for hit, block in zip(corrupt, y):
-        if hit:
-            xi = _standard_normals(gen, block.size).reshape(block.shape)
-            out.append(GridVector(block.values + scale * xi))
-        else:
-            out.append(block)
-    return out
-
-
 def apply_noise(y: list[GridVector], kind: str, epsilon: float, kappa: float,
                 seed: int) -> list[GridVector]:
     """Dispatch on the noise kind; 'none' returns the input blocks.  Each
@@ -115,8 +91,6 @@ def apply_noise(y: list[GridVector], kind: str, epsilon: float, kappa: float,
         return add_gaussian(y, epsilon, seed)
     if kind == "salt_pepper":
         return add_salt_pepper(y, kappa, seed)
-    if kind == "impulsive":
-        return add_impulsive(y, kappa, epsilon, seed)
     raise ValueError(f"unknown noise kind {kind!r}; expected {_KINDS}")
 
 

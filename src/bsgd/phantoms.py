@@ -12,7 +12,7 @@ _RADIUS_RANGE = (0.08, 0.2)
 _MAX_FILL = 0.2
 
 
-def make_phantom(kind: str, shape, n_blobs: int, amplitude: float, seed: int,
+def make_phantom(shape, n_blobs: int, amplitude: float, seed: int,
                  *, background: float = 0.0, centers=None, radii=None) -> GridVector:
     """Constant-amplitude disks on a flat background.
 
@@ -22,8 +22,6 @@ def make_phantom(kind: str, shape, n_blobs: int, amplitude: float, seed: int,
     image bounds are clipped.  Zero-background phantoms must stay sparse:
     construction fails if the painted fraction reaches ``_MAX_FILL`` = 0.2.
     """
-    if kind != "sparse_blobs":
-        raise ValueError(f"unknown phantom kind {kind!r}")
     rows, cols = int(shape[0]), int(shape[1])
     if rows <= 0 or cols <= 0:
         raise ValueError(f"phantom shape must be positive, got {shape}")

@@ -63,7 +63,6 @@ __all__ = [
     "run_sgd",
     "run_seed_stack",
     "run_landweber",
-    "relative_error",
     "history_to_csv",
     "format_value",
 ]
@@ -325,11 +324,6 @@ def _truth_norm(x_truth: GridVector) -> float:
 
 def _relative_error_raw(x: np.ndarray, truth: np.ndarray, denom: float) -> float:
     return _lr_norm_raw((truth - x).ravel(), 2.0) / denom
-
-
-def relative_error(x: GridVector, x_truth: GridVector) -> float:
-    """Relative l^2 error ||x_truth - x||_2 / ||x_truth||_2."""
-    return _relative_error_raw(x.values, x_truth.values, _truth_norm(x_truth))
 
 
 def _full_diagnostics(problem, x, y, q, r_Y):

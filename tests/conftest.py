@@ -19,12 +19,12 @@ def desk_radon():
 
 @pytest.fixture(scope="session")
 def desk_phantom():
-    return make_phantom("sparse_blobs", (32, 32), 4, 1.0, seed=7)
+    return make_phantom((32, 32), 4, 1.0, seed=7)
 
 
 @pytest.fixture(scope="session")
 def small_schlieren(small_radon):
-    phantom = make_phantom("sparse_blobs", (16, 16), 3, 1.0, seed=11)
+    phantom = make_phantom((16, 16), 3, 1.0, seed=11)
     return build_schlieren_problem(small_radon, batch_size=2, x_truth=phantom)
 
 

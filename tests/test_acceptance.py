@@ -57,7 +57,7 @@ def linear_benchmark():
 @pytest.fixture(scope="module")
 def desk_schlieren():
     system = build_radon((32, 32), 30, 45)
-    phantom = make_phantom("sparse_blobs", (32, 32), 4, 1.0, seed=7)
+    phantom = make_phantom((32, 32), 4, 1.0, seed=7)
     return build_schlieren_problem(system, 6, phantom)
 
 

@@ -175,7 +175,22 @@ class TestCmdRun:
         ("mode = practice", "mode = practice\np = 2.0\nq = 2.0"),
         # kappa = 0 (the default) and 1 corrupt nothing or everything
         ("kind = gaussian", "kind = salt_pepper"),
-        ("kind = gaussian", "kind = impulsive\nkappa = 1.0"),
+        ("kind = gaussian", "kind = salt_pepper\nkappa = 1.0"),
+        ("mu0 = 5e-3\n", ""),
+        ("epochs = 10", "epochs = 0"),
+        ("n_samples = 4", "n_samples = 0"),
+        ("rows = 16", "rows = 0"),
+        ("cols = 16", "cols = 0"),
+        ("n_angles = 10", "n_angles = 0"),
+        ("n_detectors = 23", "n_detectors = 0"),
+        ("batch_size = 2", "batch_size = 0"),
+        ("batch_size = 2", "batch_size = 3"),
+        ("[problem]\n", "[problem]\ndim = 0\n"),
+        ("[problem]\n", "[problem]\nn_blocks = 0\n"),
+        ("[solver]\n", "[rates]\nn_seeds = 0\n\n[solver]\n"),
+        ("[solver]\n", "[rates]\ndeltas = nan,1e-2,1e-3\n\n[solver]\n"),
+        ("[phantom]\n", "[phantom]\nkind = checkerboard\n"),
+        ("[phantom]\n", "[phantom]\nbackground = 1.0\n"),
     ])
     def test_bad_value_fails_before_out_exists(self, tmp_path, capsys, old,
                                                new):
@@ -325,6 +340,15 @@ class TestCmdSweep:
         assert f"sweep axis {axis}" in err and message in err
         assert not out.exists()
 
+    def test_bad_batch_size_fails_before_out_exists(self, schlieren_cfg,
+                                                    tmp_path, capsys):
+        # 5 divides the config's 10 angles, 3 does not
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out", str(out),
+                     "--axis", "batch_size", "--values", "5,3", "--quiet"]) == 1
+        assert "batch_size 3 must divide n_angles = 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_axis_rejected(self, schlieren_cfg, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(schlieren_cfg), "--out",
@@ -346,6 +370,17 @@ class TestCmdRates:
                                               "deltas = "))
         assert main(["rates", "--config", str(path), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_delta_fails_before_out_exists(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(BENCHMARK_INI.replace("deltas = 1e-1,1e-2,3e-3",
+                                              "deltas = nan,1e-2,1e-3"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "[rates] deltas must list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schlieren_config_rejected(self, schlieren_cfg, tmp_path):
         assert main(["rates", "--config", str(schlieren_cfg), "--out",

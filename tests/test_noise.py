@@ -4,7 +4,6 @@ import pytest
 from bsgd.geometry import GridVector
 from bsgd.noise import (
     add_gaussian,
-    add_impulsive,
     add_salt_pepper,
     apply_noise,
     noise_level,
@@ -31,14 +30,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="fraction"):
             apply_noise(y, "salt_pepper", 0.0, 0.0, 0)
         with pytest.raises(ValueError, match="fraction"):
-            apply_noise(y, "impulsive", 0.1, 1.5, 0)
+            apply_noise(y, "salt_pepper", 0.1, 1.5, 0)
 
     def test_negative_magnitude_rejected(self, rng):
         y = blocks_from(rng)
         with pytest.raises(ValueError, match="magnitude"):
             apply_noise(y, "gaussian", -1.0, 0.0, 0)
-        with pytest.raises(ValueError, match="magnitude"):
-            apply_noise(y, "impulsive", -1.0, 0.5, 0)
 
 
 class TestGaussian:
@@ -114,37 +111,6 @@ class TestSaltPepper:
         changed = stacked_diff(out, y)
         new_vals = np.concatenate([b.values for b in out])[changed != 0.0]
         assert set(np.unique(new_vals)) <= {stacked.max(), stacked.min()}
-
-
-class TestImpulsive:
-    def test_zero_epsilon_identity(self, rng):
-        y = blocks_from(rng)
-        out = add_impulsive(y, kappa=0.3, epsilon=0.0, seed=5)
-        for a, b in zip(out, y):
-            assert np.array_equal(a.values, b.values)
-
-    def test_forty_percent_magnitude_block_hits(self, rng):
-        y = blocks_from(rng)
-        out = add_impulsive(y, kappa=0.1, epsilon=0.4, seed=5)
-        assert len(out) == len(y)
-
-    def test_block_corruption_fraction(self, rng):
-        y = blocks_from(rng, n_blocks=40, size=8)
-        hits = 0
-        trials = 200
-        for seed in range(trials):
-            out = add_impulsive(y, kappa=0.1, epsilon=0.4, seed=seed)
-            hits += sum(not np.array_equal(a.values, b.values)
-                        for a, b in zip(out, y))
-        frac = hits / (trials * len(y))
-        assert 0.08 <= frac <= 0.12
-
-    def test_corruption_is_blockwise(self, rng):
-        y = blocks_from(rng, n_blocks=10)
-        out = add_impulsive(y, kappa=0.4, epsilon=0.3, seed=12)
-        for a, b in zip(out, y):
-            diff = (a - b).values
-            assert np.all(diff == 0.0) or np.all(diff != 0.0)
 
 
 class TestNoiseLevel:

@@ -298,7 +298,7 @@ class TestStackedStudyMatchesSerial:
         p, q = cfg.resolved_pq()
         deltas = cfg.rate_delta_list()
         config = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
-                              mu0=cfg.resolved_mu0(),
+                              mu0=cfg.mu0,
                               step_decay_exponent=cfg.decay,
                               max_epochs=cfg.epochs, seed=cfg.solver_seed,
                               mode=cfg.mode, record_every=cfg.n_blocks,
