@@ -176,6 +176,8 @@ class TestCmdRun:
         # kappa = 0 (the default) and 1 corrupt nothing or everything
         ("kind = gaussian", "kind = salt_pepper"),
         ("kind = gaussian", "kind = salt_pepper\nkappa = 1.0"),
+        # the impulsive kind is deleted: a config written for it is rejected
+        ("kind = gaussian", "kind = impulsive\nkappa = 1.0"),
         ("mu0 = 5e-3\n", ""),
         ("epochs = 10", "epochs = 0"),
         ("n_samples = 4", "n_samples = 0"),
