@@ -51,14 +51,18 @@ def _say(quiet: bool, message: str) -> None:
 
 
 def _load_phantom(cfg: RunConfig):
-    if cfg.phantom_path:
-        return read_array(cfg.phantom_path)
-    return make_phantom((cfg.rows, cfg.cols), cfg.n_blobs, cfg.amplitude,
-                        cfg.phantom_seed)
+    if not cfg.phantom_path:
+        return make_phantom((cfg.rows, cfg.cols), cfg.n_blobs, cfg.amplitude,
+                            cfg.phantom_seed)
+    phantom = read_array(cfg.phantom_path)
+    if phantom.shape != (cfg.rows, cfg.cols):
+        raise ValueError(f"[phantom] path {cfg.phantom_path} holds shape "
+                         f"{phantom.shape}, not (rows, cols) = {(cfg.rows, cfg.cols)}")
+    return phantom
 
 
 def _build_problem(cfg: RunConfig):
-    """Build the forward problem and sample the operator constants."""
+    """Build the forward problem and set its operator constants."""
     if cfg.experiment == "benchmark":
         return build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
                                n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
@@ -106,11 +110,10 @@ def _write_geometry_sidecar(problem, path: Path) -> None:
 
 def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
     """One full experiment: build, perturb, solve, write artifacts."""
+    started = time.monotonic()
+    problem = _build_problem(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-
-    problem = _build_problem(cfg)
     y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
                         cfg.noise_seed)
     deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
@@ -192,7 +195,6 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
         raise ValueError("sweep needs at least one axis value")
     cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
                for tok, cell_cfg in cells]
 
@@ -218,12 +220,9 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
         if value != want:
             raise ValueError(f"rate studies need [solver] {key} = {want}, "
                              f"got {value}")
+    problem = _build_problem(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    problem = _build_problem(cfg)
-    if problem.stability is None:
-        raise ValueError("rate studies need the linear benchmark (beta = 0)")
     base = _solver_config(cfg, 0.0, problem.n_blocks)
 
     histories = []
@@ -270,7 +269,10 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
 
 def cmd_phantom(shape: str, n_blobs: int, amplitude: float, seed: int,
                 out_path, *, quiet: bool = False) -> int:
-    rows, cols = (int(tok) for tok in shape.lower().split("x", 1))
+    rows, _, cols = shape.lower().partition("x")
+    if not (rows.isdecimal() and cols.isdecimal() and min(int(rows), int(cols)) > 0):
+        raise ValueError(f"--shape must be ROWSxCOLS, positive integers; got {shape!r}")
+    rows, cols = int(rows), int(cols)
     phantom = make_phantom((rows, cols), n_blobs, amplitude, seed)
     write_array(out_path, phantom)
     _say(quiet, f"wrote {rows}x{cols} phantom to {out_path}")

@@ -3,7 +3,8 @@
 Two operators are provided: a discrete Schlieren operator (componentwise
 square of parallel-beam line integrals) and a synthetic diagonal benchmark
 with a quadratic nonlinearity whose derivative formulas are exact
-polynomials, so finite-difference and rate checks are sharp.
+polynomials, so finite-difference and rate checks are sharp.  The benchmark's
+constants are closed forms; the sampling estimators serve Schlieren only.
 
 Adjoints are plain matrix transposes: with the unit-cell duality pairing
 <f, g> = sum f_j g_j the transpose is the exact adjoint between the discrete
@@ -57,9 +58,7 @@ __all__ = [
     "estimate_lipschitz_Lmax",
 ]
 
-# the working ball of a nonlinear benchmark's sampled gamma
-_GAMMA_BALL_RADIUS = 1.0
-_GAMMA_SAMPLES = 50
+_BOX_MARGIN = 0.5  # the benchmark's constants hold for |x_j| <= max|x_truth| + this
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class ForwardProblem:
 
     Subclasses implement the block actions; this base owns the batch map,
     exact data, optional ground truth, and the operator bounds ``L_max``
-    (derivative norm) and ``gamma`` (tangential cone constant, exact where
-    known and a sampled estimate otherwise), which the builders assign.
+    (derivative norm) and ``gamma`` (tangential cone constant, a closed form
+    for the benchmark and sampled for Schlieren), which the builders assign.
     The exact data are the blocks applied to ``x_truth``, or else given.
     """
 
@@ -316,17 +315,20 @@ class BenchmarkProblem(ForwardProblem):
 def build_benchmark(dim: int, diag_min: float, diag_max: float,
                     nonlinearity_beta: float, *, n_blocks: int = 5,
                     seed: int = 0, truth_scale: float = 1.0) -> BenchmarkProblem:
-    """Synthetic diagonal benchmark with known constants.
+    """Synthetic diagonal benchmark with certified constants.
 
     The diagonal is a linspace over [diag_min, diag_max] (so the extreme
     entries are exact), the ground truth is a seeded standard normal vector,
-    and blocks are contiguous coordinate ranges.  For beta = 0 the
-    tangential cone constant is exactly 0, the derivative bound is exactly
-    diag_max, and (in the Hilbert setting r = p = q = 2) conditional
-    stability holds with alpha = 1 and C_alpha = 2 diag_min^2.  For
-    beta != 0 the constant gamma is estimated from ``_GAMMA_SAMPLES`` pairs
-    in the ball of radius ``_GAMMA_BALL_RADIUS`` around the truth, and
-    construction fails if the estimate reaches 1/2.
+    and blocks are contiguous coordinate ranges.  The constants hold on the
+    box |x_j| <= rho = max|x_truth| + ``_BOX_MARGIN``: with t = 2|beta| rho,
+    the linearization error a_j beta (x_j - x~_j)^2 of each entry is at most
+    t/(1 - t) times |F_j(x) - F_j(x~)| = a_j |x_j - x~_j| |1 + beta (x_j + x~_j)|.
+    So the tangential cone constant is gamma = t/(1 - t) for every r_Y, the
+    derivative bound is L_max = diag_max (1 + t), and (in the Hilbert setting
+    r = p = q = 2) conditional stability holds with alpha = 1 and
+    C_alpha = 2 diag_min^2 (1 - t)^2; at beta = 0 these are exactly 0,
+    diag_max and 2 diag_min^2.  Construction fails when t >= 1/3, that is
+    when gamma >= 1/2.
     """
     if not (0 < diag_min <= diag_max):
         raise ValueError(f"need 0 < diag_min <= diag_max, got {diag_min}, {diag_max}")
@@ -338,21 +340,16 @@ def build_benchmark(dim: int, diag_min: float, diag_max: float,
     batches = [list(b) for b in np.array_split(np.arange(dim), n_blocks)]
 
     problem = BenchmarkProblem(diag, nonlinearity_beta, batches, x_truth=x_truth)
-    if problem.beta == 0.0:
-        problem.gamma = 0.0
-        problem.L_max = float(diag_max)
-        problem.stability = StabilityParams(alpha=1.0, C_alpha=2.0 * diag_min**2)
-        return problem
-    gamma = estimate_tcc_gamma(problem, x_truth, _GAMMA_BALL_RADIUS,
-                               _GAMMA_SAMPLES, seed)
-    if gamma >= 0.5:
+    rho = float(np.max(np.abs(x_truth.values))) + _BOX_MARGIN
+    t = 2.0 * abs(problem.beta) * rho
+    if 3.0 * t >= 1.0:
         raise ValueError(
-            f"benchmark nonlinearity too strong: estimated tangential cone "
-            f"constant {gamma:.4f} >= 0.5 on the working ball"
+            f"benchmark nonlinearity too strong: tangential cone constant "
+            f">= 0.5 on the box |x_j| <= {rho:.4f} (2|beta| rho = {t:.4f})"
         )
-    reach = float(np.max(np.abs(x_truth.values))) + _GAMMA_BALL_RADIUS
-    problem.gamma = gamma
-    problem.L_max = float(diag_max) * (1.0 + 2.0 * abs(problem.beta) * reach)
+    problem.gamma = t / (1.0 - t)
+    problem.L_max = float(diag_max) * (1.0 + t)
+    problem.stability = StabilityParams(1.0, 2.0 * diag_min**2 * (1.0 - t)**2)
     return problem
 
 
@@ -371,6 +368,7 @@ def estimate_tcc_gamma(problem: ForwardProblem, ball_center: GridVector,
                        *, r_Y: float = 2.0) -> float:
     """Largest observed ratio ||F_i(x)-F_i(x~)-F_i'(x)(x-x~)|| / ||F_i(x)-F_i(x~)||
     over sampled pairs in the ball; a lower bound on the true constant.
+    Only the Schlieren operator is sampled: it has no closed form.
 
     Pairs with denominator below 1e-14 are skipped.  Deterministic given
     the seed.  Norms are taken with exponent ``r_Y`` (default 2).

@@ -193,6 +193,7 @@ class TestCmdRun:
         ("[solver]\n", "[rates]\ndeltas = nan,1e-2,1e-3\n\n[solver]\n"),
         ("[phantom]\n", "[phantom]\nkind = checkerboard\n"),
         ("[phantom]\n", "[phantom]\nbackground = 1.0\n"),
+        ("[phantom]\n", "[phantom]\npath = no_such_phantom.bsgd\n"),
     ])
     def test_bad_value_fails_before_out_exists(self, tmp_path, capsys, old,
                                                new):
@@ -203,6 +204,24 @@ class TestCmdRun:
                      "--quiet"]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--axis", "space_exponent", "--values", "1.1:2,2:2"],
+    ])
+    def test_misshaped_phantom_fails_before_out_exists(self, tmp_path, capsys,
+                                                       command):
+        phantom = tmp_path / "phantom.bsgd"
+        assert main(["phantom", "--shape", "8x8", "--out", str(phantom),
+                     "--quiet"]) == 0
+        path = tmp_path / "cfg.ini"
+        path.write_text(SCHLIEREN_INI.replace(
+            "[phantom]\n", f"[phantom]\npath = {phantom}\n"))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "[phantom] path" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phantom_file_matches_generated_phantom(self, schlieren_cfg,
                                                     tmp_path):
@@ -366,6 +385,27 @@ class TestCmdRates:
         assert (out / "noisy_study.csv").exists()
         assert (out / "rates_summary.txt").exists()
 
+    def test_nonlinear_benchmark_passes_the_gates(self, tmp_path):
+        path = tmp_path / "beta.ini"
+        path.write_text(BENCHMARK_INI.replace("diag_max = 1.1\n",
+                                              "diag_max = 1.1\nbeta = 0.05\n"))
+        out = tmp_path / "rates"
+        assert main(["rates", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        assert '"exact_within_bound": true' in \
+            (out / "rates_summary.txt").read_text()
+
+    def test_too_strong_nonlinearity_fails_before_out_exists(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "beta.ini"
+        path.write_text(BENCHMARK_INI.replace("diag_max = 1.1\n",
+                                              "diag_max = 1.1\nbeta = 0.1\n"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "tangential cone" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_delta_list_usage_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(BENCHMARK_INI.replace("deltas = 1e-1,1e-2,3e-3",
@@ -466,9 +506,14 @@ class TestCmdPhantom:
         assert arr.shape == (24, 24)
         assert np.count_nonzero(arr.values) > 0
 
-    def test_bad_shape_fails(self, tmp_path):
-        assert main(["phantom", "--shape", "x", "--out",
-                     str(tmp_path / "p.bsgd"), "--quiet"]) == 1
+    def test_bad_shape_fails(self, tmp_path, capsys):
+        out = tmp_path / "p.bsgd"
+        for shape in ("x", "32", "32x", "x32", "0x32", "32x-4", "3x2x1",
+                      "1.5x2", " 32x32"):
+            assert main(["phantom", "--shape", shape, "--out", str(out),
+                         "--quiet"]) == 1
+            assert "--shape must be ROWSxCOLS" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestLandweberAlgorithm:

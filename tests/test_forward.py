@@ -9,6 +9,7 @@ from bsgd.forward import (
     BenchmarkProblem,
     ForwardProblem,
     SchlierenProblem,
+    _BOX_MARGIN,
     _ball_sample,
     build_benchmark,
     build_schlieren_problem,
@@ -185,29 +186,38 @@ class TestBenchmark:
             assert problem.stability.C_alpha * d <= np.sum(fdiff**2) + 1e-12
 
     def test_stability_certificate_sampled(self, rng):
-        problem = build_benchmark(30, 0.7, 1.3, 0.0, n_blocks=5, seed=2)
-        c_alpha = problem.stability.C_alpha
-        for _ in range(50):
-            x = GridVector(rng.standard_normal(30))
-            xt = GridVector(rng.standard_normal(30))
-            fdiff = np.concatenate(
-                [(problem.apply_block(i, x) - problem.apply_block(i, xt)).values
-                 for i in range(problem.n_blocks)])
-            d = 0.5 * np.sum((x.values - xt.values) ** 2)
-            assert c_alpha * d <= np.sum(fdiff**2) * (1.0 + 1e-12)
+        # pairs in the ball of radius _BOX_MARGIN around the truth, which
+        # lies in the box the constants hold on
+        for beta in (0.0, 0.02, 0.05):
+            problem = build_benchmark(30, 0.7, 1.3, beta, n_blocks=5, seed=2)
+            c_alpha = problem.stability.C_alpha
+            center = problem.x_truth.values
+            for _ in range(50):
+                x = GridVector(_ball_sample(rng, center, _BOX_MARGIN))
+                xt = GridVector(_ball_sample(rng, center, _BOX_MARGIN))
+                fdiff = np.concatenate(
+                    [(problem.apply_block(i, x) - problem.apply_block(i, xt)).values
+                     for i in range(problem.n_blocks)])
+                d = 0.5 * np.sum((x.values - xt.values) ** 2)
+                assert c_alpha * d <= np.sum(fdiff**2) * (1.0 + 1e-12)
 
     def test_quadratic_gamma_small_and_reproducible(self):
         p1 = build_benchmark(50, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
         p2 = build_benchmark(50, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
         assert 0.0 < p1.gamma < 0.5
         assert p1.gamma == p2.gamma
+        # the closed forms on the box |x_j| <= max|x_truth| + _BOX_MARGIN
+        t = 2.0 * 0.05 * (np.max(np.abs(p1.x_truth.values)) + _BOX_MARGIN)
+        assert p1.gamma == t / (1.0 - t)
+        assert p1.L_max == 1.1 * (1.0 + t)
+        assert p1.stability.C_alpha == 2.0 * 0.9**2 * (1.0 - t)**2
 
     def test_strong_nonlinearity_rejected(self):
         with pytest.raises(ValueError, match="tangential cone"):
             build_benchmark(20, 0.9, 1.1, 5.0, n_blocks=4, seed=0)
 
     def test_truth_reproduces_data(self):
-        problem = build_benchmark(12, 0.8, 1.2, 0.1, n_blocks=3, seed=5)
+        problem = build_benchmark(12, 0.8, 1.2, 0.05, n_blocks=3, seed=6)
         for i in range(problem.n_blocks):
             diff = problem.apply_block(i, problem.x_truth) - problem.y_exact[i]
             assert lr_norm(diff, 2.0) <= 1e-12
@@ -235,6 +245,25 @@ class TestBenchmark:
         problem = build_benchmark(12, 0.8, 1.2, 0.0, n_blocks=3, seed=5)
         with pytest.raises(ValueError, match="shape"):
             problem.apply_block(0, GridVector(np.ones(13)))
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.05])
+class TestBenchmarkCertificates:
+    """The closed-form constants bound what sampling observes in the ball of
+    radius _BOX_MARGIN around the truth, inside the box they hold on."""
+
+    @pytest.mark.parametrize("r_y", [2.0, 1.1])
+    def test_sampled_gamma_below_certified(self, beta, r_y):
+        problem = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        sampled = estimate_tcc_gamma(problem, problem.x_truth, _BOX_MARGIN,
+                                     200, 0, r_Y=r_y)
+        assert 0.0 < sampled <= problem.gamma
+
+    def test_sampled_lipschitz_below_certified(self, beta):
+        problem = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
+        sampled = estimate_lipschitz_Lmax(problem, problem.x_truth,
+                                          _BOX_MARGIN, 50, 0)
+        assert 1.1 < sampled <= problem.L_max
 
 
 class TestDerivedData:

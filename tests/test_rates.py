@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgd.cli import _build_problem
+from bsgd.cli import _build_problem, _solver_config
 from bsgd.config import parse_config
-from bsgd.forward import StabilityParams, build_benchmark
+from bsgd.forward import _BOX_MARGIN, StabilityParams, build_benchmark
 from bsgd.rates import (
     DescentConstants,
     NoisyRateStudy,
@@ -332,6 +332,72 @@ class TestStackedStudyMatchesSerial:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+
+def _nonlinear_rates_setup(beta):
+    """configs/benchmark_rates.ini at nonlinearity ``beta``, as cmd_rates
+    sets it up: the config, the problem, the exact-data solver config and
+    the box |x_j| <= rho the problem's constants hold on."""
+    cfg = dataclasses.replace(
+        parse_config(Path(__file__).parents[1] / "configs"
+                     / "benchmark_rates.ini"), beta=beta)
+    problem = _build_problem(cfg)
+    rho = np.max(np.abs(problem.x_truth.values)) + _BOX_MARGIN
+    return cfg, problem, _solver_config(cfg, 0.0, problem.n_blocks), rho
+
+
+def _peak(run):
+    return max(np.max(np.abs(x.values)) for _, x, _ in run.snapshots)
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.05])
+class TestNonlinearRates:
+    """The shipped rate study at beta != 0 passes cmd_rates's gates with the
+    closed-form constants, and its iterates stay in their box."""
+
+    def test_exact_data_contraction_within_bound(self, beta):
+        cfg, problem, base, rho = _nonlinear_rates_setup(beta)
+        histories = []
+        for s in range(cfg.rate_seeds):
+            seeded = dataclasses.replace(base, seed=cfg.solver_seed + s)
+            histories.append(run_sgd(problem, problem.y_exact, seeded).history)
+            every = run_sgd(problem, problem.y_exact,
+                            dataclasses.replace(seeded, record_every=1),
+                            collect_snapshots=True)
+            assert _peak(every) <= rho
+        fit = fit_exact_rate(histories, problem.stability.alpha)
+        bound = theoretical_contraction_factor(
+            base.mu0, gamma=problem.gamma, L_max=problem.L_max,
+            G_pstar=base.geometry_x().G_pstar, p=base.p,
+            C_alpha=problem.stability.C_alpha, n_blocks=problem.n_blocks)
+        assert fit.fitted_rate <= bound + 0.05
+        assert fit.r_squared >= 0.95
+
+    def test_noisy_data_slope(self, beta):
+        cfg, problem, base, rho = _nonlinear_rates_setup(beta)
+        deltas = cfg.rate_delta_list()
+        config = dataclasses.replace(base, stopping=StoppingRule(
+            "a_priori", delta=deltas[0], gamma_budget=cfg.rate_gamma_budget))
+        study = noisy_rate_study(problem, problem.stability, deltas, config,
+                                 cfg.rate_seeds)
+        assert study.target_slope == base.p / problem.stability.alpha
+        assert study.slope_within(0.2)
+        assert study.fit.r_squared >= 0.9
+        # the largest level's cells again (the study runs levels in
+        # ascending order), every iterate kept
+        d_idx, delta = len(deltas) - 1, max(deltas)
+        finals = []
+        for s in range(cfg.rate_seeds):
+            y_noisy = _exact_norm_noise(problem.y_exact, delta, config.r_Y,
+                                        _spawn_seed(config.seed, d_idx, s, 0))
+            cell = dataclasses.replace(
+                config, seed=_spawn_seed(config.seed, d_idx, s, 1),
+                stopping=dataclasses.replace(config.stopping, delta=delta),
+                record_every=1)
+            run = run_sgd(problem, y_noisy, cell, collect_snapshots=True)
+            assert _peak(run) <= rho
+            finals.append(run.history[-1].bregman_to_truth)
+        assert float(np.mean(finals)) == study.rows[-1].mean_bregman
 
 
 class TestDescentMarginAudit:
