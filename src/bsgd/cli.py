@@ -8,12 +8,21 @@ after another on the calling thread, in ``--values`` order.  There is no
 thread pool on purpose: the cells' short numpy and sparse calls hand the
 interpreter lock back and forth, so two worker threads made the 4-cell
 desk sweep nearly twice as slow as one (2-core Xeon).
+
+A sweep's Schlieren cells share one build (``_SharedSetup``): while the
+config fields it reads stay the same (``_setup_inputs``), a cell takes the
+previous cell's phantom, Radon system and L_max, and gamma is estimated
+once per r_Y.  Each cell still makes its own problem over the shared
+system, so its exact data, and every output byte, are those of a run
+built on its own.  A sweep value that does not parse or that repeats, and
+a ``[phantom] path`` that cannot be read, fail before ``--out`` is made.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from dataclasses import replace
@@ -54,31 +63,70 @@ def _load_phantom(cfg: RunConfig):
     if not cfg.phantom_path:
         return make_phantom((cfg.rows, cfg.cols), cfg.n_blobs, cfg.amplitude,
                             cfg.phantom_seed)
-    phantom = read_array(cfg.phantom_path)
+    try:
+        phantom = read_array(cfg.phantom_path)
+    except OSError as exc:
+        raise ValueError(f"[phantom] path {cfg.phantom_path} cannot be read: "
+                         f"{exc.strerror or exc}") from exc
     if phantom.shape != (cfg.rows, cfg.cols):
         raise ValueError(f"[phantom] path {cfg.phantom_path} holds shape "
                          f"{phantom.shape}, not (rows, cols) = {(cfg.rows, cfg.cols)}")
     return phantom
 
 
-def _build_problem(cfg: RunConfig):
-    """Build the forward problem and set its operator constants."""
+def _setup_inputs(cfg: RunConfig) -> tuple:
+    """The config fields a Schlieren build reads, other than r_Y: the
+    phantom, the Radon system and L_max are functions of these alone."""
+    return (cfg.rows, cfg.cols, cfg.n_angles, cfg.n_detectors, cfg.batch_size,
+            cfg.phantom_path, cfg.n_blobs, cfg.amplitude, cfg.phantom_seed,
+            cfg.gamma_ball_radius, cfg.gamma_samples, cfg.estimate_seed)
+
+
+class _SharedSetup:
+    """The Schlieren setup that one command's runs share: the phantom, the
+    Radon system and L_max of the last build, kept while its
+    ``_setup_inputs`` stay the same, and gamma for each r_Y met on them.
+    A new set of inputs drops the old setup before it builds, so one
+    system is held at a time."""
+
+    def __init__(self):
+        self.inputs = self.phantom = self.system = self.L_max = None
+        self.gamma = {}  # r_Y -> gamma
+
+    def problem(self, cfg: RunConfig):
+        inputs = _setup_inputs(cfg)
+        if inputs != self.inputs:
+            self.phantom = self.system = None
+            self.phantom = _load_phantom(cfg)
+            self.system = build_radon((cfg.rows, cfg.cols), cfg.n_angles,
+                                      cfg.n_detectors, cfg.batch_size)
+            self.inputs, self.L_max, self.gamma = inputs, None, {}
+        # each run applies its own blocks to the truth: the same bits
+        problem = build_schlieren_problem(self.system, cfg.batch_size,
+                                          self.phantom)
+        if cfg.r_y not in self.gamma:
+            self.gamma[cfg.r_y] = estimate_tcc_gamma(
+                problem, self.phantom, cfg.gamma_ball_radius,
+                cfg.gamma_samples, cfg.estimate_seed, r_Y=cfg.r_y)
+        if self.L_max is None:
+            self.L_max = estimate_lipschitz_Lmax(
+                problem, self.phantom, cfg.gamma_ball_radius,
+                max(1, cfg.gamma_samples // 4), cfg.estimate_seed,
+                n_power_iter=20)
+        problem.gamma, problem.L_max = self.gamma[cfg.r_y], self.L_max
+        return problem
+
+
+def _build_problem(cfg: RunConfig, shared: _SharedSetup | None = None):
+    """Build the forward problem and set its operator constants; a
+    Schlieren build takes what it can from ``shared``."""
     if cfg.experiment == "benchmark":
         return build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
                                n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
                                truth_scale=cfg.truth_scale)
-    phantom = _load_phantom(cfg)
-    system = build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors,
-                         cfg.batch_size)
-    problem = build_schlieren_problem(system, cfg.batch_size, phantom)
-    problem.gamma = estimate_tcc_gamma(problem, phantom, cfg.gamma_ball_radius,
-                                       cfg.gamma_samples, cfg.estimate_seed,
-                                       r_Y=cfg.r_y)
-    problem.L_max = estimate_lipschitz_Lmax(problem, phantom,
-                                            cfg.gamma_ball_radius,
-                                            max(1, cfg.gamma_samples // 4),
-                                            cfg.estimate_seed, n_power_iter=20)
-    return problem
+    if shared is None:
+        shared = _SharedSetup()
+    return shared.problem(cfg)
 
 
 def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
@@ -108,10 +156,12 @@ def _write_geometry_sidecar(problem, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def execute_run(cfg: RunConfig, out_dir, quiet: bool = False) -> dict:
-    """One full experiment: build, perturb, solve, write artifacts."""
+def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
+                shared: _SharedSetup | None = None) -> dict:
+    """One full experiment: build, perturb, solve, write artifacts.  A
+    sweep passes its cells one ``shared`` setup."""
     started = time.monotonic()
-    problem = _build_problem(cfg)
+    problem = _build_problem(cfg, shared)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
@@ -168,22 +218,36 @@ def cmd_run(config_path, out_dir, *, seed: int | None = None,
 _SWEEP_AXES = ("noise_level", "batch_size", "space_exponent")
 
 
+def _axis_numbers(axis: str, token: str) -> list:
+    """The numbers one sweep value gives its axis: an integer for
+    batch_size, a float for noise_level, rX or rX:rY for space_exponent."""
+    parts = token.split(":") if axis == "space_exponent" else [token]
+    convert = int if axis == "batch_size" else float
+    try:
+        numbers = [convert(part) for part in parts]
+    except ValueError:
+        numbers = []
+    if not 1 <= len(numbers) <= 2:
+        raise ValueError(f"sweep axis {axis} cannot read the value {token!r}")
+    return numbers
+
+
 def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
     if axis == "noise_level":
         if cfg.noise_kind != "gaussian":
             raise ValueError(f"sweep axis noise_level sets epsilon, which "
                              f"{cfg.noise_kind!r} noise does not read")
-        return replace(cfg, epsilon=float(token))
+        (epsilon,) = _axis_numbers(axis, token)
+        return replace(cfg, epsilon=epsilon)
     if axis == "batch_size":
         if cfg.experiment != "schlieren":
             raise ValueError(f"sweep axis batch_size is not read by the "
                              f"{cfg.experiment} experiment (it reads n_blocks)")
-        return replace(cfg, batch_size=int(token))
+        (batch_size,) = _axis_numbers(axis, token)
+        return replace(cfg, batch_size=batch_size)
     if axis == "space_exponent":
-        if ":" in token:
-            rx, ry = token.split(":", 1)
-            return replace(cfg, r_x=float(rx), r_y=float(ry), p=0.0, q=0.0)
-        return replace(cfg, r_x=float(token), p=0.0, q=0.0)
+        r_x, *r_y = _axis_numbers(axis, token)
+        return replace(cfg, r_x=r_x, r_y=r_y[0] if r_y else cfg.r_y, p=0.0, q=0.0)
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
@@ -193,9 +257,15 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
     tokens = [v.strip() for v in values if str(v).strip()]
     if not tokens:
         raise ValueError("sweep needs at least one axis value")
+    repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
+    if repeated:
+        raise ValueError(f"--values repeats {', '.join(repeated)}: each value "
+                         f"is one cell and one output directory")
     cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
     out = Path(out_dir)
-    results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True)
+    shared = _SharedSetup()
+    results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True,
+                           shared=shared)
                for tok, cell_cfg in cells]
 
     lines = ["axis,value,best_error,best_iteration,delta,metric"]
@@ -273,6 +343,10 @@ def cmd_phantom(shape: str, n_blobs: int, amplitude: float, seed: int,
     if not (rows.isdecimal() and cols.isdecimal() and min(int(rows), int(cols)) > 0):
         raise ValueError(f"--shape must be ROWSxCOLS, positive integers; got {shape!r}")
     rows, cols = int(rows), int(cols)
+    if not math.isfinite(amplitude):
+        raise ValueError(f"--amplitude must be finite, got {amplitude}")
+    if n_blobs < 0:
+        raise ValueError(f"--blobs must be >= 0, got {n_blobs}")
     phantom = make_phantom((rows, cols), n_blobs, amplitude, seed)
     write_array(out_path, phantom)
     _say(quiet, f"wrote {rows}x{cols} phantom to {out_path}")

@@ -23,7 +23,8 @@ One raw-array kernel per problem serves the SGD step,
 and the gradient F_i'(x)* J_q(residual) reuses it (the Schlieren kernel
 hands its projections to ``adjoint_apply``).  For the constant estimators,
 ``linearization`` gives the value, the derivative and the adjoint at one
-point, so the Schlieren problem projects that point once.
+point, so the Schlieren problem projects that point once.  A history
+record takes every block's forward from one ``stacked_forward`` call.
 
 A Schlieren block is a batch of its Radon system, so every projection is
 one sparse product, ``RadonSystem.project_batch``.  ``build_schlieren_problem``
@@ -125,6 +126,14 @@ class ForwardProblem:
         out, nothing validated."""
         raise NotImplementedError
 
+    def stacked_forward(self, x: np.ndarray) -> np.ndarray:
+        """Raw F_i(x) of every block, flattened and concatenated in block
+        order into one array, each block's entries the bits of
+        ``block_forward``.  A history record takes all blocks from this
+        one call."""
+        return np.concatenate([self.block_forward(i, x).ravel()
+                               for i in range(self.n_blocks)])
+
     def derivative_apply(self, i: int, x: GridVector, h: GridVector) -> GridVector:
         raise NotImplementedError
 
@@ -172,6 +181,15 @@ class SchlierenProblem(ForwardProblem):
         proj = self.system.project_batch(i, x)
         return proj * proj
 
+    def stacked_forward(self, x):
+        # one row per batch product, squared in one pass
+        out = np.empty((self.system.n_angles, self.system.n_detectors))
+        row = 0
+        for i, batch in enumerate(self.batches):
+            out[row:row + len(batch)] = self.system.project_batch(i, x)
+            row += len(batch)
+        return np.multiply(out, out, out=out).ravel()
+
     def derivative_apply(self, i, x, h, *, px: np.ndarray | None = None):
         """Derivative action 2 * (R x) * (R h), stacked over batch i.
 
@@ -200,9 +218,11 @@ class SchlierenProblem(ForwardProblem):
             raise ValueError(f"data block shape {gv.shape} != {(len(batch), n_det)}")
         if px is None:
             px = self.system.project_batch(i, x.values)
-        # accumulated angle by angle in batch order
-        out = np.zeros(self.domain_shape[0] * self.domain_shape[1])
-        for a, row in zip(batch, 2.0 * px * gv):
+        # accumulated angle by angle in batch order, from the first angle's
+        # image: 0.0 + v is v, as a back-projection holds no -0.0
+        rows = 2.0 * px * gv
+        out = self.system.back_project(batch[0], rows[0])
+        for a, row in zip(batch[1:], rows[1:]):
             out += self.system.back_project(a, row)
         return DualVector(out.reshape(self.domain_shape))
 

@@ -34,12 +34,18 @@ __all__ = [
 _CONJUGACY_TOL = 1e-12
 
 
+def _require_finite(vals: np.ndarray) -> None:
+    """The finiteness check of every vector wrapper, also made on raw arrays.
+    Counting the finite entries is quicker than ``all()`` on their mask."""
+    if np.count_nonzero(np.isfinite(vals)) != vals.size:
+        raise ValueError("vector entries must be finite (no NaN/Inf)")
+
+
 def _as_finite_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     if arr.size == 0:
         raise ValueError("vector must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    _require_finite(arr)
     arr.setflags(write=False)
     return arr
 
@@ -162,7 +168,9 @@ def _lr_norm_raw(vals: np.ndarray, r: float) -> float:
     if r == 2.0:
         # np.linalg.norm's own formula for a real vector, minus its dispatch
         return math.sqrt(vals.dot(vals))
-    return float(np.sum(np.abs(vals) ** r) ** (1.0 / r))
+    terms = np.abs(vals)
+    terms **= r
+    return float(terms.sum() ** (1.0 / r))
 
 
 def pairing(dual, primal) -> float:
@@ -179,21 +187,32 @@ def _signed_power(vals: np.ndarray, expnt: float) -> np.ndarray:
 
     The exponent-1 case returns the values untouched so that the Hilbert
     duality map is bitwise the identity.  With no zero entry (NaN counts as
-    nonzero, as in the mask) the formula runs on ``vals`` itself, which
-    gives the masked path's bits without its gather and scatter.
+    nonzero, as in the mask) the formula runs on ``vals`` itself, in one
+    output array: ``copysign`` gives sign(v) * e's bits for every e >= 0,
+    and the result has the masked path's bits without its gather and
+    scatter.
     """
     if expnt == 1.0:
         return vals.copy()
     if vals.all():
-        return np.sign(vals) * np.exp(expnt * np.log(np.abs(vals)))
+        out = np.abs(vals)
+        np.log(out, out=out)
+        out *= expnt
+        np.exp(out, out=out)
+        return np.copysign(out, vals, out=out)
     out = np.zeros_like(vals)
     nz = vals != 0.0
     out[nz] = np.sign(vals[nz]) * np.exp(expnt * np.log(np.abs(vals[nz])))
     return out
 
 
-def _duality_map_raw(vals: np.ndarray, r: float, p: float) -> np.ndarray:
-    if r == p and np.max(np.abs(vals)) >= 2.0 ** (-1000.0 / r):
+def _duality_map_raw(vals: np.ndarray, r: float, p: float,
+                     peak: float | None = None) -> np.ndarray:
+    """J_p on L^r of a raw array; ``peak`` is max|v| when the caller has
+    already taken it."""
+    if r == p and peak is None:
+        peak = np.abs(vals).max()
+    if r == p and peak >= 2.0 ** (-1000.0 / r):
         # The norm factor is norm**0.0 == 1.0 and only the zero test reads
         # the norm.  An entry this large has |v|^r >= 2**-1000, which cannot
         # underflow to 0.0, so the map is not zero (NaN takes the norm path).
@@ -244,12 +263,18 @@ def bregman_distance(z: GridVector, w: GridVector, g: GeometryParams) -> float:
     zv, wv = _values(z), _values(w)
     if zv.shape != wv.shape:
         raise ValueError(f"shape mismatch: {zv.shape} vs {wv.shape}")
+    return _bregman_raw(zv, wv, _lr_norm_raw(wv.ravel(), g.r), g)
+
+
+def _bregman_raw(zv: np.ndarray, wv: np.ndarray, w_norm: float,
+                 g: GeometryParams) -> float:
+    """``bregman_distance`` of raw arrays of one shape, given ||w||_r; a
+    loop that measures against one fixed w computes its norm once."""
     if np.array_equal(zv, wv):
         return 0.0
     nz = _lr_norm_raw(zv.ravel(), g.r)
-    nw = _lr_norm_raw(wv.ravel(), g.r)
     jz = _duality_map_raw(zv, g.r, g.p)
-    return nz**g.p / g.p_star + nw**g.p / g.p - float(np.dot(jz.ravel(), wv.ravel()))
+    return nz**g.p / g.p_star + w_norm**g.p / g.p - float(np.dot(jz.ravel(), wv.ravel()))
 
 
 def _scalar_bregman_ratio_max(s: float) -> float:

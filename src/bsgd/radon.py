@@ -21,9 +21,11 @@ Python dispatch cost about as much as a desk-scale kernel, and importing
 no product uses, so the system is stored in plain arrays (``CSR``) and no
 scipy package is imported.  ``csr_matrix @ v`` ends in the same kernel with
 the same zeroed float64 output, so the bits are those of ``@``, and its
-checks are kept (``_matvec``): the input is made a contiguous float64
+checks are kept (``_vector``): the input is made a contiguous float64
 vector, and a wrong length raises ``ValueError``.  ``RadonSystem`` checks
-the arrays, since the kernels read out of bounds on malformed ones.
+the arrays, since the kernels read out of bounds on malformed ones.  The
+products call the kernel themselves, with no helper between: at desk
+scale each Python call around it costs a share of the product.
 
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
@@ -139,7 +141,12 @@ class RadonSystem:
         """Line integrals at batch k's angles from one sparse product;
         returns (len(batches[k]), n_detectors)."""
         _check_index(k, len(self.batch_matrices), "batch")
-        return _matvec(self.batch_matrices[k], image).reshape(-1, self.n_detectors)
+        m = self.batch_matrices[k]
+        n_row, n_col = m.shape
+        out = np.zeros(n_row)
+        _sparsetools().csr_matvec(n_row, n_col, m.indptr, m.indices, m.data,
+                                  _vector(image, n_col), out)
+        return out.reshape(-1, self.n_detectors)
 
     @cached_property
     def matrices(self) -> tuple[CSR, ...]:
@@ -156,8 +163,15 @@ class RadonSystem:
 
     def back_project(self, angle_index: int, sino: np.ndarray) -> np.ndarray:
         """Transpose action at one angle; returns a flat image array."""
-        _check_index(angle_index, self.n_angles, "angle")
-        return _matvec(self.matrices[angle_index], sino, transpose=True)
+        views = self.matrices
+        _check_index(angle_index, len(views), "angle")
+        m = views[angle_index]
+        # the CSC arrays of m.T are the CSR arrays of m
+        n_col, n_row = m.shape
+        out = np.zeros(n_row)
+        _sparsetools().csc_matvec(n_row, n_col, m.indptr, m.indices, m.data,
+                                  _vector(sino, n_col), out)
+        return out
 
     def regrouped(self, batch_size: int) -> RadonSystem:
         """This system in ``make_interleaved_batches(n_angles, batch_size)``:
@@ -178,18 +192,13 @@ def _check_index(i: int, n: int, what: str) -> None:
         raise IndexError(f"{what} index {i} out of range [0, {n})")
 
 
-def _matvec(m: CSR, v, transpose: bool = False) -> np.ndarray:
-    """``m @ v``, or ``m.T @ v`` with ``transpose``, bit for bit as scipy's
-    ``@`` computes it, through its compiled kernel (module docstring).  The
-    CSC arrays of ``m.T`` are the CSR arrays of ``m``."""
-    n_row, n_col = m.shape[::-1] if transpose else m.shape
+def _vector(v, n: int) -> np.ndarray:
+    """``v`` as the contiguous float64 vector of length n that a product
+    reads, as ``@`` makes it (module docstring)."""
     v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != n_col:
-        raise ValueError(f"vector of length {v.size} for a matrix with {n_col} columns")
-    out = np.zeros(n_row)
-    kernel = getattr(_sparsetools(), "csc_matvec" if transpose else "csr_matvec")
-    kernel(n_row, n_col, m.indptr, m.indices, m.data, v, out)
-    return out
+    if v.size != n:
+        raise ValueError(f"vector of length {v.size} for a matrix with {n} columns")
+    return v
 
 
 @cache

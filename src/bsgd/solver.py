@@ -12,9 +12,10 @@ SGD and Landweber share one iteration loop, and it runs on plain float64
 arrays: a step is one call of the problem's ``block_residual_gradient``
 kernel (the mean over all blocks for Landweber), the dual update and the
 inverse duality map, with raw finiteness checks in place of the wrappers'.
-The history records are raw too (the problem's ``block_forward`` for the
-full objective); ``GridVector``/``DualVector`` wrappers are built only for
-the snapshots and the returned ``SGDRun``.
+The history records are raw too: one ``stacked_forward`` call gives every
+block's residual for the full objective (``_recorder``);
+``GridVector``/``DualVector`` wrappers are built only for the snapshots
+and the returned ``SGDRun``.
 
 ``run_seed_stack`` runs several seeds of one configuration as one
 record-free loop over stacked chains of steps, on a problem with a stacked
@@ -41,10 +42,11 @@ from .geometry import (
     DualVector,
     GeometryParams,
     GridVector,
+    _bregman_raw,
     _duality_map_raw,
     _lr_norm_raw,
+    _require_finite,
     _signed_power,
-    bregman_distance,
     duality_map,
 )
 
@@ -210,12 +212,6 @@ class SGDRun:
     snapshots: list[tuple[int, GridVector, DualVector]] = field(default_factory=list)
 
 
-def _require_finite(vals: np.ndarray) -> None:
-    """The check a GridVector/DualVector would make, on a raw array."""
-    if not np.isfinite(vals).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-
-
 def stochastic_gradient(problem, x: GridVector, y_obs, block_index: int,
                         q: float, r_Y: float) -> DualVector:
     """One-block gradient F_i'(x)* J_q(F_i(x) - y_i)."""
@@ -326,33 +322,46 @@ def _relative_error_raw(x: np.ndarray, truth: np.ndarray, denom: float) -> float
     return _lr_norm_raw((truth - x).ravel(), 2.0) / denom
 
 
-def _full_diagnostics(problem, x, y, q, r_Y):
-    """Full objective and the outer-l^q product norm of the residual, from
-    the raw iterate and data blocks."""
-    norms = np.zeros(problem.n_blocks)
-    for i, y_i in enumerate(y):
-        resid = problem.block_forward(i, x) - y_i
-        _require_finite(resid)
-        norms[i] = _lr_norm_raw(resid.ravel(), r_Y)
-    psi = float(np.sum(norms**q)) / (q * problem.n_blocks)
-    residual = float(np.sum(norms**q) ** (1.0 / q))
-    return psi, residual
+def _recorder(problem, y: list, q: float, r_Y: float, gx: GeometryParams):
+    """The history record maker of one run on the raw data blocks y, with
+    data-space exponents (q, r_Y) and solution-space geometry gx.
 
-
-def _make_record(problem, x: np.ndarray, y, config, k, mu, batch, resid,
-                 rel, gx) -> IterationRecord:
-    """Record of the raw iterate x against the raw data blocks y; ``resid``
-    is the sampled block's residual at the pre-step iterate (None on the
-    k = 0 record and for Landweber) and ``rel`` the relative error of x
-    (None without ground truth)."""
-    psi, residual = _full_diagnostics(problem, x, y, config.q, config.r_Y)
-    psi_pre = None if resid is None else \
-        _lr_norm_raw(resid.ravel(), config.r_Y) ** config.q / config.q
+    The data are stacked once, in ``stacked_forward``'s layout, and a
+    record takes every block's residual from one forward call and one
+    subtraction, checks it once and takes each block's norm on its slice.
+    The ground truth's L^r_X norm, which every Bregman distance reads, is
+    taken once too.
+    """
+    y_all = np.concatenate([y_i.ravel() for y_i in y])
+    ends = np.cumsum([y_i.size for y_i in y]).tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
+    n_blocks = problem.n_blocks
     truth = problem.x_truth
-    breg = bregman_distance(x, truth, gx) if truth is not None else None
-    return IterationRecord(k=k, mu=mu, batch_index=batch, psi=psi,
-                           residual=residual, rel_l2_error=rel,
-                           bregman_to_truth=breg, psi_batch_pre=psi_pre)
+    if truth is not None:
+        truth_v = truth.values
+        truth_r_norm = _lr_norm_raw(truth_v.ravel(), gx.r)
+
+    def record(x: np.ndarray, k, mu, batch, resid, rel) -> IterationRecord:
+        """Record of the raw iterate x; ``resid`` is the sampled block's
+        residual at the pre-step iterate (None on the k = 0 record and for
+        Landweber) and ``rel`` the relative error of x (None without ground
+        truth).  ``psi`` is the full objective and ``residual`` the
+        outer-l^q product norm of the residual."""
+        resid_all = problem.stacked_forward(x) - y_all
+        _require_finite(resid_all)
+        norms = np.array([_lr_norm_raw(resid_all[lo:hi], r_Y) for lo, hi in bounds])
+        total = np.sum(norms**q)
+        psi_pre = None if resid is None else \
+            _lr_norm_raw(resid.ravel(), r_Y) ** q / q
+        breg = None if truth is None else \
+            _bregman_raw(x, truth_v, truth_r_norm, gx)
+        return IterationRecord(k=k, mu=mu, batch_index=batch,
+                               psi=float(total) / (q * n_blocks),
+                               residual=float(total ** (1.0 / q)),
+                               rel_l2_error=rel, bregman_to_truth=breg,
+                               psi_batch_pre=psi_pre)
+
+    return record
 
 
 def _total_iterations(config: SolverConfig, iters_per_epoch: int) -> int:
@@ -409,8 +418,8 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
     if truth is not None:
         truth_v, truth_norm = truth.values, _truth_norm(truth)
         rel = _relative_error_raw(x, truth_v, truth_norm)
-    history = [_make_record(problem, x, y, config, 0, None, None, None, rel,
-                            gx)]
+    record = _recorder(problem, y, config.q, config.r_Y, gx)
+    history = [record(x, 0, None, None, None, rel)]
     if truth is not None:
         best_kind, best_metric = "rel_l2_error", rel
     else:
@@ -432,15 +441,15 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         _require_finite(grad)
 
         new_xi = xi - mu * grad
-        if not np.abs(new_xi).max() <= guard:  # NaN fails the test too
+        peak = np.abs(new_xi).max()
+        if not peak <= guard:  # NaN fails the test too
             diverged = True
             diverged_at = k
-            history.append(_make_record(problem, x, y, config, k, mu, i,
-                                        resid, rel, gx))
+            history.append(record(x, k, mu, i, resid, rel))
             logger.warning("iterate diverged at iteration %d; aborting run", k)
             break
         xi = new_xi
-        x = _duality_map_raw(xi, gx.r_star, gx.p_star)
+        x = _duality_map_raw(xi, gx.r_star, gx.p_star, peak)
         _require_finite(x)
 
         if truth is not None:
@@ -451,8 +460,7 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         is_record = (config.record_every is not None
                      and k % config.record_every == 0) or k == total
         if is_record:
-            history.append(_make_record(problem, x, y, config, k, mu, i,
-                                        resid, rel, gx))
+            history.append(record(x, k, mu, i, resid, rel))
             if truth is None and history[-1].residual < best_metric:
                 best_metric, best_x, best_k = history[-1].residual, x, k
             if collect_snapshots:

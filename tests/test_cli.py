@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import bsgd
+import bsgd.cli
 from bsgd.array_io import read_array
 from bsgd.cli import main
 from bsgd.solver import a_priori_stop_index
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCHLIEREN_INI = """
 [experiment]
@@ -102,6 +105,24 @@ def benchmark_cfg(tmp_path):
     path = tmp_path / "benchmark.ini"
     path.write_text(BENCHMARK_INI)
     return path
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``bsgd.cli.<name>`` by a wrapper that keeps the keyword
+    arguments of each call in the returned list."""
+    calls = []
+    original = getattr(bsgd.cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bsgd.cli, name, counted)
+    return calls
 
 
 def run_artifacts(out):
@@ -223,6 +244,23 @@ class TestCmdRun:
         assert "[phantom] path" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_phantom_fails_before_the_build(self, tmp_path, capsys,
+                                                       monkeypatch, make):
+        phantom = tmp_path / "phantom.bsgd"
+        make(phantom)
+        monkeypatch.setattr("bsgd.cli.build_radon", _must_not_run)
+        path = tmp_path / "cfg.ini"
+        path.write_text(SCHLIEREN_INI.replace(
+            "[phantom]\n", f"[phantom]\npath = {phantom}\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"[phantom] path {phantom} cannot be read" in err
+        assert not out.exists()
+
     def test_phantom_file_matches_generated_phantom(self, schlieren_cfg,
                                                     tmp_path):
         def run(cfg, name):
@@ -334,6 +372,26 @@ class TestCmdSweep:
         self._check_cells_match_manifest_runs(schlieren_cfg, tmp_path,
                                               "batch_size", ["5", "2"])
 
+    def test_noise_level_sweep_cells_match_manifest_runs(self, schlieren_cfg,
+                                                         tmp_path, monkeypatch):
+        builds = _count_calls(monkeypatch, "build_radon")
+        self._check_cells_match_manifest_runs(schlieren_cfg, tmp_path,
+                                              "noise_level", ["5e-2", "1e-2"])
+        # one build that both cells share, then one per fresh run
+        assert len(builds) == 3
+
+    def test_space_exponent_sweep_builds_once(self, tmp_path, monkeypatch):
+        builds = _count_calls(monkeypatch, "build_radon")
+        lmax = _count_calls(monkeypatch, "estimate_lipschitz_Lmax")
+        gammas = _count_calls(monkeypatch, "estimate_tcc_gamma")
+        config = ROOT / "configs" / "schlieren_desk.ini"
+        assert main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "sweep"), "--axis", "space_exponent",
+                     "--values", "1.1:2,2:2,1.1:1.1", "--quiet"]) == 0
+        assert len(builds) == len(lmax) == 1
+        # gamma once per distinct r_Y
+        assert [kwargs["r_Y"] for kwargs in gammas] == [2.0, 1.1]
+
     def test_batch_sweep_row_count(self, schlieren_cfg, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(schlieren_cfg), "--out",
@@ -359,6 +417,33 @@ class TestCmdSweep:
                      "--axis", axis, "--values", values, "--quiet"]) == 1
         err = capsys.readouterr().err
         assert f"sweep axis {axis}" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values, token", [
+        ("space_exponent", "2:2,1.1:2:3", "1.1:2:3"),
+        ("space_exponent", "1.1:", "1.1:"),
+        ("batch_size", "x", "x"),
+        ("batch_size", "2,2.0", "2.0"),
+        ("noise_level", "1e-2,abc", "abc"),
+    ])
+    def test_unreadable_value_fails_before_out_exists(self, schlieren_cfg,
+                                                      tmp_path, capsys, axis,
+                                                      values, token):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out", str(out),
+                     "--axis", axis, "--values", values, "--quiet"]) == 1
+        assert f"sweep axis {axis} cannot read the value {token!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_value_fails_before_any_cell(self, schlieren_cfg, tmp_path,
+                                                  capsys, monkeypatch):
+        monkeypatch.setattr("bsgd.cli.execute_run", _must_not_run)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out", str(out),
+                     "--axis", "space_exponent", "--values", "2,1.1,2",
+                     "--quiet"]) == 1
+        assert "--values repeats 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_batch_size_fails_before_out_exists(self, schlieren_cfg,
@@ -514,6 +599,19 @@ class TestCmdPhantom:
                          "--quiet"]) == 1
             assert "--shape must be ROWSxCOLS" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--amplitude", "nan"], "--amplitude must be finite"),
+        (["--amplitude", "inf"], "--amplitude must be finite"),
+        (["--amplitude=-inf"], "--amplitude must be finite"),
+        (["--blobs", "-1"], "--blobs must be >= 0"),
+    ])
+    def test_bad_amplitude_or_blobs_fails(self, tmp_path, capsys, flags,
+                                          message):
+        out = tmp_path / "p.bsgd"
+        assert main(["phantom", *flags, "--out", str(out), "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLandweberAlgorithm:

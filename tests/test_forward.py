@@ -577,3 +577,23 @@ class TestBatchLayout:
                                             *DESK_LMAX_ARGS, n_power_iter=20),
                     estimate_tcc_gamma(problem, problem.x_truth, *DESK_TCC_ARGS))
         assert repr(estimates(desk_batched)) == repr(estimates(desk_schlieren))
+
+
+class TestStackedForward:
+    """A record's one forward call holds each block's ``block_forward`` bits."""
+
+    def test_schlieren_makes_one_product_per_batch(self, desk_schlieren,
+                                                   monkeypatch):
+        x = desk_schlieren.x_truth.values + 0.01
+        want = ForwardProblem.stacked_forward(desk_schlieren, x)
+        batch_calls = _count_projections(monkeypatch)
+        got = desk_schlieren.stacked_forward(x)
+        assert batch_calls == list(range(desk_schlieren.n_blocks))
+        assert got.shape == want.shape == (30 * 45,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_default_concatenates_the_blocks(self, rng):
+        problem = build_benchmark(11, 0.9, 1.1, 0.05, n_blocks=3, seed=4)
+        x = rng.standard_normal(11)
+        want = np.concatenate([problem.block_forward(i, x) for i in range(3)])
+        assert problem.stacked_forward(x).tobytes() == want.tobytes()

@@ -24,8 +24,8 @@ from bsgd.solver import (
     SGDRun,
     SolverConfig,
     StoppingRule,
-    _full_diagnostics,
     _mean_gradient,
+    _recorder,
     _relative_error_raw,
     _truth_norm,
     a_priori_stop_index,
@@ -70,21 +70,27 @@ def euclidean_sgd_trajectory(problem, y_obs, mu0, decay, seed, n_steps, x0):
     return traj
 
 
+def record_psi(problem, x, y, q, r_Y):
+    """The full objective psi of a history record of the raw iterate x
+    against the raw data blocks y."""
+    record = _recorder(problem, y, q, r_Y, GeometryParams.for_lebesgue(2.0, 2.0))
+    return record(x, 0, None, None, None, None).psi
+
+
 class TestObjective:
     """The full objective psi that every history record reports."""
 
     def test_zero_at_solution(self, hilbert_benchmark):
         p = hilbert_benchmark
         y = [b.values for b in p.y_exact]
-        assert _full_diagnostics(p, p.x_truth.values, y, 2.0, 2.0)[0] == 0.0
+        assert record_psi(p, p.x_truth.values, y, 2.0, 2.0) == 0.0
 
     def test_single_block_value(self):
         problem = build_benchmark(4, 1.0, 1.0, 0.0, n_blocks=1, seed=0)
         x = np.array([2.0, 0.0, 0.0, 0.0])
         y = [np.zeros(4)]
         # one block, residual norm 2, q = 2: (1/1) * (1/2) * 4 = 2
-        assert _full_diagnostics(problem, x, y, 2.0, 2.0)[0] == \
-            pytest.approx(2.0)
+        assert record_psi(problem, x, y, 2.0, 2.0) == pytest.approx(2.0)
 
     def test_matches_per_block_summation_oracle(self, hilbert_benchmark, rng):
         p = hilbert_benchmark
@@ -93,7 +99,7 @@ class TestObjective:
         direct = sum(lr_norm(p.apply_block(i, x) - p.y_exact[i], r) ** q / q
                      for i in range(p.n_blocks)) / p.n_blocks
         y = [b.values for b in p.y_exact]
-        assert _full_diagnostics(p, x.values, y, q, r)[0] == pytest.approx(
+        assert record_psi(p, x.values, y, q, r) == pytest.approx(
             direct, rel=1e-12)
 
 
