@@ -130,7 +130,6 @@ def _build_problem(cfg: RunConfig, shared: _SharedSetup | None = None):
 
 
 def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
-    p, q = cfg.resolved_pq()
     if cfg.stopping == "a_priori":
         stopping = StoppingRule("a_priori", delta=delta,
                                 gamma_budget=cfg.gamma_budget)
@@ -138,10 +137,9 @@ def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
         stopping = StoppingRule(cfg.stopping)
     record_every = cfg.record_every if cfg.record_every > 0 else \
         (1 if cfg.algorithm == "landweber" else n_blocks)
-    return SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
-                        mu0=cfg.mu0, step_decay_exponent=cfg.decay,
-                        max_epochs=cfg.epochs, seed=cfg.solver_seed,
-                        stopping=stopping, mode=cfg.mode,
+    return SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, mu0=cfg.mu0,
+                        step_decay_exponent=cfg.decay, max_epochs=cfg.epochs,
+                        seed=cfg.solver_seed, stopping=stopping, mode=cfg.mode,
                         record_every=record_every)
 
 
@@ -178,8 +176,6 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
     if cfg.experiment == "schlieren":
         _write_geometry_sidecar(problem, out / "geometry.txt")
 
-    p, q = cfg.resolved_pq()
-    resolved = replace(cfg, p=p, q=q)
     result = {
         "gamma_hat": problem.gamma,
         "L_max_hat": problem.L_max,
@@ -194,7 +190,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     (out / "manifest.txt").write_text(
-        serialize_config(resolved, extra_sections={"result": result})
+        serialize_config(cfg, extra_sections={"result": result})
     )
     _say(quiet, f"run complete: {run.n_iterations} iterations, "
                 f"best {run.best_metric_kind} {run.best_metric:.6g} "
@@ -247,7 +243,7 @@ def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
         return replace(cfg, batch_size=batch_size)
     if axis == "space_exponent":
         r_x, *r_y = _axis_numbers(axis, token)
-        return replace(cfg, r_x=r_x, r_y=r_y[0] if r_y else cfg.r_y, p=0.0, q=0.0)
+        return replace(cfg, r_x=r_x, r_y=r_y[0] if r_y else cfg.r_y)
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
@@ -347,6 +343,8 @@ def cmd_phantom(shape: str, n_blobs: int, amplitude: float, seed: int,
         raise ValueError(f"--amplitude must be finite, got {amplitude}")
     if n_blobs < 0:
         raise ValueError(f"--blobs must be >= 0, got {n_blobs}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     phantom = make_phantom((rows, cols), n_blobs, amplitude, seed)
     write_array(out_path, phantom)
     _say(quiet, f"wrote {rows}x{cols} phantom to {out_path}")

@@ -20,7 +20,7 @@ import math
 from dataclasses import Field, dataclass, field, fields
 
 from .noise import _KINDS as _NOISE_KINDS
-from .solver import check_mode_exponents, format_value, mode_exponents
+from .solver import format_value, mode_exponents
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
@@ -52,31 +52,29 @@ class RunConfig:
     diag_max: float = _entry("problem", 1.1)
     beta: float = _entry("problem", 0.0)
     n_blocks: int = _entry("problem", 5, low=1)
-    problem_seed: int = _entry("problem", 0)
+    problem_seed: int = _entry("problem", 0, low=0)
     truth_scale: float = _entry("problem", 1.0)
     phantom_kind: str = _entry("phantom", "sparse_blobs", key="kind", only=True)
     n_blobs: int = _entry("phantom", 4)
     amplitude: float = _entry("phantom", 1.0)
-    phantom_seed: int = _entry("phantom", 7, key="seed")
+    phantom_seed: int = _entry("phantom", 7, key="seed", low=0)
     phantom_background: float = _entry("phantom", 0.0, key="background",
                                       only=True)
     phantom_path: str = _entry("phantom", "", key="path")
-    # p = q = 0 means "derive from the mode"
+    # the mode gives the gauge powers (p, q), see solver.mode_exponents
     r_x: float = _entry("space", 2.0)
     r_y: float = _entry("space", 2.0)
-    p: float = _entry("space", 0.0)
-    q: float = _entry("space", 0.0)
     mode: str = _entry("space", "practice")
     noise_kind: str = _entry("noise", "none", key="kind")
     epsilon: float = _entry("noise", 0.0, low=0.0)
     kappa: float = _entry("noise", 0.0)
-    noise_seed: int = _entry("noise", 99, key="seed")
+    noise_seed: int = _entry("noise", 99, key="seed", low=0)
     # mu0 must be set; record_every = 0 means "once per epoch"
     algorithm: str = _entry("solver", "sgd")
     mu0: float = _entry("solver", 0.0)
-    decay: float = _entry("solver", 0.0)
+    decay: float = _entry("solver", 0.0, low=0.0)
     epochs: int = _entry("solver", 100, low=1)
-    solver_seed: int = _entry("solver", 0, key="seed")
+    solver_seed: int = _entry("solver", 0, key="seed", low=0)
     x0: float = _entry("solver", 0.01)
     record_every: int = _entry("solver", 0, low=0)
     stopping: str = _entry("solver", "max_epochs")
@@ -84,7 +82,7 @@ class RunConfig:
     # constant estimation (tangential cone / derivative bound sampling)
     gamma_ball_radius: float = _entry("estimates", 0.25, key="ball_radius")
     gamma_samples: int = _entry("estimates", 10, key="n_samples", low=1)
-    estimate_seed: int = _entry("estimates", 1234, key="seed")
+    estimate_seed: int = _entry("estimates", 1234, key="seed", low=0)
     # rate-study driver
     rate_deltas: str = _entry("rates", "1e-1,3e-2,1e-2,3e-3", key="deltas")
     rate_seeds: int = _entry("rates", 20, key="n_seeds", low=1)
@@ -107,11 +105,7 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stopping not in ("max_epochs", "a_priori"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
-        if self.p < 0 or self.q < 0 or (self.p > 0) != (self.q > 0):
-            raise ValueError(f"[space] p and q must both be positive or both "
-                             f"0 (from the mode), got p={self.p}, q={self.q}")
-        # also rejects an unknown mode
-        check_mode_exponents(self.mode, self.r_x, self.r_y, *self.resolved_pq())
+        mode_exponents(self.mode, self.r_x, self.r_y)  # rejects an unknown mode
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; "
                              f"expected one of {_NOISE_KINDS}")
@@ -122,13 +116,15 @@ class RunConfig:
             raise ValueError(f"[problem] batch_size {self.batch_size} must "
                              f"divide n_angles = {self.n_angles}")
         self.rate_delta_list()
+        positive = {"[estimates] ball_radius": self.gamma_ball_radius,
+                    "[rates] gamma_budget": self.rate_gamma_budget}
+        if self.stopping == "a_priori":  # max_epochs never reads it
+            positive["[solver] gamma_budget"] = self.gamma_budget
+        for where, value in positive.items():
+            if value <= 0:
+                raise ValueError(f"{where} must be > 0, got {value}")
         if self.mu0 <= 0:
             raise ValueError(f"[solver] mu0 must be set > 0, got {self.mu0}")
-
-    def resolved_pq(self) -> tuple[float, float]:
-        if self.p > 0 and self.q > 0:
-            return self.p, self.q
-        return mode_exponents(self.mode, self.r_x, self.r_y)
 
     def rate_delta_list(self) -> list[float]:
         try:

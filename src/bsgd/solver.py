@@ -52,7 +52,6 @@ from .geometry import (
 
 __all__ = [
     "mode_exponents",
-    "check_mode_exponents",
     "StoppingRule",
     "SolverConfig",
     "IterationRecord",
@@ -73,7 +72,6 @@ logger = logging.getLogger(__name__)
 
 _DIVERGENCE_FACTOR = 1e12
 _STOP_INDEX_CAP = 10**8
-_MODE_TOL = 1e-9
 # steps of block draws per Generator.random call while stepping
 _DRAW_CHUNK = 256
 # steps of block draws per Generator.random call when run_seed_stack only
@@ -89,24 +87,13 @@ _CYCLE_CHECK = 64
 
 def mode_exponents(mode: str, r_X: float, r_Y: float) -> tuple[float, float]:
     """Gauge powers (p, q) of a mode: theory uses p = max(r_X, 2), q = p;
-    practice uses p = r_X, q = r_Y."""
+    practice uses p = r_X, q = r_Y.  The one place (p, q) come from."""
     if mode == "theory":
         p = max(r_X, 2.0)
         return p, p
     if mode == "practice":
         return r_X, r_Y
     raise ValueError(f"unknown mode {mode!r}; expected theory or practice")
-
-
-def check_mode_exponents(mode: str, r_X: float, r_Y: float, p: float,
-                         q: float) -> None:
-    """Raise unless (p, q) are the gauge powers of ``mode`` for (r_X, r_Y)."""
-    want_p, want_q = mode_exponents(mode, r_X, r_Y)
-    if not (abs(p - want_p) <= _MODE_TOL and abs(q - want_q) <= _MODE_TOL):
-        raise ValueError(
-            f"{mode} mode requires p={want_p}, q={want_q} for r_X={r_X}, "
-            f"r_Y={r_Y}, got p={p}, q={q}"
-        )
 
 
 @dataclass(frozen=True)
@@ -131,10 +118,11 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One run's solver settings.  The gauge powers ``p``, ``q`` are not
+    arguments: they are ``mode_exponents(mode, r_X, r_Y)``."""
+
     r_X: float
     r_Y: float
-    p: float
-    q: float
     mu0: float
     step_decay_exponent: float = 0.0
     max_epochs: int = 100
@@ -142,6 +130,8 @@ class SolverConfig:
     stopping: StoppingRule = field(default_factory=StoppingRule)
     mode: str = "theory"
     record_every: int | None = 1
+    p: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self):
         # written so that NaN fails them
@@ -153,17 +143,13 @@ class SolverConfig:
             raise ValueError("need at least one epoch")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be >= 1 (or None for final only)")
-        for name, e in (("r_X", self.r_X), ("r_Y", self.r_Y),
-                        ("p", self.p), ("q", self.q)):
+        for name, e in (("r_X", self.r_X), ("r_Y", self.r_Y)):
             if not 1 < e < math.inf:
                 raise ValueError(f"{name} must exceed 1 and be finite, got {e}")
-        check_mode_exponents(self.mode, self.r_X, self.r_Y, self.p, self.q)
-
-    @classmethod
-    def make(cls, mode: str, r_X: float, r_Y: float, mu0: float, **kwargs) -> "SolverConfig":
-        """Fill (p, q) from the mode, see :func:`mode_exponents`."""
-        p, q = mode_exponents(mode, r_X, r_Y)
-        return cls(r_X=r_X, r_Y=r_Y, p=p, q=q, mu0=mu0, mode=mode, **kwargs)
+        # also rejects an unknown mode
+        p, q = mode_exponents(self.mode, self.r_X, self.r_Y)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def geometry_x(self) -> GeometryParams:
         return GeometryParams.for_lebesgue(self.r_X, self.p)

@@ -116,7 +116,7 @@ def test_criterion_01_geometry_kernel():
 def test_criterion_02_hilbert_reduction():
     started = time.time()
     problem = build_benchmark(30, 0.8, 1.2, 0.05, n_blocks=5, seed=2)
-    cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.4, mode="theory",
+    cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.4, mode="theory",
                        max_epochs=20, seed=77, record_every=1)
     run = run_sgd(problem, problem.y_exact, cfg, x0=GridVector(np.zeros(30)),
                   collect_snapshots=True)
@@ -168,7 +168,7 @@ def test_criterion_03_gradient_oracle(linear_benchmark, desk_schlieren):
 
 def test_criterion_04_exact_data_descent_audit(linear_benchmark):
     started = time.time()
-    cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5, mode="theory",
+    cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.5, mode="theory",
                        max_epochs=100, seed=0, record_every=1)
     constants = DescentConstants(p=2.0, gamma=0.0,
                                  L_max=linear_benchmark.L_max, G_pstar=1.0)
@@ -186,7 +186,7 @@ def test_criterion_04_exact_data_descent_audit(linear_benchmark):
 
 def test_criterion_05_linear_rate(linear_benchmark):
     started = time.time()
-    base = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5, mode="theory",
+    base = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.5, mode="theory",
                         max_epochs=30, seed=0, record_every=5)
     histories = []
     for seed in range(20):
@@ -206,7 +206,7 @@ def test_criterion_05_linear_rate(linear_benchmark):
 
 @pytest.fixture(scope="module")
 def noisy_study(linear_benchmark):
-    cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5, mode="theory",
+    cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.5, mode="theory",
                        max_epochs=10, seed=0,
                        stopping=StoppingRule("a_priori", delta=1.0,
                                              gamma_budget=0.5))
@@ -249,9 +249,9 @@ def test_criterion_08_schlieren_exponent_ordering(desk_schlieren):
         bests = []
         for s in range(5):
             y = add_gaussian(desk_schlieren.y_exact, 1e-2, seed=100 + s)
-            cfg = SolverConfig.make("practice", r_X=r_x, r_Y=2.0, mu0=1.0,
-                                    step_decay_exponent=0.2, max_epochs=800,
-                                    seed=s, record_every=None)
+            cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=2.0, mu0=1.0,
+                               step_decay_exponent=0.2, max_epochs=800,
+                               seed=s, record_every=None)
             run = run_sgd(desk_schlieren, y, cfg, x0=0.01)
             assert not run.diverged
             bests.append(run.best_metric)
@@ -269,9 +269,9 @@ def test_criterion_09_salt_pepper_ordering(desk_schlieren):
         bests = []
         for s in range(5):
             y = add_salt_pepper(desk_schlieren.y_exact, 0.1, seed=200 + s)
-            cfg = SolverConfig.make("practice", r_X=r_x, r_Y=r_y, mu0=0.3,
-                                    step_decay_exponent=0.2, max_epochs=600,
-                                    seed=s, record_every=None)
+            cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=r_y, mu0=0.3,
+                               step_decay_exponent=0.2, max_epochs=600,
+                               seed=s, record_every=None)
             run = run_sgd(desk_schlieren, y, cfg, x0=0.01)
             assert not run.diverged
             bests.append(run.best_metric)

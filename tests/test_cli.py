@@ -12,7 +12,7 @@ import bsgd
 import bsgd.cli
 from bsgd.array_io import read_array
 from bsgd.cli import main
-from bsgd.solver import a_priori_stop_index
+from bsgd.solver import a_priori_stop_index, mode_exponents
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,8 +192,10 @@ class TestCmdRun:
         ("mu0 = 5e-3", "mu0 = nan"),
         ("[solver]\n", "[solver]\ndecay = nan\n"),
         ("r_x = 1.5", "r_x = inf"),
-        # practice mode at r_x = 1.5 needs p = 1.5
+        # the mode gives the gauge powers: no key sets them, not even to
+        # the mode's own values (practice at r_x = 1.1, r_y = 2 gives these)
         ("mode = practice", "mode = practice\np = 2.0\nq = 2.0"),
+        ("r_x = 1.5", "r_x = 1.1\np = 1.1\nq = 2.0"),
         # kappa = 0 (the default) and 1 corrupt nothing or everything
         ("kind = gaussian", "kind = salt_pepper"),
         ("kind = gaussian", "kind = salt_pepper\nkappa = 1.0"),
@@ -215,6 +217,16 @@ class TestCmdRun:
         ("[phantom]\n", "[phantom]\nkind = checkerboard\n"),
         ("[phantom]\n", "[phantom]\nbackground = 1.0\n"),
         ("[phantom]\n", "[phantom]\npath = no_such_phantom.bsgd\n"),
+        ("[problem]\n", "[problem]\nproblem_seed = -1\n"),
+        # the [noise] and [solver] seeds
+        ("seed = 4", "seed = -4"),
+        ("seed = 1\n", "seed = -1\n"),
+        ("[solver]\n", "[solver]\ndecay = -0.5\n"),
+        # a_priori stopping reads [solver] gamma_budget, whose default is 0
+        ("[solver]\n", "[solver]\nstopping = a_priori\n"),
+        ("[solver]\n", "[rates]\ngamma_budget = -1\n\n[solver]\n"),
+        ("ball_radius = 0.1", "ball_radius = 0.0"),
+        ("ball_radius = 0.1", "ball_radius = -1.0"),
     ])
     def test_bad_value_fails_before_out_exists(self, tmp_path, capsys, old,
                                                new):
@@ -225,6 +237,14 @@ class TestCmdRun:
                      "--quiet"]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_flag_fails_before_out_exists(self, schlieren_cfg,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(schlieren_cfg), "--out", str(out),
+                     "--seed", "-3", "--quiet"]) == 1
+        assert not out.exists()
+        assert "[solver] seed must be >= 0, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["run"],
@@ -300,11 +320,13 @@ class TestCmdRun:
                      "--quiet"]) == 0
         manifest = configparser.ConfigParser(interpolation=None)
         manifest.read(out / "manifest.txt")
-        result, solver = manifest["result"], manifest["solver"]
+        result, solver, space = (manifest["result"], manifest["solver"],
+                                 manifest["space"])
         k_stop = a_priori_stop_index(
             result.getfloat("delta"), solver.getfloat("mu0"),
             solver.getfloat("decay"), solver.getfloat("gamma_budget"),
-            manifest["space"].getfloat("p"))
+            mode_exponents(space["mode"], space.getfloat("r_x"),
+                           space.getfloat("r_y"))[0])
         assert k_stop > 0
         assert result.getint("k_delta") == result.getint("n_iterations") == k_stop
 
@@ -605,6 +627,7 @@ class TestCmdPhantom:
         (["--amplitude", "inf"], "--amplitude must be finite"),
         (["--amplitude=-inf"], "--amplitude must be finite"),
         (["--blobs", "-1"], "--blobs must be >= 0"),
+        (["--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_bad_amplitude_or_blobs_fails(self, tmp_path, capsys, flags,
                                           message):

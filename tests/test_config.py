@@ -58,20 +58,11 @@ def test_unknown_experiment_rejected():
         parse_config("[experiment]\nkind = sudoku\n")
 
 
-def test_resolved_pq_modes():
-    cfg = parse_config(MINIMAL)
-    assert dataclasses.replace(cfg, mode="practice", r_x=1.1,
-                               r_y=1.5).resolved_pq() == (1.1, 1.5)
-    assert dataclasses.replace(cfg, mode="theory", r_x=1.1,
-                               r_y=1.5).resolved_pq() == (2.0, 2.0)
-    assert dataclasses.replace(cfg, r_x=3.0, p=3.0,
-                               q=2.0).resolved_pq() == (3.0, 2.0)
-
-
 @pytest.mark.parametrize("space", ["p = 3.0", "q = 3.0", "p = 3.0\nq = -2.0",
                                    "p = -1.0\nq = -1.0"])
 def test_half_set_or_negative_gauge_powers_rejected(space):
-    with pytest.raises(ValueError, match="both"):
+    # the mode gives p and q; a config or older manifest that sets them fails
+    with pytest.raises(ValueError, match=r"unknown key '[pq]' in config section \[space\]"):
         parse_config(MINIMAL + f"\n[space]\n{space}\n")
 
 
@@ -85,9 +76,10 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[solver]\ndecay = nan\n", r"\[solver\] decay must be finite"),
     ("[space]\nr_x = inf\n", r"\[space\] r_x must be finite, got inf"),
     ("[estimates]\nball_radius = -inf\n", r"\[estimates\] ball_radius must be finite"),
-    ("[space]\nr_x = 1.1\np = 2.0\nq = 2.0\n", "practice mode requires p=1.1, q=2.0"),
+    # no key sets the gauge powers, whatever their value
+    ("[space]\nr_x = 1.1\np = 2.0\nq = 2.0\n", r"unknown key 'p' in config section \[space\]"),
     ("[space]\nmode = theory\nr_x = 1.5\np = 1.5\nq = 1.5\n",
-     "theory mode requires p=2.0, q=2.0"),
+     r"unknown key 'p' in config section \[space\]"),
     ("[noise]\nkind = salt_pepper\n", r"\[noise\] kappa must lie in \(0, 1\)"),
     ("[noise]\nkind = salt_pepper\nkappa = 1.0\n", r"\[noise\] kappa must lie in"),
     ("[solver]\nepochs = 7\n", r"\[solver\] mu0 must be set > 0, got 0.0"),
@@ -109,6 +101,16 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[rates]\ndeltas = 1e-1,0.0\n", r"\[rates\] deltas must list"),
     ("[phantom]\nkind = checkerboard\n", r"\[phantom\] kind accepts only sparse_blobs"),
     ("[phantom]\nbackground = 1.0\n", r"\[phantom\] background accepts only 0.0"),
+    ("[problem]\nproblem_seed = -1\n", r"\[problem\] problem_seed must be >= 0"),
+    ("[phantom]\nseed = -1\n", r"\[phantom\] seed must be >= 0"),
+    ("[noise]\nseed = -1\n", r"\[noise\] seed must be >= 0"),
+    ("[solver]\nseed = -1\n", r"\[solver\] seed must be >= 0"),
+    ("[estimates]\nseed = -1\n", r"\[estimates\] seed must be >= 0"),
+    ("[solver]\ndecay = -0.5\n", r"\[solver\] decay must be >= 0"),
+    ("[solver]\nstopping = a_priori\n", r"\[solver\] gamma_budget must be > 0, got 0.0"),
+    ("[rates]\ngamma_budget = -1\n", r"\[rates\] gamma_budget must be > 0"),
+    ("[estimates]\nball_radius = 0.0\n", r"\[estimates\] ball_radius must be > 0"),
+    ("[estimates]\nball_radius = -1.0\n", r"\[estimates\] ball_radius must be > 0"),
 ])
 def test_misspelled_or_negative_values_rejected(text, message):
     with pytest.raises(ValueError, match=message):
@@ -167,8 +169,6 @@ def _other_value(f):
 
 def test_every_field_round_trips_through_its_entry():
     values = {f.name: _other_value(f) for f in dataclasses.fields(RunConfig)}
-    # the gauge powers theory mode gives at r_x = r_y = 2.375
-    values["p"] = values["q"] = values["r_x"]
     values["rate_deltas"] = "1e-1,5e-2"
     cfg = RunConfig(**values)
     text = serialize_config(cfg)

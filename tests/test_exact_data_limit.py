@@ -113,8 +113,8 @@ def test_exact_data_limit_is_the_nearest_solution(r_x):
     y = A @ x_true
     problem = LinearProblem(A, y, 6)
 
-    cfg = SolverConfig.make("practice", r_X=r_x, r_Y=2.0, mu0=0.5,
-                            max_epochs=500, record_every=None)
+    cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=2.0, mu0=0.5,
+                       max_epochs=500, record_every=None)
     run = run_sgd(problem, problem.y_exact, cfg, x0=x0)
     assert not run.diverged
 
@@ -150,8 +150,8 @@ def test_nonlinear_exact_data_limit_is_the_nearest_solution(r_x, mu0):
     x0 = x_true + 0.05 * gen.standard_normal(60)
     problem = SquaredLinearProblem(A, x_true, 6)
 
-    cfg = SolverConfig.make("practice", r_X=r_x, r_Y=2.0, mu0=mu0,
-                            max_epochs=2000, record_every=None)
+    cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=2.0, mu0=mu0,
+                       max_epochs=2000, record_every=None)
     run = run_sgd(problem, problem.y_exact, cfg, x0=x0)
     assert not run.diverged
     x_final = run.final_x.values

@@ -147,7 +147,7 @@ class TestTheoreticalContraction:
 
 
 def study_config(seed=0, gamma_budget=0.6, mu0=0.5):
-    return SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=mu0,
+    return SolverConfig(r_X=2.0, r_Y=2.0, mu0=mu0,
                         mode="theory", max_epochs=10, seed=seed,
                         stopping=StoppingRule("a_priori", delta=1.0,
                                               gamma_budget=gamma_budget))
@@ -259,10 +259,10 @@ class TestStackedStudyMatchesSerial:
     def test_rows_and_fit_identical(self, beta, mode, r_x, r_y, decay):
         problem = build_benchmark(41, 0.9, 1.1, beta, n_blocks=5, seed=3)
         # delta = 1 stops at k = 0: its row is the distance of x0 = 0
-        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.5, seed=5,
-                                step_decay_exponent=decay,
-                                stopping=StoppingRule("a_priori", delta=1.0,
-                                                      gamma_budget=0.4))
+        cfg = SolverConfig(mode=mode, r_X=r_x, r_Y=r_y, mu0=0.5, seed=5,
+                           step_decay_exponent=decay,
+                           stopping=StoppingRule("a_priori", delta=1.0,
+                                                 gamma_budget=0.4))
         args = (problem, StabilityParams(1.0, 1.0), [1.0, 0.1, 0.03], cfg, 4)
         study = noisy_rate_study(*args)
         assert study.rows[-1].k_delta == 0
@@ -281,9 +281,9 @@ class TestStackedStudyMatchesSerial:
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6,
                                   truth_scale=1e7)
-        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
-                                stopping=StoppingRule("a_priori", delta=1.0,
-                                                      gamma_budget=50.0))
+        cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                           stopping=StoppingRule("a_priori", delta=1.0,
+                                                 gamma_budget=50.0))
         args = (problem, StabilityParams(1.0, 1.0), [1.0, 0.01], cfg, 2)
         raised = _raised(noisy_rate_study, *args)
         assert raised == _raised(serial_study, *args)
@@ -295,10 +295,8 @@ class TestStackedStudyMatchesSerial:
         cfg = parse_config(Path(__file__).parents[1] / "configs"
                            / "benchmark_rates.ini")
         problem = _build_problem(cfg)
-        p, q = cfg.resolved_pq()
         deltas = cfg.rate_delta_list()
-        config = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, p=p, q=q,
-                              mu0=cfg.mu0,
+        config = SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, mu0=cfg.mu0,
                               step_decay_exponent=cfg.decay,
                               max_epochs=cfg.epochs, seed=cfg.solver_seed,
                               mode=cfg.mode, record_every=cfg.n_blocks,
@@ -403,7 +401,7 @@ class TestNonlinearRates:
 class TestDescentMarginAudit:
     def test_zero_violations_on_linear_benchmark(self):
         problem = build_benchmark(30, 0.9, 1.1, 0.0, n_blocks=5, seed=4)
-        cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5,
+        cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.5,
                            mode="theory", max_epochs=20, seed=0, record_every=1)
         constants = DescentConstants(p=2.0, gamma=0.0, L_max=problem.L_max,
                                      G_pstar=1.0)
@@ -417,7 +415,7 @@ class TestDescentMarginAudit:
 
     def test_inadmissible_step_detected(self):
         problem = build_benchmark(30, 0.9, 1.1, 0.0, n_blocks=5, seed=4)
-        cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=2.5,
+        cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=2.5,
                            mode="theory", max_epochs=5, seed=0, record_every=1)
         run = run_sgd(problem, problem.y_exact, cfg)
         constants = DescentConstants(p=2.0, gamma=0.0, L_max=problem.L_max,
@@ -432,7 +430,7 @@ class TestDescentMarginAudit:
         # so the audited slack equals
         # mu <g, x-truth> - mu^2 ||g||^2/2 - 2 margin mu psi_block exactly.
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.4,
+        cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.4,
                            mode="theory", max_epochs=4, seed=3, record_every=1)
         run = run_sgd(problem, problem.y_exact, cfg, collect_snapshots=True)
         constants = DescentConstants(p=2.0, gamma=0.0, L_max=problem.L_max,
@@ -472,7 +470,7 @@ class TestSeedAverageConvergence:
         # divergent step-sum schedule: the seed-averaged distance at the
         # final epoch drops below 1% of its initial value
         problem = build_benchmark(40, 0.9, 1.1, 0.0, n_blocks=5, seed=3)
-        cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5,
+        cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.5,
                            step_decay_exponent=0.2, mode="theory",
                            max_epochs=60, seed=0, record_every=None)
         finals, initials = [], []
@@ -487,7 +485,7 @@ class TestSeedAverageConvergence:
 class TestAuditPurity:
     def test_audit_does_not_mutate_and_is_reproducible(self):
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        cfg = SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.4,
+        cfg = SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.4,
                            mode="theory", max_epochs=5, seed=3, record_every=1)
         run = run_sgd(problem, problem.y_exact, cfg)
         before = [(rec.k, rec.psi, rec.bregman_to_truth) for rec in run.history]

@@ -31,6 +31,7 @@ from bsgd.solver import (
     a_priori_stop_index,
     check_step_admissibility,
     history_to_csv,
+    mode_exponents,
     run_landweber,
     run_seed_stack,
     run_sgd,
@@ -40,7 +41,7 @@ from bsgd.solver import (
 
 
 def hilbert_config(**kwargs):
-    defaults = dict(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.5, mode="theory",
+    defaults = dict(r_X=2.0, r_Y=2.0, mu0=0.5, mode="theory",
                     max_epochs=20, seed=0, record_every=1)
     defaults.update(kwargs)
     return SolverConfig(**defaults)
@@ -297,7 +298,7 @@ class TestRunSgd:
 
     def test_dual_primal_consistency(self):
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        cfg = SolverConfig(r_X=1.5, r_Y=2.0, p=2.0, q=2.0, mu0=0.05,
+        cfg = SolverConfig(r_X=1.5, r_Y=2.0, mu0=0.05,
                            mode="theory", max_epochs=10, seed=1, record_every=5)
         gx = cfg.geometry_x()
         run = run_sgd(problem, problem.y_exact, cfg, x0=0.01,
@@ -427,34 +428,37 @@ class TestHistoryCsv:
 
 
 class TestConfigValidation:
+    """The gauge powers come from the mode alone: no argument sets them."""
+
     def test_theory_mode_exponents_enforced(self):
-        with pytest.raises(ValueError, match="theory mode"):
-            SolverConfig(r_X=1.5, r_Y=2.0, p=1.5, q=1.5, mu0=0.1, mode="theory")
+        with pytest.raises(TypeError, match="'p'"):
+            SolverConfig(r_X=1.5, r_Y=2.0, p=1.5, mu0=0.1, mode="theory")
 
     def test_practice_mode_exponents_enforced(self):
-        with pytest.raises(ValueError, match="practice mode"):
-            SolverConfig(r_X=1.5, r_Y=2.0, p=2.0, q=2.0, mu0=0.1,
-                         mode="practice")
+        with pytest.raises(TypeError, match="'q'"):
+            SolverConfig(r_X=1.5, r_Y=2.0, q=2.0, mu0=0.1, mode="practice")
 
-    def test_make_fills_exponents(self):
-        cfg = SolverConfig.make("practice", r_X=1.1, r_Y=1.5, mu0=0.1)
-        assert cfg.p == 1.1 and cfg.q == 1.5
-        cfg = SolverConfig.make("theory", r_X=1.1, r_Y=1.5, mu0=0.1)
-        assert cfg.p == 2.0 and cfg.q == 2.0
+    @pytest.mark.parametrize("r_x", [1.1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mode", ["theory", "practice"])
+    def test_gauge_powers_follow_the_mode(self, mode, r_x):
+        cfg = SolverConfig(mode=mode, r_X=r_x, r_Y=1.3, mu0=0.1)
+        assert (cfg.p, cfg.q) == mode_exponents(mode, r_x, 1.3)
+        # replace derives them again from the new exponents
+        moved = dataclasses.replace(cfg, r_X=r_x + 1.0, r_Y=2.5)
+        assert (moved.p, moved.q) == mode_exponents(mode, r_x + 1.0, 2.5)
 
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
-            SolverConfig(r_X=2.0, r_Y=2.0, p=2.0, q=2.0, mu0=0.0)
+            SolverConfig(r_X=2.0, r_Y=2.0, mu0=0.0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"mu0": math.nan}, "step-size must be positive"),
         ({"step_decay_exponent": math.nan}, "decay exponent"),
-        ({"r_X": math.inf, "p": math.inf, "q": math.inf}, "r_X must exceed 1 and be finite"),
+        ({"r_X": math.inf}, "r_X must exceed 1 and be finite"),
     ])
     def test_nonfinite_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            SolverConfig(**{"r_X": 2.0, "r_Y": 2.0, "p": 2.0, "q": 2.0,
-                            "mu0": 0.5, **kwargs})
+            SolverConfig(**{"r_X": 2.0, "r_Y": 2.0, "mu0": 0.5, **kwargs})
 
 
 class TestSchlierenDeskScale:
@@ -464,9 +468,9 @@ class TestSchlierenDeskScale:
 
         problem = build_schlieren_problem(desk_radon, 6, desk_phantom)
         y = add_gaussian(problem.y_exact, 1e-2, seed=13)
-        cfg = SolverConfig.make("practice", r_X=1.5, r_Y=2.0, mu0=1.0,
-                                step_decay_exponent=0.2, max_epochs=50,
-                                seed=0, record_every=None)
+        cfg = SolverConfig(mode="practice", r_X=1.5, r_Y=2.0, mu0=1.0,
+                           step_decay_exponent=0.2, max_epochs=50,
+                           seed=0, record_every=None)
         run = run_sgd(problem, y, cfg, x0=0.01)
         assert not run.diverged
         assert run.best_metric < run.history[0].rel_l2_error
@@ -509,8 +513,8 @@ class TestNonFiniteAndDivergence:
                                    [GridVector(np.zeros(5))] * 4)
         y, block = self._spiked(problem, 7, 1e7)
         seed = self._late_seed(problem.n_blocks, block)
-        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
-                                max_epochs=1, seed=seed, record_every=1)
+        cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                           max_epochs=1, seed=seed, record_every=1)
         before = run_sgd(problem, y, cfg, x0=0.01)
         assert not before.diverged and len(before.history) == problem.n_blocks + 1
         with pytest.raises(ValueError, match="finite"):
@@ -525,8 +529,8 @@ class TestNonFiniteAndDivergence:
                                    [GridVector(np.zeros(5))] * 4)
         y, block = self._spiked(problem, 7, 4.0e3)
         seed = self._late_seed(problem.n_blocks, block)
-        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
-                                max_epochs=1, seed=seed, record_every=None)
+        cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                           max_epochs=1, seed=seed, record_every=None)
         before = run_sgd(problem, y, cfg, x0=0.01)
         assert not before.diverged and np.isfinite(before.final_x.values).all()
         with pytest.raises(ValueError, match="finite"):
@@ -728,9 +732,9 @@ class TestRawLoopMatchesWrapperOracle:
     def test_benchmark(self, algorithm, beta, mode, r):
         problem = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
         y = add_gaussian(problem.y_exact, 0.02, seed=17)
-        cfg = SolverConfig.make(mode, r_X=r, r_Y=r, mu0=0.4,
-                                step_decay_exponent=0.1, max_epochs=12,
-                                seed=5, record_every=3)
+        cfg = SolverConfig(mode=mode, r_X=r, r_Y=r, mu0=0.4,
+                           step_decay_exponent=0.1, max_epochs=12,
+                           seed=5, record_every=3)
         run = self._check(algorithm, problem, y, cfg, x0=0.01)
         assert not run.diverged and len(run.history) > 2
 
@@ -738,9 +742,9 @@ class TestRawLoopMatchesWrapperOracle:
     @pytest.mark.parametrize("r_x,r_y", [(1.1, 2.0), (1.5, 1.5)])
     def test_schlieren(self, algorithm, r_x, r_y, small_schlieren):
         y = add_gaussian(small_schlieren.y_exact, 0.01, seed=23)
-        cfg = SolverConfig.make("practice", r_X=r_x, r_Y=r_y, mu0=0.3,
-                                step_decay_exponent=0.2, max_epochs=6,
-                                seed=2, record_every=2)
+        cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=r_y, mu0=0.3,
+                           step_decay_exponent=0.2, max_epochs=6,
+                           seed=2, record_every=2)
         run = self._check(algorithm, small_schlieren, y, cfg, x0=0.01)
         assert not run.diverged and run.n_iterations > 0
 
@@ -815,9 +819,9 @@ def _check_stack_against_serial(monkeypatch, dim, beta, mode, r_x, r_y,
     other config gets None before any kernel call, which sends a study's
     rows to run_sgd one by one."""
     problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
-    cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=0.4,
-                            step_decay_exponent=decay, max_epochs=70,
-                            record_every=None)
+    cfg = SolverConfig(mode=mode, r_X=r_x, r_Y=r_y, mu0=0.4,
+                       step_decay_exponent=decay, max_epochs=70,
+                       record_every=None)
     rows, configs = _stack_inputs(problem, cfg, n_rows)
     calls = _count_kernel_calls(monkeypatch)
     stack = run_seed_stack(problem, rows, configs)
@@ -865,9 +869,9 @@ class TestSeedStack:
         # serial route logs about it once per seed; the stack must not log
         # it too, nor take a step
         problem = build_benchmark(dim, 0.9, 1.1, beta, n_blocks=5, seed=3)
-        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_y, mu0=2.0,
-                                step_decay_exponent=decay, max_epochs=70,
-                                record_every=None)
+        cfg = SolverConfig(mode=mode, r_X=r_x, r_Y=r_y, mu0=2.0,
+                           step_decay_exponent=decay, max_epochs=70,
+                           record_every=None)
         rows, configs = _stack_inputs(problem, cfg, 3)
         calls = _count_kernel_calls(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="bsgd.solver")
@@ -915,9 +919,9 @@ class TestSeedStack:
         # two of its (seed, block) chains undrawn
         problem = build_benchmark(41, 0.9, 1.1, 0.05, n_blocks=5, seed=3)
         stop = StoppingRule("a_priori", delta=0.1, gamma_budget=budget)
-        cfg = SolverConfig.make(mode, r_X=r_x, r_Y=r_x, mu0=0.5,
-                                step_decay_exponent=0.0, stopping=stop,
-                                record_every=None)
+        cfg = SolverConfig(mode=mode, r_X=r_x, r_Y=r_x, mu0=0.5,
+                           step_decay_exponent=0.0, stopping=stop,
+                           record_every=None)
         rows, configs = _stack_inputs(problem, cfg, 4)
         final_x, final_dual = run_seed_stack(problem, rows, configs)
         for s, (y, c) in enumerate(zip(rows, configs)):
@@ -1005,10 +1009,10 @@ class TestSeedStack:
                                       n_blocks=n_blocks,
                                       seed=int(rng.integers(100)))
             r_x = float(rng.choice([1.5, 2.0, 3.0, 4.0]))
-            cfg = SolverConfig.make("theory", r_X=r_x, r_Y=max(r_x, 2.0),
-                                    mu0=float(rng.uniform(0.1, 1.2)),
-                                    max_epochs=int(rng.integers(1, 600)),
-                                    record_every=None)
+            cfg = SolverConfig(mode="theory", r_X=r_x, r_Y=max(r_x, 2.0),
+                               mu0=float(rng.uniform(0.1, 1.2)),
+                               max_epochs=int(rng.integers(1, 600)),
+                               record_every=None)
             rows, configs = _stack_inputs(problem, cfg, int(rng.integers(1, 5)))
             caplog.clear()
             stack = run_seed_stack(problem, rows, configs)
@@ -1055,8 +1059,8 @@ class TestSeedStack:
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
         rows = [problem.y_exact, [GridVector(np.full(5, 1e7))] * 4]
-        cfg = SolverConfig.make("practice", r_X=1.02, r_Y=2.0, mu0=0.5,
-                                max_epochs=3, record_every=None)
+        cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
+                           max_epochs=3, record_every=None)
         configs = [dataclasses.replace(cfg, seed=s) for s in (1, 2)]
         with pytest.raises(ValueError, match="finite"):
             run_sgd(problem, rows[1], configs[1])
