@@ -45,7 +45,6 @@ from .solver import (
     StoppingRule,
     format_value,
     history_to_csv,
-    run_landweber,
     run_sgd,
 )
 
@@ -122,8 +121,7 @@ def _build_problem(cfg: RunConfig, shared: _SharedSetup | None = None):
     Schlieren build takes what it can from ``shared``."""
     if cfg.experiment == "benchmark":
         return build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
-                               n_blocks=cfg.n_blocks, seed=cfg.problem_seed,
-                               truth_scale=cfg.truth_scale)
+                               n_blocks=cfg.n_blocks, seed=cfg.problem_seed)
     if shared is None:
         shared = _SharedSetup()
     return shared.problem(cfg)
@@ -135,19 +133,17 @@ def _solver_config(cfg: RunConfig, delta: float, n_blocks: int) -> SolverConfig:
                                 gamma_budget=cfg.gamma_budget)
     else:
         stopping = StoppingRule(cfg.stopping)
-    record_every = cfg.record_every if cfg.record_every > 0 else \
-        (1 if cfg.algorithm == "landweber" else n_blocks)
     return SolverConfig(r_X=cfg.r_x, r_Y=cfg.r_y, mu0=cfg.mu0,
                         step_decay_exponent=cfg.decay, max_epochs=cfg.epochs,
                         seed=cfg.solver_seed, stopping=stopping, mode=cfg.mode,
-                        record_every=record_every)
+                        record_every=cfg.record_every or n_blocks)
 
 
 def _write_geometry_sidecar(problem, path: Path) -> None:
     lines = [
         f"n_angles = {problem.system.n_angles}",
         f"n_detectors = {problem.system.n_detectors}",
-        "angles = " + ",".join(repr(a) for a in problem.system.angles),
+        "angles = " + ",".join(map(format_value, problem.system.angles)),
     ]
     for i, batch in enumerate(problem.batches):
         lines.append(f"batch_{i} = " + ",".join(str(a) for a in batch))
@@ -164,11 +160,10 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
     out.mkdir(parents=True, exist_ok=True)
     y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
                         cfg.noise_seed)
-    deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
+    _, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
     solver_cfg = _solver_config(cfg, delta, problem.n_blocks)
-    runner = run_landweber if cfg.algorithm == "landweber" else run_sgd
-    run = runner(problem, y_obs, solver_cfg, x0=cfg.x0)
+    run = run_sgd(problem, y_obs, solver_cfg, x0=cfg.x0)
 
     history_to_csv(run.history, out / "history.csv", run.iters_per_epoch)
     write_array(out / "best.bsgd", run.best_x)
@@ -180,7 +175,6 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
         "gamma_hat": problem.gamma,
         "L_max_hat": problem.L_max,
         "delta": delta,
-        "delta_max_block": max(deltas),
         "k_delta": run.n_iterations if cfg.stopping == "a_priori" else "",
         "n_iterations": run.n_iterations,
         "best_iteration": run.best_k,
@@ -280,8 +274,7 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
         raise ValueError("rate studies run on the benchmark experiment")
     deltas = cfg.rate_delta_list()
     # both studies run SGD from 0 and set their own stopping rules
-    for key, value, want in (("algorithm", cfg.algorithm, "sgd"),
-                             ("x0", cfg.x0, 0.0),
+    for key, value, want in (("x0", cfg.x0, 0.0),
                              ("stopping", cfg.stopping, "max_epochs")):
         if value != want:
             raise ValueError(f"rate studies need [solver] {key} = {want}, "

@@ -53,13 +53,10 @@ class RunConfig:
     beta: float = _entry("problem", 0.0)
     n_blocks: int = _entry("problem", 5, low=1)
     problem_seed: int = _entry("problem", 0, low=0)
-    truth_scale: float = _entry("problem", 1.0)
     phantom_kind: str = _entry("phantom", "sparse_blobs", key="kind", only=True)
-    n_blobs: int = _entry("phantom", 4)
+    n_blobs: int = _entry("phantom", 4, low=0)
     amplitude: float = _entry("phantom", 1.0)
     phantom_seed: int = _entry("phantom", 7, key="seed", low=0)
-    phantom_background: float = _entry("phantom", 0.0, key="background",
-                                      only=True)
     phantom_path: str = _entry("phantom", "", key="path")
     # the mode gives the gauge powers (p, q), see solver.mode_exponents
     r_x: float = _entry("space", 2.0)
@@ -70,7 +67,7 @@ class RunConfig:
     kappa: float = _entry("noise", 0.0)
     noise_seed: int = _entry("noise", 99, key="seed", low=0)
     # mu0 must be set; record_every = 0 means "once per epoch"
-    algorithm: str = _entry("solver", "sgd")
+    algorithm: str = _entry("solver", "sgd", only=True)
     mu0: float = _entry("solver", 0.0)
     decay: float = _entry("solver", 0.0, low=0.0)
     epochs: int = _entry("solver", 100, low=1)
@@ -101,8 +98,6 @@ class RunConfig:
                                  f"{format_value(f.default)}, got {value!r}")
         if self.experiment not in ("schlieren", "benchmark"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.algorithm not in ("sgd", "landweber"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stopping not in ("max_epochs", "a_priori"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
         mode_exponents(self.mode, self.r_x, self.r_y)  # rejects an unknown mode
@@ -115,14 +110,18 @@ class RunConfig:
         if self.experiment == "schlieren" and self.n_angles % self.batch_size:
             raise ValueError(f"[problem] batch_size {self.batch_size} must "
                              f"divide n_angles = {self.n_angles}")
+        if self.experiment == "benchmark" and not 0 < self.diag_min <= self.diag_max:
+            raise ValueError(f"[problem] diag_min and diag_max need 0 < diag_min "
+                             f"<= diag_max, got {self.diag_min}, {self.diag_max}")
         self.rate_delta_list()
-        positive = {"[estimates] ball_radius": self.gamma_ball_radius,
-                    "[rates] gamma_budget": self.rate_gamma_budget}
+        above = {"[space] r_x": (self.r_x, 1), "[space] r_y": (self.r_y, 1),
+                 "[estimates] ball_radius": (self.gamma_ball_radius, 0),
+                 "[rates] gamma_budget": (self.rate_gamma_budget, 0)}
         if self.stopping == "a_priori":  # max_epochs never reads it
-            positive["[solver] gamma_budget"] = self.gamma_budget
-        for where, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{where} must be > 0, got {value}")
+            above["[solver] gamma_budget"] = (self.gamma_budget, 0)
+        for where, (value, bound) in above.items():
+            if not value > bound:
+                raise ValueError(f"{where} must be > {bound}, got {value}")
         if self.mu0 <= 0:
             raise ValueError(f"[solver] mu0 must be set > 0, got {self.mu0}")
 

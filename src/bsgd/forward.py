@@ -165,6 +165,14 @@ class ForwardProblem:
         if x.shape != self.domain_shape:
             raise ValueError(f"point shape {x.shape} != domain shape {self.domain_shape}")
 
+    @staticmethod
+    def _data_values(g, shape) -> np.ndarray:
+        """The entries of data block ``g``, checked to have ``shape``."""
+        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
+        if gv.shape != shape:
+            raise ValueError(f"data block shape {gv.shape} != {shape}")
+        return gv
+
 
 class SchlierenProblem(ForwardProblem):
     """The Schlieren operator (R_k x)^2 with one block per batch k of ``system``."""
@@ -180,15 +188,6 @@ class SchlierenProblem(ForwardProblem):
     def block_forward(self, i, x):
         proj = self.system.project_batch(i, x)
         return proj * proj
-
-    def stacked_forward(self, x):
-        # one row per batch product, squared in one pass
-        out = np.empty((self.system.n_angles, self.system.n_detectors))
-        row = 0
-        for i, batch in enumerate(self.batches):
-            out[row:row + len(batch)] = self.system.project_batch(i, x)
-            row += len(batch)
-        return np.multiply(out, out, out=out).ravel()
 
     def derivative_apply(self, i, x, h, *, px: np.ndarray | None = None):
         """Derivative action 2 * (R x) * (R h), stacked over batch i.
@@ -212,10 +211,7 @@ class SchlierenProblem(ForwardProblem):
         self._check_block(i)
         self._check_point(x)
         batch = self.system.batches[i]
-        n_det = self.system.n_detectors
-        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
-        if gv.shape != (len(batch), n_det):
-            raise ValueError(f"data block shape {gv.shape} != {(len(batch), n_det)}")
+        gv = self._data_values(g, (len(batch), self.system.n_detectors))
         if px is None:
             px = self.system.project_batch(i, x.values)
         # accumulated angle by angle in batch order, from the first angle's
@@ -282,13 +278,16 @@ class BenchmarkProblem(ForwardProblem):
 
     def derivative_apply(self, i, x, h):
         self._check_block(i)
+        self._check_point(x)
+        self._check_point(h)
         idx, d = self._blocks[i]
         return GridVector(self._slope(d, x.values[idx]) * h.values[idx])
 
     def adjoint_apply(self, i, x, g):
         self._check_block(i)
+        self._check_point(x)
         idx, d = self._blocks[i]
-        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
+        gv = self._data_values(g, idx.shape)
         out = np.zeros(self.dim)
         out[idx] = self._slope(d, x.values[idx]) * gv
         return DualVector(out)

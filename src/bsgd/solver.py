@@ -58,7 +58,6 @@ __all__ = [
     "SGDRun",
     "stochastic_gradient",
     "step_schedule",
-    "schedule_prefix",
     "check_step_admissibility",
     "a_priori_stop_index",
     "run_sgd",
@@ -228,13 +227,6 @@ def step_schedule(mu0: float, decay: float, k: int) -> float:
     return mu0 * float(k) ** (-decay)
 
 
-def schedule_prefix(mu0: float, decay: float, n: int) -> np.ndarray:
-    """The first n step-sizes mu_1, ..., mu_n."""
-    if n < 1:
-        raise ValueError("need at least one step")
-    return mu0 * np.arange(1, n + 1, dtype=np.float64) ** (-decay)
-
-
 def check_step_admissibility(mu_list, gamma: float, L_max: float, G_pstar: float,
                              p_star: float, omega: float | None = None
                              ) -> tuple[bool, float]:
@@ -358,15 +350,15 @@ def _total_iterations(config: SolverConfig, iters_per_epoch: int) -> int:
     return config.max_epochs * iters_per_epoch
 
 
-def _warn_if_inadmissible(problem, config: SolverConfig, total: int) -> None:
+def _warn_if_inadmissible(problem, config: SolverConfig) -> None:
     gx = config.geometry_x()
     gamma = problem.gamma
     if gamma is None or problem.L_max is None or gx.G_pstar is None:
         logger.debug("admissibility not checkable (missing gamma, L_max, or "
                      "smoothness constant); proceeding")
         return
-    mu_head = schedule_prefix(config.mu0, config.step_decay_exponent, min(total, 4))
-    ok, margin = check_step_admissibility(mu_head, gamma, problem.L_max,
+    # the margin falls as mu grows, and mu_1 = mu0 is the largest step
+    ok, margin = check_step_admissibility([config.mu0], gamma, problem.L_max,
                                           gx.G_pstar, gx.p_star)
     if not ok:
         logger.warning(
@@ -395,7 +387,7 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
     guard = _DIVERGENCE_FACTOR * max(1.0, float(np.max(np.abs(xi0.values))))
 
     total = _total_iterations(config, iters_per_epoch)
-    _warn_if_inadmissible(problem, config, max(total, 1))
+    _warn_if_inadmissible(problem, config)
 
     # raw arrays from here on; rel is the relative error of the current x
     x, xi = x0.values, xi0.values
@@ -548,7 +540,7 @@ def run_seed_stack(problem, y_obs_rows, configs) -> tuple[np.ndarray, np.ndarray
             and config.step_decay_exponent == 0.0):
         return None
     total = _total_iterations(config, N)
-    _warn_if_inadmissible(problem, config, max(total, 1))
+    _warn_if_inadmissible(problem, config)
 
     # idx, diag and data tables; a result row has one scratch entry (index
     # dim) for the padding of short blocks

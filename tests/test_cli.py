@@ -12,6 +12,7 @@ import bsgd
 import bsgd.cli
 from bsgd.array_io import read_array
 from bsgd.cli import main
+from bsgd.radon import build_radon
 from bsgd.solver import a_priori_stop_index, mode_exponents
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,9 +138,13 @@ class TestCmdRun:
                      "--out", str(out), "--quiet"]) == 0
         for path in run_artifacts(out):
             assert path.exists()
-        assert (out / "geometry.txt").exists()
         recon = read_array(out / "best.bsgd")
         assert recon.shape == (16, 16)
+        # the angles read back as floats, with every bit
+        entries = dict(line.split(" = ", 1) for line in
+                       (out / "geometry.txt").read_text().splitlines())
+        angles = [float(a) for a in entries["angles"].split(",")]
+        assert angles == build_radon((16, 16), 10, 23).angles.tolist()
 
     def test_bitwise_deterministic_rerun(self, schlieren_cfg, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -192,6 +197,7 @@ class TestCmdRun:
         ("mu0 = 5e-3", "mu0 = nan"),
         ("[solver]\n", "[solver]\ndecay = nan\n"),
         ("r_x = 1.5", "r_x = inf"),
+        ("r_x = 1.5", "r_x = 1.0"),
         # the mode gives the gauge powers: no key sets them, not even to
         # the mode's own values (practice at r_x = 1.1, r_y = 2 gives these)
         ("mode = practice", "mode = practice\np = 2.0\nq = 2.0"),
@@ -215,7 +221,9 @@ class TestCmdRun:
         ("[solver]\n", "[rates]\nn_seeds = 0\n\n[solver]\n"),
         ("[solver]\n", "[rates]\ndeltas = nan,1e-2,1e-3\n\n[solver]\n"),
         ("[phantom]\n", "[phantom]\nkind = checkerboard\n"),
+        # deleted keys: no run read them
         ("[phantom]\n", "[phantom]\nbackground = 1.0\n"),
+        ("[problem]\n", "[problem]\ntruth_scale = 2.0\n"),
         ("[phantom]\n", "[phantom]\npath = no_such_phantom.bsgd\n"),
         ("[problem]\n", "[problem]\nproblem_seed = -1\n"),
         # the [noise] and [solver] seeds
@@ -468,6 +476,22 @@ class TestCmdSweep:
         assert "--values repeats 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ("2:2,1.0:2", "[space] r_x must be > 1, got 1.0"),
+        ("2:2,2:1.0", "[space] r_y must be > 1, got 1.0"),
+    ])
+    def test_bad_space_exponent_fails_before_any_cell(self, schlieren_cfg,
+                                                      tmp_path, capsys,
+                                                      monkeypatch, values,
+                                                      message):
+        monkeypatch.setattr("bsgd.cli.execute_run", _must_not_run)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(schlieren_cfg), "--out", str(out),
+                     "--axis", "space_exponent", "--values", values,
+                     "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_batch_size_fails_before_out_exists(self, schlieren_cfg,
                                                     tmp_path, capsys):
         # 5 divides the config's 10 angles, 3 does not
@@ -537,8 +561,9 @@ class TestCmdRates:
 
     @pytest.mark.parametrize("old, new, message", [
         ("x0 = 0.0", "x0 = 0.5", "[solver] x0 = 0.0, got 0.5"),
+        # the CLI runs SGD only: the key fails at parse
         ("x0 = 0.0", "x0 = 0.0\nalgorithm = landweber",
-         "[solver] algorithm = sgd, got landweber"),
+         "[solver] algorithm accepts only sgd, got 'landweber'"),
         ("[solver]\n", A_PRIORI_SECTIONS,
          "[solver] stopping = max_epochs, got a_priori"),
     ])
@@ -638,18 +663,19 @@ class TestCmdPhantom:
 
 
 class TestLandweberAlgorithm:
-    def test_landweber_run_from_config(self, schlieren_cfg, tmp_path):
-        text = schlieren_cfg.read_text().replace(
-            "[solver]\nmu0 = 5e-3", "[solver]\nalgorithm = landweber\nmu0 = 5e-3")
-        cfg2 = tmp_path / "lw.ini"
-        cfg2.write_text(text)
+    """The CLI runs SGD only; Landweber is a library baseline."""
+
+    def test_landweber_config_fails_before_out_exists(self, schlieren_cfg,
+                                                       tmp_path, capsys):
+        path = tmp_path / "lw.ini"
+        path.write_text(schlieren_cfg.read_text().replace(
+            "[solver]\nmu0 = 5e-3", "[solver]\nalgorithm = landweber\nmu0 = 5e-3"))
         out = tmp_path / "lw"
-        assert main(["run", "--config", str(cfg2), "--out", str(out),
-                     "--quiet"]) == 0
-        rows = (out / "history.csv").read_text().strip().splitlines()
-        # one Landweber iteration per epoch: 10 epochs + the k = 0 row
-        assert len(rows) == 12
-        assert ",," in rows[2]  # batch column empty for full-gradient steps
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "[solver] algorithm accepts only sgd, got 'landweber'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLogLevel:

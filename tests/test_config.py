@@ -75,6 +75,8 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[solver]\nmu0 = nan\n", r"\[solver\] mu0 must be finite, got nan"),
     ("[solver]\ndecay = nan\n", r"\[solver\] decay must be finite"),
     ("[space]\nr_x = inf\n", r"\[space\] r_x must be finite, got inf"),
+    ("[space]\nr_x = 1.0\n", r"\[space\] r_x must be > 1, got 1.0"),
+    ("[space]\nr_y = 0.5\n", r"\[space\] r_y must be > 1, got 0.5"),
     ("[estimates]\nball_radius = -inf\n", r"\[estimates\] ball_radius must be finite"),
     # no key sets the gauge powers, whatever their value
     ("[space]\nr_x = 1.1\np = 2.0\nq = 2.0\n", r"unknown key 'p' in config section \[space\]"),
@@ -100,7 +102,15 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[rates]\ndeltas = 1e-1,inf\n", r"\[rates\] deltas must list"),
     ("[rates]\ndeltas = 1e-1,0.0\n", r"\[rates\] deltas must list"),
     ("[phantom]\nkind = checkerboard\n", r"\[phantom\] kind accepts only sparse_blobs"),
-    ("[phantom]\nbackground = 1.0\n", r"\[phantom\] background accepts only 0.0"),
+    ("[phantom]\nn_blobs = -1\n", r"\[phantom\] n_blobs must be >= 0, got -1"),
+    ("[solver]\nalgorithm = landweber\n",
+     r"\[solver\] algorithm accepts only sgd, got 'landweber'"),
+    # the benchmark reads the diagonal range, and a Schlieren run does not
+    ("[experiment]\nkind = benchmark\n[problem]\ndiag_min = -1.0\n",
+     r"\[problem\] diag_min and diag_max need 0 < diag_min <= diag_max, got -1.0, 1.1"),
+    ("[experiment]\nkind = benchmark\n[problem]\ndiag_min = 1.2\n",
+     r"\[problem\] diag_min and diag_max need 0 < diag_min <= diag_max, got 1.2, 1.1"),
+    ("[problem]\ndiag_min = -1.0\n", r"\[solver\] mu0 must be set > 0"),
     ("[problem]\nproblem_seed = -1\n", r"\[problem\] problem_seed must be >= 0"),
     ("[phantom]\nseed = -1\n", r"\[phantom\] seed must be >= 0"),
     ("[noise]\nseed = -1\n", r"\[noise\] seed must be >= 0"),
@@ -142,6 +152,9 @@ def test_rate_delta_list_parsing():
     ("[solver]\nepoch = 5\n", r"'epoch'.*\[solver\]"),
     ("[solver]\nmu_0 = 3\n", r"'mu_0'.*\[solver\]"),
     ("[solvr]\nepochs = 5\n", r"section \[solvr\]"),
+    # deleted keys: no run read them
+    ("[phantom]\nbackground = 1.0\n", r"'background'.*\[phantom\]"),
+    ("[problem]\ntruth_scale = 2.0\n", r"'truth_scale'.*\[problem\]"),
 ])
 def test_unknown_keys_and_sections_rejected(text, message):
     with pytest.raises(ValueError, match=message):
@@ -149,9 +162,8 @@ def test_unknown_keys_and_sections_rejected(text, message):
 
 
 # str fields that RunConfig checks against a fixed set of names
-_OTHER_NAMES = {"experiment": "benchmark", "algorithm": "landweber",
-                "stopping": "a_priori", "noise_kind": "gaussian",
-                "mode": "theory"}
+_OTHER_NAMES = {"experiment": "benchmark", "stopping": "a_priori",
+                "noise_kind": "gaussian", "mode": "theory"}
 
 
 def _other_value(f):

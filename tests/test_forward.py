@@ -246,6 +246,20 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="shape"):
             problem.apply_block(0, GridVector(np.ones(13)))
 
+    # on the 40-dim problem in 5 blocks, block 0 holds 8 entries
+    @pytest.mark.parametrize("operator, x_dim, arg, message", [
+        ("adjoint_apply", 40, np.ones(1), r"data block shape \(1,\) != \(8,\)"),
+        ("adjoint_apply", 40, np.ones(9), r"data block shape \(9,\) != \(8,\)"),
+        ("adjoint_apply", 50, np.ones(8), r"point shape \(50,\)"),
+        ("derivative_apply", 50, GridVector(np.ones(40)), r"point shape \(50,\)"),
+        ("derivative_apply", 40, GridVector(np.ones(50)), r"point shape \(50,\)"),
+    ])
+    def test_operators_reject_misshaped_points_and_data(self, operator, x_dim,
+                                                         arg, message):
+        problem = build_benchmark(40, 0.9, 1.1, 0.0, n_blocks=5, seed=0)
+        with pytest.raises(ValueError, match=message):
+            getattr(problem, operator)(0, GridVector(np.ones(x_dim)), arg)
+
 
 @pytest.mark.parametrize("beta", [0.02, 0.05])
 class TestBenchmarkCertificates:
@@ -585,7 +599,8 @@ class TestStackedForward:
     def test_schlieren_makes_one_product_per_batch(self, desk_schlieren,
                                                    monkeypatch):
         x = desk_schlieren.x_truth.values + 0.01
-        want = ForwardProblem.stacked_forward(desk_schlieren, x)
+        want = np.concatenate([desk_schlieren.block_forward(i, x).ravel()
+                               for i in range(desk_schlieren.n_blocks)])
         batch_calls = _count_projections(monkeypatch)
         got = desk_schlieren.stacked_forward(x)
         assert batch_calls == list(range(desk_schlieren.n_blocks))
