@@ -11,11 +11,12 @@ desk sweep nearly twice as slow as one (2-core Xeon).
 
 A sweep's Schlieren cells share one build (``_SharedSetup``): while the
 config fields it reads stay the same (``_setup_inputs``), a cell takes the
-previous cell's phantom, Radon system and L_max, and gamma is estimated
-once per r_Y.  Each cell still makes its own problem over the shared
-system, so its exact data, and every output byte, are those of a run
-built on its own.  A sweep value that does not parse or that repeats, and
-a ``[phantom] path`` that cannot be read, fail before ``--out`` is made.
+previous cell's phantom, Radon system and L_max, and one gamma estimate
+serves every r_Y of the cells that share a build.  Each cell still makes
+its own problem over the shared system, so its exact data, and every
+output byte, are those of a run built on its own.  A sweep value that
+does not parse or that repeats, and a ``[phantom] path`` that cannot be
+read, fail before ``--out`` is made.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import rates as rates_mod
 from .array_io import read_array, write_array
@@ -82,13 +85,14 @@ def _setup_inputs(cfg: RunConfig) -> tuple:
 
 
 class _SharedSetup:
-    """The Schlieren setup that one command's runs share: the phantom, the
-    Radon system and L_max of the last build, kept while its
-    ``_setup_inputs`` stay the same, and gamma for each r_Y met on them.
-    A new set of inputs drops the old setup before it builds, so one
-    system is held at a time."""
+    """The Schlieren setup that one command's runs (``cells``) share: the
+    phantom, the Radon system and L_max of the last build, kept while its
+    ``_setup_inputs`` stay the same, and gamma for each r_Y of the cells
+    built on them, from one estimate.  A new set of inputs drops the old
+    setup before it builds, so one system is held at a time."""
 
-    def __init__(self):
+    def __init__(self, cells):
+        self.cells = tuple(cells)
         self.inputs = self.phantom = self.system = self.L_max = None
         self.gamma = {}  # r_Y -> gamma
 
@@ -104,9 +108,11 @@ class _SharedSetup:
         problem = build_schlieren_problem(self.system, cfg.batch_size,
                                           self.phantom)
         if cfg.r_y not in self.gamma:
-            self.gamma[cfg.r_y] = estimate_tcc_gamma(
+            r_ys = tuple(dict.fromkeys(
+                c.r_y for c in self.cells + (cfg,) if _setup_inputs(c) == inputs))
+            self.gamma.update(zip(r_ys, estimate_tcc_gamma(
                 problem, self.phantom, cfg.gamma_ball_radius,
-                cfg.gamma_samples, cfg.estimate_seed, r_Y=cfg.r_y)
+                cfg.gamma_samples, cfg.estimate_seed, r_Y=r_ys)))
         if self.L_max is None:
             self.L_max = estimate_lipschitz_Lmax(
                 problem, self.phantom, cfg.gamma_ball_radius,
@@ -123,7 +129,7 @@ def _build_problem(cfg: RunConfig, shared: _SharedSetup | None = None):
         return build_benchmark(cfg.dim, cfg.diag_min, cfg.diag_max, cfg.beta,
                                n_blocks=cfg.n_blocks, seed=cfg.problem_seed)
     if shared is None:
-        shared = _SharedSetup()
+        shared = _SharedSetup([cfg])
     return shared.problem(cfg)
 
 
@@ -160,9 +166,12 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
     out.mkdir(parents=True, exist_ok=True)
     y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
                         cfg.noise_seed)
-    _, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
+    deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
     solver_cfg = _solver_config(cfg, delta, problem.n_blocks)
+    # the noise in the outer-l^q product norm that history's residual takes
+    q = solver_cfg.q
+    noise_product_norm = float(np.sum(np.array(deltas) ** q) ** (1.0 / q))
     run = run_sgd(problem, y_obs, solver_cfg, x0=cfg.x0)
 
     history_to_csv(run.history, out / "history.csv", run.iters_per_epoch)
@@ -175,6 +184,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
         "gamma_hat": problem.gamma,
         "L_max_hat": problem.L_max,
         "delta": delta,
+        "noise_product_norm": noise_product_norm,
         "k_delta": run.n_iterations if cfg.stopping == "a_priori" else "",
         "n_iterations": run.n_iterations,
         "best_iteration": run.best_k,
@@ -253,7 +263,7 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
                          f"is one cell and one output directory")
     cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
     out = Path(out_dir)
-    shared = _SharedSetup()
+    shared = _SharedSetup(cell_cfg for _, cell_cfg in cells)
     results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True,
                            shared=shared)
                for tok, cell_cfg in cells]

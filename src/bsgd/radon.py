@@ -13,6 +13,9 @@ pixel's shadow on sigma, widened by a rounding margin of ``_BAND_MARGIN``
 detector spacings (the argument is at ``_angle_entries``).  The length
 cutoff still decides which entries exist, so the matrices equal those of
 clipping every pair, and no dense detectors x pixels table is formed.
+Each kept entry is written once, straight into its batch's final
+``data``/``indices`` arrays, which are sized from a bound on the
+candidates and shrunk in place when the batch is full (``build_radon``).
 
 Products call scipy's compiled ``csr_matvec``/``csc_matvec`` directly, loaded
 once from its ``_sparsetools`` extension file (``_sparsetools``).  ``@``'s
@@ -31,8 +34,8 @@ The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
 a batch projects with one sparse product, and that is the only projection
 there is.  ``RadonSystem.regrouped`` restacks a system built in other
-batches; ``_batch_matrix`` stacks every batch CSR, built or regrouped, so
-the two give the same bytes.  The per-angle matrices are zero-copy views
+batches (``_batch_matrix``) into the bytes that ``build_radon`` writes for
+those batches.  The per-angle matrices are zero-copy views
 into the batch arrays: slices of ``data``/``indices`` with a rebased
 ``indptr``.  An angle back-projects with ``csc_matvec`` on its CSR arrays,
 which are the CSC arrays of its transpose.
@@ -41,6 +44,7 @@ which are the CSC arrays of its transpose.
 from __future__ import annotations
 
 import importlib.util
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -224,8 +228,15 @@ def _sparsetools():
     return module
 
 
-def _slab_interval(p0, direction, lo, hi):
-    """t-interval where p0 + t*direction lies in [lo, hi) (one coordinate).
+def _clip_to_slab(p0, direction, lo, hi, t_in, t_out, end):
+    """Narrow each ray's t-interval [t_in, t_out] to where p0 + t*direction
+    lies in the slab [lo, hi) of one coordinate; ``end`` is scratch.
+
+    Each end is ``(bound - p0) / direction``.  As lo < hi and rounding is
+    monotone, the end from ``lo`` is where the ray enters the slab when
+    direction > 0 and where it leaves when direction < 0, so the two ends
+    need no comparison, and the interval has the bits of the intersection
+    of the slabs' (minimum, maximum) intervals.
 
     The degenerate (edge-parallel) branch is half-open, but that does not make
     a ray lying on a shared pixel edge count in exactly one pixel: callers pass
@@ -233,17 +244,45 @@ def _slab_interval(p0, direction, lo, hi):
     floating point, so such a ray may count in both pixels or in neither.
     """
     if abs(direction) > 1e-15:
-        t1 = (lo - p0) / direction
-        t2 = (hi - p0) / direction
-        return np.minimum(t1, t2), np.maximum(t1, t2)
-    inside = (p0 >= lo) & (p0 < hi)
-    tmin = np.where(inside, -np.inf, np.inf)
-    tmax = np.where(inside, np.inf, -np.inf)
-    return tmin, tmax
+        for bound, enters in ((lo, direction > 0), (hi, direction < 0)):
+            np.subtract(bound, p0, out=end)
+            end /= direction
+            if enters:
+                np.maximum(t_in, end, out=t_in)
+            else:
+                np.minimum(t_out, end, out=t_out)
+        return
+    # a ray along the slab is inside it at every t or at none
+    np.copyto(t_in, np.inf, where=(p0 < lo) | (p0 >= hi))
 
 
-def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
-    """One angle's CSR (data, indices) and its per-detector entry counts.
+class _Scratch:
+    """The arrays one angle's assembly works in, made once per build for a
+    table of ``per_pixel`` candidate slots (rows) of ``n_pix`` pixels
+    (columns).  Arrays made afresh at every angle are handed back to the
+    system when freed and faulted in again at the next angle: at full
+    scale, four times the page faults that the output arrays take."""
+
+    def __init__(self, n_pix: int, per_pixel: int):
+        shape, size = (per_pixel, n_pix), n_pix * per_pixel
+        self.offsets = np.arange(per_pixel)[:, None]
+        self.slots = np.arange(size)
+        self.det = np.empty(shape, dtype=np.intp)
+        self.real = np.empty(shape, dtype=bool)
+        self.t = np.empty((4,) + shape)
+        self.kept = np.empty((n_pix, per_pixel), dtype=bool)
+        self.det_by_pixel = np.empty((n_pix, per_pixel), dtype=np.intp)
+        self.places = np.empty(size, dtype=np.intp)
+        self.kept_det = np.empty(size, dtype=np.intp)
+
+
+def _angle_entries(theta, detector_s, pixels, work: _Scratch,
+                   data, indices, row_counts) -> int:
+    """Write one angle's CSR entries into the starts of ``data`` and
+    ``indices`` and its per-detector entry counts into ``row_counts``;
+    returns the entry count.  ``pixels`` holds the pixels' slab bounds
+    (x_lo, x_hi, y_lo, y_hi), then x_lo + x_hi, y_lo + y_hi, x_hi - x_lo
+    and y_hi - y_lo.
 
     Candidates are the detectors in the pixel's shadow [u - w, u + w] on
     sigma, widened by ``_BAND_MARGIN`` spacings.  No pair with an entry is
@@ -252,33 +291,88 @@ def _angle_entries(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
     arithmetic is accurate to about 1e-16/|direction|.  So a pair whose
     computed length exceeds ``_LENGTH_CUTOFF`` has its detector in the
     shadow up to about 1e-13 spacings, far inside the margin.  The margin
-    also keeps a ray lying on a pixel edge, which ``_slab_interval`` may
+    also keeps a ray lying on a pixel edge, which ``_clip_to_slab`` may
     count in both pixels it separates.
+
+    A pixel's candidates are the detectors first, first + 1, ..., last of
+    its shadow: slot j of its column in the scratch table holds detector
+    first + j, and the slots past last are not real (``build_radon``
+    bounds the candidates by the column length).
     """
+    (x_lo, x_hi, y_lo, y_hi), (x_sum, y_sum, x_width, y_width) = pixels
+    n_det, (per_pixel, n_pix) = detector_s.size, work.det.shape
     c, s = np.cos(theta), np.sin(theta)
-    n_det, n_pix = detector_s.size, x_lo.size
     ds = 2.0 / n_det
-    u = 0.5 * ((x_lo + x_hi) * c + (y_lo + y_hi) * s)
-    w = 0.5 * ((x_hi - x_lo) * abs(c) + (y_hi - y_lo) * abs(s))
-    lo = (u - w - detector_s[0]) / ds - _BAND_MARGIN
-    hi = (u + w - detector_s[0]) / ds + _BAND_MARGIN
-    first = np.clip(np.ceil(lo), 0, n_det).astype(np.intp)
-    last = np.clip(np.floor(hi), -1, n_det - 1).astype(np.intp)
-    counts = np.maximum(last - first + 1, 0)
-    pix = np.repeat(np.arange(n_pix), counts)
-    det = np.arange(pix.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    # ray: (detector_s*c, detector_s*s) + t*(-s, c); direction is unit length
-    tx_lo, tx_hi = _slab_interval((detector_s * c)[det], -s, x_lo[pix], x_hi[pix])
-    ty_lo, ty_hi = _slab_interval((detector_s * s)[det], c, y_lo[pix], y_hi[pix])
-    lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
-    keep = np.flatnonzero(lengths > _LENGTH_CUTOFF)
-    kept_det = det[keep]
-    # CSR order (detector, pixel).  A stable sort gives one permutation for
-    # any key dtype, and numpy's is a radix sort for keys of 16 bits or less.
-    key = kept_det.astype(np.min_scalar_type(n_det - 1))
-    keep = keep[np.argsort(key, kind="stable")]
-    return (lengths[keep], pix[keep].astype(np.int32),
-            np.bincount(kept_det, minlength=n_det))
+    t_in, t_out, p0, end = work.t
+    u, w, lo = t_in[0], t_out[0], end[0]
+    # u = 0.5 (x_sum c + y_sum s) and w = 0.5 (x_width |c| + y_width |s|)
+    np.multiply(x_sum, c, out=u)
+    u += np.multiply(y_sum, s, out=w)
+    u *= 0.5
+    np.multiply(x_width, abs(c), out=w)
+    w += np.multiply(y_width, abs(s), out=lo)
+    w *= 0.5
+    # lo = (u - w - s_0)/ds - margin, and hi = (u + w - s_0)/ds + margin in u
+    np.subtract(u, w, out=lo)
+    lo -= detector_s[0]
+    lo /= ds
+    lo -= _BAND_MARGIN
+    u += w
+    u -= detector_s[0]
+    u /= ds
+    u += _BAND_MARGIN
+    first = np.clip(np.ceil(lo, out=lo), 0, n_det, out=lo)
+    last = np.clip(np.floor(u, out=u), -1, n_det - 1, out=u)
+    det = np.add(first, work.offsets, out=work.det, casting="unsafe")
+    real = np.less_equal(det, last, out=work.real)
+    # ray: (detector_s*c, detector_s*s) + t*(-s, c); direction is unit length.
+    # A slot past the detectors reads the last one; it is not real.
+    t_in.fill(-np.inf)
+    t_out.fill(np.inf)
+    for p0_det, direction, bound_lo, bound_hi in ((detector_s * c, -s, x_lo, x_hi),
+                                                  (detector_s * s, c, y_lo, y_hi)):
+        np.take(p0_det, det, out=p0, mode="clip")
+        _clip_to_slab(p0, direction, bound_lo, bound_hi, t_in, t_out, end)
+    # the lengths in pixel order: slot j of pixel p at p * per_pixel + j
+    lengths = end.reshape(n_pix, per_pixel)
+    np.subtract(t_out, t_in, out=lengths.T)
+    kept = np.greater(lengths, _LENGTH_CUTOFF, out=work.kept)
+    kept &= real.T
+    np.copyto(work.det_by_pixel.T, det)
+    # the kept slots in pixel order, then stably by detector: CSR order
+    # (detector, pixel).  numpy's stable sort is a radix sort for keys of
+    # 16 bits or less.
+    n = int(np.count_nonzero(kept))
+    places = np.compress(kept.reshape(-1), work.slots, out=work.places[:n])
+    kept_det = np.compress(kept.reshape(-1), work.det_by_pixel.reshape(-1),
+                           out=work.kept_det[:n])
+    row_counts[:] = np.bincount(kept_det, minlength=n_det)
+    order = np.argsort(kept_det.astype(np.min_scalar_type(n_det - 1)), kind="stable")
+    places = np.take(places, order, out=kept_det, mode="clip")
+    # "clip" takes into ``out`` directly; every index is in range
+    np.take(lengths.reshape(-1), places, out=data[:n], mode="clip")
+    np.floor_divide(places, per_pixel, out=indices[:n])
+    return n
+
+
+def _assemble_batch(thetas, detector_s, pixels, work: _Scratch) -> CSR:
+    """One CSR holding the angles' rows, stacked in the order given, each
+    entry written once into the final arrays (``build_radon``)."""
+    n_det, n_pix = detector_s.size, work.det.shape[1]
+    capacity = thetas.size * work.det.size
+    data = np.empty(capacity)
+    indices = np.empty(capacity, dtype=np.int32)
+    indptr = np.zeros(thetas.size * n_det + 1, dtype=np.int32)
+    pos = 0
+    for row, theta in enumerate(thetas):
+        pos += _angle_entries(theta, detector_s, pixels, work,
+                              data[pos:], indices[pos:],
+                              indptr[1 + row * n_det:1 + (row + 1) * n_det])
+    # no view of the two buffers is left, so they shrink in place
+    data.resize(pos, refcheck=False)
+    indices.resize(pos, refcheck=False)
+    np.cumsum(indptr, out=indptr)
+    return CSR(data, indices, indptr, (indptr.size - 1, n_pix))
 
 
 def _batch_matrix(parts, n_pixels: int) -> CSR:
@@ -298,10 +392,24 @@ def build_radon(image_shape, n_angles: int, n_detectors: int,
     batch of ``make_interleaved_batches(n_angles, batch_size)``.
 
     Batches are assembled one at a time and only candidate pairs are clipped
-    (module docstring), so peak memory stays near the size of the final CSR
-    arrays, and the per-angle matrices are views into them.  Deterministic
-    given its inputs; matrices are assembled once and meant to be shared
-    read-only afterwards.
+    (module docstring).  A batch's ``data`` and ``indices`` are allocated
+    for ``per_pixel`` candidates per pixel and angle, filled angle by angle
+    in CSR order, each entry written once, and shrunk in place to the
+    entries kept: no per-angle parts are made and nothing is concatenated.
+    Pages of the capacity that no entry reaches are never touched, and
+    every angle works in one scratch table (``_Scratch``), so the resident
+    peak stays near the size of the final CSR arrays, and the per-angle
+    matrices are views into them.
+
+    The bound is safe: a pixel's candidates are the integers in [lo, hi],
+    clipped to the detectors, at most floor(hi) - ceil(lo) + 1 <=
+    floor(hi - lo) + 1 of them.  hi - lo is the shadow's width
+    dx |cos| + dy |sin| <= hypot(dx, dy) in detector spacings, plus the
+    two margins; a third margin covers the rounding in lo and hi, about
+    1e-16 times the detector count.  So ``per_pixel`` = floor(hypot(dx,
+    dy)/ds + 3 margins) + 1 slots hold them: 2 at full scale.
+    Deterministic given its inputs; matrices are assembled once and meant
+    to be shared read-only afterwards.
     """
     rows, cols = int(image_shape[0]), int(image_shape[1])
     if rows <= 0 or cols <= 0:
@@ -323,11 +431,13 @@ def build_radon(image_shape, n_angles: int, n_detectors: int,
     y_hi = 1.0 - ii * dy
     y_lo = y_hi - dy
 
-    batch_matrices = tuple(
-        _batch_matrix([_angle_entries(t, detector_s, x_lo, x_hi, y_lo, y_hi)
-                       for t in angles[b]], x_lo.size)
-        for b in batches
-    )
+    pixels = ((x_lo, x_hi, y_lo, y_hi),
+              (x_lo + x_hi, y_lo + y_hi, x_hi - x_lo, y_hi - y_lo))
+    ds = 2.0 / n_detectors
+    per_pixel = int(math.hypot(dx, dy) / ds + 3 * _BAND_MARGIN) + 1  # (docstring)
+    work = _Scratch(x_lo.size, per_pixel)
+    batch_matrices = tuple(_assemble_batch(angles[b], detector_s, pixels, work)
+                           for b in batches)
     angles.setflags(write=False)
     detector_s.setflags(write=False)
     return RadonSystem(

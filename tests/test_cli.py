@@ -1,5 +1,6 @@
 import configparser
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,11 @@ import bsgd
 import bsgd.cli
 from bsgd.array_io import read_array
 from bsgd.cli import main
-from bsgd.radon import build_radon
+from bsgd.config import parse_config
+from bsgd.forward import build_schlieren_problem
+from bsgd.noise import apply_noise
+from bsgd.phantoms import make_phantom
+from bsgd.radon import RadonSystem, build_radon
 from bsgd.solver import a_priori_stop_index, mode_exponents
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +179,42 @@ class TestCmdRun:
         for needle in ("seed = 1", "seed = 4", "seed = 9", "gamma_hat",
                        "l_max_hat", "delta", "wall_time_s"):
             assert needle in manifest.lower()
+
+    @pytest.mark.parametrize("r_y", ["2.0", "1.5"])
+    def test_manifest_noise_product_norm_is_the_noise_norm(self, tmp_path, r_y):
+        text = (ROOT / "configs" / "schlieren_desk.ini").read_text()
+        config = tmp_path / "desk.ini"
+        config.write_text(text.replace("r_y = 2.0", f"r_y = {r_y}"))
+        out, rerun = tmp_path / "run", tmp_path / "rerun"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--epochs", "1", "--quiet"]) == 0
+        manifest = (out / "manifest.txt").read_text()
+        result = dict(line.split(" = ", 1) for line in
+                      manifest.split("[result]\n")[1].splitlines() if line)
+        # in practice mode q = r_Y, so the product of the blocks' L^r_Y
+        # norms is the L^r_Y norm of all the noise at once
+        cfg = parse_config(config)
+        problem = build_schlieren_problem(
+            build_radon((cfg.rows, cfg.cols), cfg.n_angles, cfg.n_detectors),
+            cfg.batch_size,
+            make_phantom((cfg.rows, cfg.cols), cfg.n_blobs, cfg.amplitude,
+                         cfg.phantom_seed))
+        y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon,
+                            cfg.kappa, cfg.noise_seed)
+        noise = np.concatenate([(o.values - e.values).ravel()
+                                for e, o in zip(problem.y_exact, y_obs)])
+        want = math.fsum(np.abs(noise) ** cfg.r_y) ** (1.0 / cfg.r_y)
+        got = float(result["noise_product_norm"])
+        assert got == pytest.approx(want, rel=1e-12)
+        assert float(result["delta"]) < got
+        # the replay's manifest differs in the wall time alone
+        assert main(["run", "--config", str(out / "manifest.txt"), "--out",
+                     str(rerun), "--quiet"]) == 0
+        replay = (rerun / "manifest.txt").read_text()
+        strip = [line for line in manifest.splitlines()
+                 if not line.startswith("wall_time_s")]
+        assert strip == [line for line in replay.splitlines()
+                         if not line.startswith("wall_time_s")]
 
     def test_seed_override_changes_run(self, schlieren_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -419,8 +460,35 @@ class TestCmdSweep:
                      str(tmp_path / "sweep"), "--axis", "space_exponent",
                      "--values", "1.1:2,2:2,1.1:1.1", "--quiet"]) == 0
         assert len(builds) == len(lmax) == 1
-        # gamma once per distinct r_Y
-        assert [kwargs["r_Y"] for kwargs in gammas] == [2.0, 1.1]
+        # one estimate for every distinct r_Y
+        assert [kwargs["r_Y"] for kwargs in gammas] == [(2.0, 1.1)]
+
+    def test_space_exponent_sweep_estimates_gamma_once(self, tmp_path,
+                                                       monkeypatch):
+        products = []
+        project = RadonSystem.project_batch
+
+        def counting(self, k, image):
+            products.append(k)
+            return project(self, k, image)
+
+        estimate = bsgd.cli.estimate_tcc_gamma
+        estimates = []
+
+        def counted(*args, **kwargs):
+            start = len(products)
+            gammas = estimate(*args, **kwargs)
+            estimates.append((kwargs["r_Y"], len(products) - start))
+            return gammas
+
+        monkeypatch.setattr(RadonSystem, "project_batch", counting)
+        monkeypatch.setattr(bsgd.cli, "estimate_tcc_gamma", counted)
+        config = ROOT / "configs" / "schlieren_desk.ini"
+        assert main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "sweep"), "--axis", "space_exponent",
+                     "--values", "2:2,1.1:1.1,1.5:1.5", "--quiet"]) == 0
+        # one estimate's products: 10 samples x 5 blocks x (x, x~, x - x~)
+        assert estimates == [((2.0, 1.1, 1.5), 150)]
 
     def test_batch_sweep_row_count(self, schlieren_cfg, tmp_path):
         out = tmp_path / "sweep"

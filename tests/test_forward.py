@@ -430,6 +430,14 @@ class TestEstimators:
         assert repr(estimate_tcc_gamma(*args, r_Y=2.0)) == \
             repr(_tcc_oracle(*args, r_Y=2.0))
 
+    def test_tcc_exponents_in_one_pass_match_separate_calls(self, desk_batched):
+        # the CLI's estimate for a desk sweep over r_Y in {2, 1.1, 1.5}
+        args = (desk_batched, desk_batched.x_truth) + DESK_TCC_ARGS
+        joint = estimate_tcc_gamma(*args, r_Y=(2.0, 1.1, 1.5))
+        separate = [estimate_tcc_gamma(*args, r_Y=r_y) for r_y in (2.0, 1.1, 1.5)]
+        assert isinstance(joint, tuple)
+        assert list(map(repr, joint)) == list(map(repr, separate))
+
     @pytest.mark.parametrize("r_y", [2.0, 1.5])
     def test_tcc_matches_oracle_benchmark(self, r_y):
         problem = build_benchmark(40, 0.9, 1.1, 0.05, n_blocks=5, seed=4)

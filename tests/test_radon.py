@@ -1,18 +1,35 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import bsgd
 from bsgd.radon import (
     _LENGTH_CUTOFF,
-    _slab_interval,
     build_radon,
     make_interleaved_batches,
 )
 from conftest import scipy_csr
+
+SRC = str(Path(bsgd.__file__).resolve().parents[1])
+
+
+def compared_slab_interval(p0, direction, lo, hi):
+    """Reference slab: t-interval where p0 + t*direction lies in [lo, hi),
+    its ends ordered by comparing them."""
+    if abs(direction) > 1e-15:
+        t1 = (lo - p0) / direction
+        t2 = (hi - p0) / direction
+        return np.minimum(t1, t2), np.maximum(t1, t2)
+    inside = (p0 >= lo) & (p0 < hi)
+    return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
 
 
 def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
@@ -21,8 +38,8 @@ def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
     # ray: (detector_s*c, detector_s*s) + t*(-s, c); direction is unit length
     p0x = (detector_s * c)[:, None]
     p0y = (detector_s * s)[:, None]
-    tx_lo, tx_hi = _slab_interval(p0x, -s, x_lo[None, :], x_hi[None, :])
-    ty_lo, ty_hi = _slab_interval(p0y, c, y_lo[None, :], y_hi[None, :])
+    tx_lo, tx_hi = compared_slab_interval(p0x, -s, x_lo[None, :], x_hi[None, :])
+    ty_lo, ty_hi = compared_slab_interval(p0y, c, y_lo[None, :], y_hi[None, :])
     lengths = np.minimum(tx_hi, ty_hi) - np.maximum(tx_lo, ty_lo)
     lengths = np.where(lengths > _LENGTH_CUTOFF, lengths, 0.0)
     mat = sparse.csr_matrix(lengths)
@@ -143,6 +160,8 @@ def test_input_validation():
     ((110, 110), 180, 155, range(0, 180, 5)),
     # every detector lies on a pixel edge at theta = 0 and pi/2
     ((10, 10), 4, 5, None),
+    # pixels far taller than a detector spacing: 34 candidate slots each
+    ((3, 37), 9, 101, None),
 ])
 def test_band_assembly_is_bitwise_the_dense_oracle(shape, n_angles, n_detectors,
                                                    angle_indices):
@@ -166,6 +185,42 @@ def test_full_scale_assembly_peak_memory_near_matrix_size():
                     for m in system.matrices)
     assert sum(m.nnz for m in system.matrices) == 3_668_024
     assert peak <= 1.5 * csr_bytes, (peak, csr_bytes)
+
+
+_BUILD_GROWTH = """
+from bsgd.radon import build_radon
+
+
+def high_water_mark():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+build_radon((16, 16), 10, 23, 2)
+before = high_water_mark()
+system = build_radon((110, 110), 180, 155, 18)
+csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                for m in system.batch_matrices)
+print(high_water_mark() - before, csr_bytes)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_full_scale_assembly_resident_growth_near_matrix_size():
+    # tracemalloc counts capacity that is never touched and misses freed
+    # memory the allocator keeps resident; the peak resident set counts
+    # neither.  A warm-up build loads what the first build would, in a
+    # fresh process, so the growth is the full-scale build's own.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _BUILD_GROWTH],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    growth, csr_bytes = map(int, done.stdout.split())
+    assert growth <= csr_bytes + 5 * 2**20, (growth, csr_bytes)
 
 
 LAYOUTS = [((16, 16), 10, 23, b) for b in (1, 2, 5, 10)] + [
