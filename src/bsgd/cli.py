@@ -290,9 +290,13 @@ def cmd_rates(config_path, out_dir, *, quiet: bool = False) -> int:
             raise ValueError(f"rate studies need [solver] {key} = {want}, "
                              f"got {value}")
     problem = _build_problem(cfg)
+    base = _solver_config(cfg, 0.0, problem.n_blocks)
+    if base.geometry_x().G_pstar is None:
+        raise ValueError(f"rate studies need the dual's smoothness constant, "
+                         f"and [space] r_x = {cfg.r_x} with mode = {cfg.mode} "
+                         f"has none (p = {base.p})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = _solver_config(cfg, 0.0, problem.n_blocks)
 
     histories = []
     for s in range(cfg.rate_seeds):

@@ -27,8 +27,7 @@ point, so the Schlieren problem projects that point once.  A history
 record takes every block's forward from one ``stacked_forward`` call.
 
 A Schlieren block is a batch of its Radon system, so every projection is
-one sparse product, ``RadonSystem.project_batch``.  ``build_schlieren_problem``
-regroups a system built in other batches once, with the same bytes.
+one sparse product, ``RadonSystem.project_batch``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .geometry import (
     _duality_map_rows,
     lr_norm,
 )
-from .radon import RadonSystem
+from .radon import RadonSystem, build_radon, make_interleaved_batches
 
 __all__ = [
     "StabilityParams",
@@ -239,9 +238,22 @@ class SchlierenProblem(ForwardProblem):
 
 def build_schlieren_problem(system: RadonSystem, batch_size: int,
                             x_truth: GridVector) -> SchlierenProblem:
-    """The problem on ``system`` regrouped into batches of ``batch_size``
-    (``RadonSystem.regrouped``), with exact data from the ground truth."""
-    return SchlierenProblem(system.regrouped(batch_size), x_truth=x_truth)
+    """The problem on ``system``'s geometry in the blocks
+    ``make_interleaved_batches(n_angles, batch_size)``, with exact data from
+    the ground truth.  ``system`` serves as it is when those are its
+    batches; otherwise ``build_radon`` assembles its geometry in them, and a
+    system whose angles or detector centers are not that build's is
+    rejected, not swapped for it."""
+    batches = make_interleaved_batches(system.n_angles, batch_size)
+    if [list(b) for b in system.batches] != batches:
+        built = build_radon(system.image_shape, system.n_angles,
+                            system.n_detectors, batch_size)
+        if not (np.array_equal(system.angles, built.angles)
+                and np.array_equal(system.detector_s, built.detector_s)):
+            raise ValueError(f"cannot build batches of {batch_size} for a system "
+                             "whose angles or detector centers are not build_radon's")
+        system = built
+    return SchlierenProblem(system, x_truth=x_truth)
 
 
 class BenchmarkProblem(ForwardProblem):
@@ -333,7 +345,7 @@ class BenchmarkProblem(ForwardProblem):
 
 def build_benchmark(dim: int, diag_min: float, diag_max: float,
                     nonlinearity_beta: float, *, n_blocks: int = 5,
-                    seed: int = 0, truth_scale: float = 1.0) -> BenchmarkProblem:
+                    seed: int = 0) -> BenchmarkProblem:
     """Synthetic diagonal benchmark with certified constants.
 
     The diagonal is a linspace over [diag_min, diag_max] (so the extreme
@@ -355,7 +367,7 @@ def build_benchmark(dim: int, diag_min: float, diag_max: float,
         raise ValueError(f"invalid dim={dim}, n_blocks={n_blocks}")
     diag = np.linspace(diag_min, diag_max, dim) if dim > 1 else np.array([diag_max])
     gen = np.random.Generator(np.random.Philox(seed))
-    x_truth = GridVector(truth_scale * gen.standard_normal(dim))
+    x_truth = GridVector(gen.standard_normal(dim))
     batches = [list(b) for b in np.array_split(np.arange(dim), n_blocks)]
 
     problem = BenchmarkProblem(diag, nonlinearity_beta, batches, x_truth=x_truth)
@@ -384,25 +396,23 @@ def _ball_sample(gen, center: np.ndarray, radius: float) -> np.ndarray:
 
 def estimate_tcc_gamma(problem: ForwardProblem, ball_center: GridVector,
                        ball_radius: float, n_samples: int, rng_seed: int,
-                       *, r_Y: float | tuple[float, ...] = 2.0
-                       ) -> float | tuple[float, ...]:
+                       *, r_Y: tuple[float, ...] = (2.0,)
+                       ) -> tuple[float, ...]:
     """Largest observed ratio ||F_i(x)-F_i(x~)-F_i'(x)(x-x~)|| / ||F_i(x)-F_i(x~)||
     over sampled pairs in the ball; a lower bound on the true constant.
     Only the Schlieren operator is sampled: it has no closed form.
 
     Pairs with denominator below 1e-14 are skipped.  Deterministic given
-    the seed.  Norms are taken with exponent ``r_Y`` (default 2).  A
-    tuple of exponents gives a tuple with one estimate per exponent,
-    each the one a call with that exponent alone returns: the pairs and
-    the products are those of one estimate, only the norms are taken
-    once per exponent.
+    the seed.  Returns one estimate per exponent of the tuple ``r_Y``
+    (default (2,)), each the one a call with that exponent alone returns:
+    the pairs and the products are those of one estimate, only the norms
+    are taken once per exponent.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    exponents = r_Y if isinstance(r_Y, tuple) else (r_Y,)
     gen = np.random.Generator(np.random.Philox(rng_seed))
     center = ball_center.values
-    worst = [0.0] * len(exponents)
+    worst = [0.0] * len(r_Y)
     for _ in range(n_samples):
         x = GridVector(_ball_sample(gen, center, ball_radius))
         xt = GridVector(_ball_sample(gen, center, ball_radius))
@@ -411,14 +421,14 @@ def estimate_tcc_gamma(problem: ForwardProblem, ball_center: GridVector,
             fx, derivative, _ = problem.linearization(i, x)
             gap = fx - problem.apply_block(i, xt)
             remainder = None
-            for k, r in enumerate(exponents):
+            for k, r in enumerate(r_Y):
                 den = lr_norm(gap, r)
                 if den < 1e-14:
                     continue
                 if remainder is None:
                     remainder = gap - derivative(step)
                 worst[k] = max(worst[k], lr_norm(remainder, r) / den)
-    return tuple(worst) if isinstance(r_Y, tuple) else worst[0]
+    return tuple(worst)
 
 
 def estimate_lipschitz_Lmax(problem: ForwardProblem, ball_center: GridVector,

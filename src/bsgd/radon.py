@@ -33,19 +33,17 @@ scale each Python call around it costs a share of the product.
 The system is stored in batch order: one CSR per batch of angles
 (``make_interleaved_batches``), its angles' rows stacked in batch order, so
 a batch projects with one sparse product, and that is the only projection
-there is.  ``RadonSystem.regrouped`` restacks a system built in other
-batches (``_batch_matrix``) into the bytes that ``build_radon`` writes for
-those batches.  The per-angle matrices are zero-copy views
-into the batch arrays: slices of ``data``/``indices`` with a rebased
-``indptr``.  An angle back-projects with ``csc_matvec`` on its CSR arrays,
-which are the CSC arrays of its transpose.
+there is.  The per-angle matrices are zero-copy views into the batch
+arrays: slices of ``data``/``indices`` with a rebased ``indptr``.  An angle
+back-projects with ``csc_matvec`` on its CSR arrays, which are the CSC
+arrays of its transpose.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -176,19 +174,6 @@ class RadonSystem:
         _sparsetools().csc_matvec(n_row, n_col, m.indptr, m.indices, m.data,
                                   _vector(sino, n_col), out)
         return out
-
-    def regrouped(self, batch_size: int) -> RadonSystem:
-        """This system in ``make_interleaved_batches(n_angles, batch_size)``:
-        itself when its batches are those already, else a copy whose batch
-        matrices have the bytes of ``build_radon(..., batch_size)``."""
-        batches = make_interleaved_batches(self.n_angles, batch_size)
-        if [list(b) for b in self.batches] == batches:
-            return self
-        parts = [(m.data, m.indices, np.diff(m.indptr)) for m in self.matrices]
-        n_pixels = self.image_shape[0] * self.image_shape[1]
-        return replace(self, batches=tuple(map(tuple, batches)),
-                       batch_matrices=tuple(_batch_matrix([parts[a] for a in b], n_pixels)
-                                            for b in batches))
 
 
 def _check_index(i: int, n: int, what: str) -> None:
@@ -373,17 +358,6 @@ def _assemble_batch(thetas, detector_s, pixels, work: _Scratch) -> CSR:
     indices.resize(pos, refcheck=False)
     np.cumsum(indptr, out=indptr)
     return CSR(data, indices, indptr, (indptr.size - 1, n_pix))
-
-
-def _batch_matrix(parts, n_pixels: int) -> CSR:
-    """One CSR holding the angles' rows, stacked in the order given; each
-    part is one angle's CSR (data, indices) and its per-row entry counts."""
-    counts = np.concatenate([counts for _, _, counts in parts])
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.concatenate([data for data, _, _ in parts])
-    indices = np.concatenate([indices for _, indices, _ in parts])
-    return CSR(data, indices, indptr, (indptr.size - 1, n_pixels))
 
 
 def build_radon(image_shape, n_angles: int, n_detectors: int,

@@ -157,11 +157,16 @@ def fit_exact_rate(histories, alpha: float) -> RateFit:
 
 
 def theoretical_contraction_factor(mu0: float, *, gamma: float, L_max: float,
-                                   G_pstar: float, p: float, C_alpha: float,
+                                   G_pstar: float | None, p: float, C_alpha: float,
                                    n_blocks: int) -> float:
     """Per-iteration factor 1 - (C_alpha / N) * margin * mu0 bounding the
-    expected Bregman decay under conditional stability with exponent 1."""
-    _, margin = check_step_admissibility([mu0], gamma, L_max, G_pstar,
+    expected Bregman decay under conditional stability with exponent 1.
+    ``G_pstar`` None (a dual with no p*-smoothness constant) raises
+    ``ValueError``: there is no margin and no bound."""
+    if G_pstar is None:
+        raise ValueError("no contraction bound: the dual space has no "
+                         "p*-smoothness constant")
+    _, margin = check_step_admissibility(mu0, gamma, L_max, G_pstar,
                                          conjugate_exponent(p))
     if margin <= 0:
         raise ValueError(f"step-size {mu0} is inadmissible (margin {margin:.3e})")
@@ -365,7 +370,7 @@ def descent_margin_audit(history, constants: DescentConstants,
         if cur.psi_batch_pre is None or cur.mu is None:
             raise ValueError("audit needs per-step block objectives")
         n_steps += 1
-        _, margin = check_step_admissibility([cur.mu], c.gamma, c.L_max,
+        _, margin = check_step_admissibility(cur.mu, c.gamma, c.L_max,
                                              c.G_pstar, c.p_star, c.omega)
         allowance = 0.0
         if c.omega is not None and c.delta is not None:

@@ -227,24 +227,26 @@ def step_schedule(mu0: float, decay: float, k: int) -> float:
     return mu0 * float(k) ** (-decay)
 
 
-def check_step_admissibility(mu_list, gamma: float, L_max: float, G_pstar: float,
+def check_step_admissibility(mu: float, gamma: float, L_max: float, G_pstar: float,
                              p_star: float, omega: float | None = None
                              ) -> tuple[bool, float]:
-    """Minimum descent margin 1 - gamma - L^p* (G/p*) mu^(p*-1) over the
-    schedule; admissible iff it stays positive.
+    """Descent margin 1 - gamma - L^p* (G/p*) mu^(p*-1) at step size mu;
+    admissible iff it is positive.  The margin falls as mu grows, so a
+    schedule's is the one at its largest step.
 
     With ``omega`` set, the noise-robust variant additionally subtracts
     omega**p* / p*, the Young-inequality weight absorbed by the residual
     term.
     """
-    mu = np.asarray(list(mu_list), dtype=np.float64)
-    if mu.size == 0 or np.any(mu <= 0):
-        raise ValueError("step-sizes must be positive")
-    margins = 1.0 - gamma - L_max**p_star * (G_pstar / p_star) * mu ** (p_star - 1.0)
+    # a 0-d array: numpy's array power, whose bits a scalar ** may not have
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu <= 0:
+        raise ValueError("step-size must be positive")
+    margin = 1.0 - gamma - L_max**p_star * (G_pstar / p_star) * mu ** (p_star - 1.0)
     if omega is not None:
-        margins = margins - omega**p_star / p_star
-    min_margin = float(np.min(margins))
-    return min_margin > 0.0, min_margin
+        margin = margin - omega**p_star / p_star
+    margin = float(margin)
+    return margin > 0.0, margin
 
 
 def a_priori_stop_index(delta: float, mu0: float, decay: float, Gamma: float,
@@ -358,7 +360,7 @@ def _warn_if_inadmissible(problem, config: SolverConfig) -> None:
                      "smoothness constant); proceeding")
         return
     # the margin falls as mu grows, and mu_1 = mu0 is the largest step
-    ok, margin = check_step_admissibility([config.mu0], gamma, problem.L_max,
+    ok, margin = check_step_admissibility(config.mu0, gamma, problem.L_max,
                                           gx.G_pstar, gx.p_star)
     if not ok:
         logger.warning(

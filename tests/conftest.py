@@ -41,6 +41,14 @@ def scipy_csr(m):
     return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
+def assert_same_arrays(got, want):
+    """Two CSRs hold the same dtypes and bytes in all three arrays."""
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
 def random_grid(rng, shape, scale=1.0):
     return GridVector(scale * rng.standard_normal(shape))
 

@@ -605,6 +605,20 @@ class TestCmdRates:
         assert "tangential cone" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dual_without_smoothness_constant_fails_before_out_exists(
+            self, tmp_path, capsys):
+        # practice mode at r_X = 1.5: no smoothness constant for the bound
+        path = tmp_path / "practice.ini"
+        path.write_text(BENCHMARK_INI.replace("r_x = 2.0", "r_x = 1.5")
+                        .replace("mode = theory", "mode = practice"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "[space] r_x = 1.5 with mode = practice" in err
+        assert "smoothness constant" in err
+        assert not out.exists()
+
     def test_empty_delta_list_usage_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(BENCHMARK_INI.replace("deltas = 1e-1,1e-2,3e-3",

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bsgd.geometry import (
     pairing,
 )
 from bsgd.radon import RadonSystem, build_radon, make_interleaved_batches
-from conftest import scipy_csr
+from conftest import assert_same_arrays, scipy_csr
 
 
 def dense_matrix(problem, k):
@@ -40,10 +41,10 @@ def _operator(system):
 
 
 @pytest.fixture(scope="module")
-def small_pairs(small_radon):
-    """The operator on small_radon regrouped into batches of two angles,
+def small_pairs():
+    """The operator on small_radon's geometry in batches of two angles,
     {k, k + 5}."""
-    return _operator(small_radon.regrouped(2))
+    return _operator(build_radon((16, 16), 10, 23, 2))
 
 
 @pytest.fixture(scope="module")
@@ -269,8 +270,8 @@ class TestBenchmarkCertificates:
     @pytest.mark.parametrize("r_y", [2.0, 1.1])
     def test_sampled_gamma_below_certified(self, beta, r_y):
         problem = build_benchmark(40, 0.9, 1.1, beta, n_blocks=5, seed=3)
-        sampled = estimate_tcc_gamma(problem, problem.x_truth, _BOX_MARGIN,
-                                     200, 0, r_Y=r_y)
+        (sampled,) = estimate_tcc_gamma(problem, problem.x_truth, _BOX_MARGIN,
+                                        200, 0, r_Y=(r_y,))
         assert 0.0 < sampled <= problem.gamma
 
     def test_sampled_lipschitz_below_certified(self, beta):
@@ -375,7 +376,7 @@ def _tcc_oracle(problem, ball_center, ball_radius, n_samples, rng_seed,
 
 @pytest.fixture(scope="module")
 def desk_schlieren(desk_radon, desk_phantom):
-    """The acceptance layout: a batch-1 system, regrouped into batches of 6."""
+    """The acceptance layout: a batch-1 system, built again in batches of 6."""
     return build_schlieren_problem(desk_radon, 6, desk_phantom)
 
 
@@ -427,14 +428,15 @@ class TestEstimators:
 
     def test_tcc_matches_oracle_desk(self, desk_schlieren):
         args = (desk_schlieren, desk_schlieren.x_truth) + DESK_TCC_ARGS
-        assert repr(estimate_tcc_gamma(*args, r_Y=2.0)) == \
+        assert repr(estimate_tcc_gamma(*args, r_Y=(2.0,))[0]) == \
             repr(_tcc_oracle(*args, r_Y=2.0))
 
     def test_tcc_exponents_in_one_pass_match_separate_calls(self, desk_batched):
         # the CLI's estimate for a desk sweep over r_Y in {2, 1.1, 1.5}
         args = (desk_batched, desk_batched.x_truth) + DESK_TCC_ARGS
         joint = estimate_tcc_gamma(*args, r_Y=(2.0, 1.1, 1.5))
-        separate = [estimate_tcc_gamma(*args, r_Y=r_y) for r_y in (2.0, 1.1, 1.5)]
+        separate = [estimate_tcc_gamma(*args, r_Y=(r_y,))[0]
+                    for r_y in (2.0, 1.1, 1.5)]
         assert isinstance(joint, tuple)
         assert list(map(repr, joint)) == list(map(repr, separate))
 
@@ -442,14 +444,14 @@ class TestEstimators:
     def test_tcc_matches_oracle_benchmark(self, r_y):
         problem = build_benchmark(40, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
         args = (problem, problem.x_truth, 0.5, 30, 17)
-        assert repr(estimate_tcc_gamma(*args, r_Y=r_y)) == \
+        assert repr(estimate_tcc_gamma(*args, r_Y=(r_y,))[0]) == \
             repr(_tcc_oracle(*args, r_Y=r_y))
 
     def test_tcc_projects_sample_once_per_block(self, desk_schlieren,
                                                 monkeypatch):
         calls = _count_projections(monkeypatch)
         estimate_tcc_gamma(desk_schlieren, desk_schlieren.x_truth,
-                           *DESK_TCC_ARGS, r_Y=2.0)
+                           *DESK_TCC_ARGS, r_Y=(2.0,))
         # 10 samples x 5 blocks: x, x~ and x - x~ once each (the oracle
         # projects x again for the linear term: 200)
         assert len(calls) == 50 * 3 == 150
@@ -457,17 +459,17 @@ class TestEstimators:
     def test_tcc_zero_for_linear(self):
         problem = build_benchmark(20, 0.5, 1.5, 0.0, n_blocks=4, seed=1)
         center = GridVector(np.zeros(20))
-        assert estimate_tcc_gamma(problem, center, 1.0, 25, 9) <= 1e-14
+        assert estimate_tcc_gamma(problem, center, 1.0, 25, 9)[0] <= 1e-14
 
     def test_tcc_positive_below_half_for_mild_quadratic(self):
         problem = build_benchmark(50, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
-        g1 = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 30, 17)
-        g2 = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 30, 17)
+        (g1,) = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 30, 17)
+        (g2,) = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 30, 17)
         assert 0.0 < g1 < 0.5 and g1 == g2
 
     def test_tcc_schlieren_finite(self, small_schlieren):
-        gamma_hat = estimate_tcc_gamma(small_schlieren,
-                                       small_schlieren.x_truth, 0.2, 10, 3)
+        (gamma_hat,) = estimate_tcc_gamma(small_schlieren,
+                                          small_schlieren.x_truth, 0.2, 10, 3)
         assert np.isfinite(gamma_hat) and gamma_hat >= 0.0
 
     def test_lipschitz_zero_operator(self):
@@ -492,7 +494,7 @@ class TestEstimators:
     def test_tcc_consequence_two_sided(self, rng):
         # (1-g)||F(x)-F(x~)|| <= ||F'(x)(x-x~)|| <= (1+g)||F(x)-F(x~)||
         problem = build_benchmark(40, 0.9, 1.1, 0.05, n_blocks=5, seed=4)
-        gamma_hat = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 40, 23)
+        (gamma_hat,) = estimate_tcc_gamma(problem, problem.x_truth, 0.5, 40, 23)
         gen = np.random.default_rng(5)
         for _ in range(30):
             x = GridVector(problem.x_truth.values
@@ -591,13 +593,39 @@ class TestBatchLayout:
                                                gy)
         assert calls == [2]
 
+    @pytest.mark.parametrize("shape, n_angles, n_detectors, built_at, batch_size", [
+        ((32, 32), 30, 45, 1, 6),
+        # every detector lies on a pixel edge at theta = 0 and pi/2
+        ((10, 10), 4, 5, 1, 2),
+        ((16, 16), 10, 23, 2, 5),
+    ])
+    def test_system_in_other_batches_is_built_in_the_blocks(
+            self, shape, n_angles, n_detectors, built_at, batch_size):
+        truth = GridVector(np.ones(shape))
+        problem = build_schlieren_problem(
+            build_radon(shape, n_angles, n_detectors, built_at), batch_size, truth)
+        want = build_radon(shape, n_angles, n_detectors, batch_size)
+        assert problem.system.batches == want.batches
+        for got, ref in zip(problem.system.batch_matrices, want.batch_matrices):
+            assert got.shape == ref.shape
+            assert_same_arrays(got, ref)
+        # a system already in those batches is kept as it is
+        assert build_schlieren_problem(want, batch_size, truth).system is want
+
+    @pytest.mark.parametrize("field", ["angles", "detector_s"])
+    def test_hand_built_geometry_is_not_rebuilt(self, field):
+        system = build_radon((10, 10), 4, 5)
+        moved = replace(system, **{field: getattr(system, field) + 1e-3})
+        with pytest.raises(ValueError, match="angles or detector centers"):
+            build_schlieren_problem(moved, 2, GridVector(np.ones((10, 10))))
+
     def test_estimates_match_the_per_angle_layout(self, desk_batched,
                                                   desk_schlieren):
-        # desk_schlieren regroups a batch-1 system, desk_batched is built at 6
+        # desk_schlieren is given a batch-1 system, desk_batched one built at 6
         def estimates(problem):
             return (estimate_lipschitz_Lmax(problem, problem.x_truth,
                                             *DESK_LMAX_ARGS, n_power_iter=20),
-                    estimate_tcc_gamma(problem, problem.x_truth, *DESK_TCC_ARGS))
+                    estimate_tcc_gamma(problem, problem.x_truth, *DESK_TCC_ARGS)[0])
         assert repr(estimates(desk_batched)) == repr(estimates(desk_schlieren))
 
 

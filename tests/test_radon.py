@@ -16,7 +16,7 @@ from bsgd.radon import (
     build_radon,
     make_interleaved_batches,
 )
-from conftest import scipy_csr
+from conftest import assert_same_arrays, scipy_csr
 
 SRC = str(Path(bsgd.__file__).resolve().parents[1])
 
@@ -45,14 +45,6 @@ def dense_angle_matrix(theta, detector_s, x_lo, x_hi, y_lo, y_hi):
     mat = sparse.csr_matrix(lengths)
     mat.eliminate_zeros()
     return mat
-
-
-def assert_same_arrays(got, want):
-    """Two CSRs hold the same dtypes and bytes in all three arrays."""
-    for name in ("indptr", "indices", "data"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype, name
-        assert g.tobytes() == w.tobytes(), name
 
 
 def pixel_slabs(rows, cols):
@@ -294,27 +286,6 @@ def test_products_keep_the_bytes_of_scipy_matmul(shape, n_angles, n_detectors,
         system.project_batch(0, np.zeros(shape[0] * shape[1] - 1))
     with pytest.raises(ValueError, match="length"):
         system.back_project(0, np.zeros(n_detectors + 1))
-
-
-@pytest.mark.parametrize("shape, n_angles, n_detectors, built_at, batch_size", [
-    ((32, 32), 30, 45, 1, 6),
-    # every detector lies on a pixel edge at theta = 0 and pi/2
-    ((10, 10), 4, 5, 1, 2),
-    ((110, 110), 180, 155, 1, 18),
-    ((16, 16), 10, 23, 2, 5),
-])
-def test_regrouped_system_has_the_bytes_of_the_batch_build(
-        shape, n_angles, n_detectors, built_at, batch_size):
-    system = build_radon(shape, n_angles, n_detectors, built_at)
-    regrouped = system.regrouped(batch_size)
-    want = build_radon(shape, n_angles, n_detectors, batch_size)
-    assert regrouped.batches == want.batches
-    for got, ref in zip(regrouped.batch_matrices, want.batch_matrices):
-        assert got.shape == ref.shape
-        assert_same_arrays(got, ref)
-    # a system already in those batches is kept as it is
-    assert want.regrouped(batch_size) is want
-    assert system.regrouped(built_at) is system
 
 
 @pytest.mark.parametrize("batch, angle", [(-1, -1), (5, 10)])

@@ -7,7 +7,13 @@ import pytest
 
 from bsgd.cli import _build_problem, _solver_config
 from bsgd.config import parse_config
-from bsgd.forward import _BOX_MARGIN, StabilityParams, build_benchmark
+from bsgd.forward import (
+    _BOX_MARGIN,
+    BenchmarkProblem,
+    StabilityParams,
+    build_benchmark,
+)
+from bsgd.geometry import GridVector
 from bsgd.rates import (
     DescentConstants,
     NoisyRateStudy,
@@ -145,6 +151,14 @@ class TestTheoreticalContraction:
                                            G_pstar=1.0, p=2.0, C_alpha=2.0,
                                            n_blocks=4)
 
+    def test_dual_without_smoothness_constant_rejected(self):
+        # practice mode at r_X = 1.5: p = 1.5, and L^3 has no 3-smoothness
+        # constant, so there is no margin to bound the factor with
+        with pytest.raises(ValueError, match="smoothness constant"):
+            theoretical_contraction_factor(0.5, gamma=0.0, L_max=1.0,
+                                           G_pstar=None, p=1.5, C_alpha=2.0,
+                                           n_blocks=4)
+
 
 def study_config(seed=0, gamma_budget=0.6, mu0=0.5):
     return SolverConfig(r_X=2.0, r_Y=2.0, mu0=mu0,
@@ -279,8 +293,9 @@ class TestStackedStudyMatchesSerial:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_level_raises_the_serial_error(self):
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6
-        problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6,
-                                  truth_scale=1e7)
+        base = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
+        problem = BenchmarkProblem(base.diag, base.beta, base.batches,
+                                   x_truth=GridVector(1e7 * base.x_truth.values))
         cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
                            stopping=StoppingRule("a_priori", delta=1.0,
                                                  gamma_budget=50.0))

@@ -169,25 +169,31 @@ class TestSchedule:
 
 class TestAdmissibility:
     def test_tiny_steps_full_margin(self):
-        ok, margin = check_step_admissibility([1e-12], 0.0, 1.0, 1.0, 2.0)
+        ok, margin = check_step_admissibility(1e-12, 0.0, 1.0, 1.0, 2.0)
         assert ok and margin == pytest.approx(1.0, abs=1e-10)
 
     def test_exact_half_margin_step(self):
         # mu^(p*-1) = p*(1-gamma) / (2 L^p* G): margin is exactly (1-gamma)/2
         gamma, L, G, p_star = 0.2, 1.5, 2.0, 2.0
         mu = (p_star * (1.0 - gamma) / (2.0 * L**p_star * G)) ** (1.0 / (p_star - 1.0))
-        ok, margin = check_step_admissibility([mu], gamma, L, G, p_star)
+        ok, margin = check_step_admissibility(mu, gamma, L, G, p_star)
         assert ok and margin == pytest.approx((1.0 - gamma) / 2.0, rel=1e-12)
 
     def test_large_gamma_inadmissible_in_noisy_mode(self):
         omega = (0.5 * 2.0) ** 0.5  # margin cost omega**2/2 = 0.5
-        ok, margin = check_step_admissibility([1e-9], 0.6, 1.0, 1.0, 2.0,
+        ok, margin = check_step_admissibility(1e-9, 0.6, 1.0, 1.0, 2.0,
                                               omega=omega)
         assert not ok and margin < 0
 
-    def test_min_over_schedule(self):
-        ok, margin = check_step_admissibility([0.1, 0.5, 0.2], 0.0, 1.0, 1.0, 2.0)
-        assert margin == pytest.approx(1.0 - 0.5 * 0.5)
+    def test_margin_at_the_largest_step(self):
+        # a schedule's margin is the one at its largest step, here 0.5
+        ok, margin = check_step_admissibility(0.5, 0.0, 1.0, 1.0, 2.0)
+        assert ok and margin == pytest.approx(1.0 - 0.5 * 0.5)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    def test_nonpositive_step_rejected(self, mu):
+        with pytest.raises(ValueError, match="positive"):
+            check_step_admissibility(mu, 0.0, 1.0, 1.0, 2.0)
 
 
 class TestAPrioriStopIndex:
@@ -332,7 +338,7 @@ class TestRunSgd:
         nu = bregman_to_zero_start(p) \
             + omega ** -2.0 / 2.0 * (1.0 + p.gamma) ** 2.0 * gamma_budget
         cfg = hilbert_config(mu0=0.4, max_epochs=40, seed=5)
-        ok, _ = check_step_admissibility([cfg.mu0], p.gamma, p.L_max, 1.0,
+        ok, _ = check_step_admissibility(cfg.mu0, p.gamma, p.L_max, 1.0,
                                          2.0, omega=omega)
         assert ok
         run = run_sgd(p, y_noisy, cfg)
