@@ -189,7 +189,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
         "n_iterations": run.n_iterations,
         "best_iteration": run.best_k,
         "best_metric": run.best_metric,
-        "metric_kind": run.best_metric_kind,
+        "metric_kind": "rel_l2_error",
         "diverged": run.diverged,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
@@ -197,7 +197,7 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
         serialize_config(cfg, extra_sections={"result": result})
     )
     _say(quiet, f"run complete: {run.n_iterations} iterations, "
-                f"best {run.best_metric_kind} {run.best_metric:.6g} "
+                f"best rel_l2_error {run.best_metric:.6g} "
                 f"at iteration {run.best_k}")
     if run.diverged:
         raise RuntimeError(f"iterate diverged at iteration {run.diverged_at}")

@@ -124,6 +124,13 @@ class RunConfig:
                 raise ValueError(f"{where} must be > {bound}, got {value}")
         if self.mu0 <= 0:
             raise ValueError(f"[solver] mu0 must be set > 0, got {self.mu0}")
+        if self.stopping == "a_priori" and (self.noise_kind == "none" or (
+                self.noise_kind == "gaussian" and self.epsilon == 0.0)):
+            noise = f"[noise] kind = {self.noise_kind}"
+            if self.noise_kind == "gaussian":
+                noise += " with epsilon = 0"
+            raise ValueError(f"a_priori stopping needs a positive noise level: "
+                             f"[solver] stopping = a_priori with {noise} has none")
 
     def rate_delta_list(self) -> list[float]:
         try:

@@ -14,9 +14,9 @@ would be a preconditioner here, not an adjoint, and is not implemented.
 Each problem class owns its operator.  A subclass defines the raw block
 forward ``block_forward`` and the validated ``derivative_apply`` and
 ``adjoint_apply``; the base wraps ``block_forward`` as ``apply_block``,
-checking the block index and the shape of x.  Exact data come from the
-ground truth: a problem with ``x_truth`` applies its blocks to it, and only a
-problem without one is given ``y_exact``, never both.
+checking the block index and the shape of x.  Every problem carries its
+nonzero ground truth ``x_truth``, and its exact data are its blocks applied
+to it.
 
 One raw-array kernel per problem serves the SGD step,
 ``block_residual_gradient``: a single forward pass gives the block residual,
@@ -43,6 +43,7 @@ from .geometry import (
     GridVector,
     _duality_map_raw,
     _duality_map_rows,
+    _lr_norm_raw,
     lr_norm,
 )
 from .radon import RadonSystem, build_radon, make_interleaved_batches
@@ -79,32 +80,28 @@ class ForwardProblem:
     """A nonlinear operator split into blocks F_1, ..., F_N.
 
     Subclasses implement the block actions; this base owns the batch map,
-    exact data, optional ground truth, and the operator bounds ``L_max``
+    the ground truth, exact data, and the operator bounds ``L_max``
     (derivative norm) and ``gamma`` (tangential cone constant, a closed form
     for the benchmark and sampled for Schlieren), which the builders assign.
-    The exact data are the blocks applied to ``x_truth``, or else given.
+    The ground truth must be nonzero, as every relative error divides by its
+    l^2 norm; the exact data are the blocks applied to it.
     """
 
-    def __init__(self, batches, y_exact=None, x_truth=None):
+    def __init__(self, batches, x_truth: GridVector):
         batches = [list(map(int, b)) for b in batches]
         if not batches or any(len(b) == 0 for b in batches):
             raise ValueError("every batch must be nonempty")
         flat = sorted(i for b in batches for i in b)
         if flat != list(range(len(flat))):
             raise ValueError("batches must partition the full index set")
+        if _lr_norm_raw(x_truth.values.ravel(), 2.0) == 0.0:
+            raise ValueError("ground truth must be nonzero")
         self.batches = batches
         self.x_truth = x_truth
         self.L_max = None
         self.gamma = None
         self.stability = None
-        if (y_exact is None) == (x_truth is None):
-            raise ValueError("need exactly one of a ground truth and exact data")
-        if x_truth is not None:
-            self.y_exact = [self.apply_block(i, x_truth) for i in range(len(batches))]
-            return
-        self.y_exact = list(y_exact)
-        if len(self.y_exact) != len(batches):
-            raise ValueError("need one exact data block per batch")
+        self.y_exact = [self.apply_block(i, x_truth) for i in range(len(batches))]
 
     @property
     def n_blocks(self) -> int:
@@ -176,9 +173,9 @@ class ForwardProblem:
 class SchlierenProblem(ForwardProblem):
     """The Schlieren operator (R_k x)^2 with one block per batch k of ``system``."""
 
-    def __init__(self, system: RadonSystem, y_exact=None, x_truth=None):
+    def __init__(self, system: RadonSystem, x_truth: GridVector):
         self.system = system
-        super().__init__(system.batches, y_exact, x_truth)
+        super().__init__(system.batches, x_truth)
 
     @property
     def domain_shape(self):
@@ -253,16 +250,16 @@ def build_schlieren_problem(system: RadonSystem, batch_size: int,
             raise ValueError(f"cannot build batches of {batch_size} for a system "
                              "whose angles or detector centers are not build_radon's")
         system = built
-    return SchlierenProblem(system, x_truth=x_truth)
+    return SchlierenProblem(system, x_truth)
 
 
 class BenchmarkProblem(ForwardProblem):
     """Componentwise F_j(x) = a_j x_j + beta a_j x_j^2 on coordinate blocks."""
 
-    def __init__(self, diag, beta, batches, y_exact=None, x_truth=None):
+    def __init__(self, diag, beta, batches, x_truth: GridVector):
         self.diag = np.asarray(diag, dtype=np.float64)
         self.beta = float(beta)
-        super().__init__(batches, y_exact, x_truth)
+        super().__init__(batches, x_truth)
 
     @property
     def dim(self) -> int:
@@ -370,7 +367,7 @@ def build_benchmark(dim: int, diag_min: float, diag_max: float,
     x_truth = GridVector(gen.standard_normal(dim))
     batches = [list(b) for b in np.array_split(np.arange(dim), n_blocks)]
 
-    problem = BenchmarkProblem(diag, nonlinearity_beta, batches, x_truth=x_truth)
+    problem = BenchmarkProblem(diag, nonlinearity_beta, batches, x_truth)
     rho = float(np.max(np.abs(x_truth.values))) + _BOX_MARGIN
     t = 2.0 * abs(problem.beta) * rho
     if 3.0 * t >= 1.0:

@@ -119,10 +119,7 @@ def _mean_bregman_curve(histories):
     for hist in histories:
         if [rec.k for rec in hist] != ks.tolist():
             raise ValueError("seed histories must share the record cadence")
-        vals = [rec.bregman_to_truth for rec in hist]
-        if any(v is None for v in vals):
-            raise ValueError("rate fits need ground-truth Bregman distances")
-        curves.append(vals)
+        curves.append([rec.bregman_to_truth for rec in hist])
     return ks, np.mean(np.asarray(curves), axis=0)
 
 
@@ -248,9 +245,6 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
         raise ValueError("noise levels must span at least 1.5 decades")
     if config.stopping.kind != "a_priori" or config.stopping.gamma_budget is None:
         raise ValueError("the study needs an a_priori stopping rule with a budget")
-    truth = problem.x_truth
-    if truth is None:
-        raise ValueError("the study needs a ground truth")
     if n_seeds < 1:
         raise ValueError("need at least one seed")
 
@@ -274,7 +268,7 @@ def noisy_rate_study(problem, stability, delta_list, config: SolverConfig,
                       for s_idx, (y_obs, cell) in enumerate(zip(y_rows, cells))]
         else:
             # the distance the serial run's final record computes
-            finals = [bregman_distance(GridVector(x), truth, gx)
+            finals = [bregman_distance(GridVector(x), problem.x_truth, gx)
                       for x in stack[0]]
         finals = np.asarray(finals)
         rows.append(StudyRow(delta=delta, k_delta=k_delta,
@@ -346,9 +340,9 @@ def descent_margin_audit(history, constants: DescentConstants,
     """Realized slack of the per-step inequality
     D_k <= D_{k-1} - p * margin(mu_k) * mu_k * Psi_block(x_{k-1}) (+ noise term).
 
-    Needs consecutive per-iteration records with ground-truth distances and
-    sampled-block objectives.  A step counts as a violation when its margin
-    is nonpositive (inadmissible step) or its slack falls below -tol.  With
+    Needs consecutive per-iteration records with sampled-block objectives.
+    A step counts as a violation when its margin is nonpositive
+    (inadmissible step) or its slack falls below -tol.  With
     ``omega`` and ``delta`` set, the margin subtracts omega^p*/p* and the
     bound gains the noise allowance (omega^-p/p)(1+gamma)^p delta^p mu_k.
     """
@@ -365,8 +359,6 @@ def descent_margin_audit(history, constants: DescentConstants,
             raise ValueError(
                 f"audit needs per-iteration records; gap {prev.k} -> {cur.k}"
             )
-        if prev.bregman_to_truth is None or cur.bregman_to_truth is None:
-            raise ValueError("audit needs ground-truth Bregman distances")
         if cur.psi_batch_pre is None or cur.mu is None:
             raise ValueError("audit needs per-step block objectives")
         n_steps += 1

@@ -163,8 +163,8 @@ class IterationRecord:
 
     ``mu``, ``batch_index`` and ``psi_batch_pre`` describe the step
     k-1 -> k (``psi_batch_pre`` is the sampled block's objective at the
-    pre-step iterate); they are None on the k = 0 record.  Truth-dependent
-    fields are None when no ground truth is known.
+    pre-step iterate); they are None on the k = 0 record.  ``rel_l2_error``
+    and ``bregman_to_truth`` measure x_k against the problem's ground truth.
     """
 
     k: int
@@ -172,8 +172,8 @@ class IterationRecord:
     batch_index: int | None
     psi: float
     residual: float
-    rel_l2_error: float | None
-    bregman_to_truth: float | None
+    rel_l2_error: float
+    bregman_to_truth: float
     psi_batch_pre: float | None = None
 
     def __post_init__(self):
@@ -189,7 +189,6 @@ class SGDRun:
     best_x: GridVector
     best_k: int
     best_metric: float
-    best_metric_kind: str
     diverged: bool
     diverged_at: int | None
     iters_per_epoch: int
@@ -291,13 +290,6 @@ def a_priori_stop_index(delta: float, mu0: float, decay: float, Gamma: float,
         start += chunk
 
 
-def _truth_norm(x_truth: GridVector) -> float:
-    denom = _lr_norm_raw(x_truth.values.ravel(), 2.0)
-    if denom == 0.0:
-        raise ValueError("ground truth must be nonzero")
-    return denom
-
-
 def _relative_error_raw(x: np.ndarray, truth: np.ndarray, denom: float) -> float:
     return _lr_norm_raw((truth - x).ravel(), 2.0) / denom
 
@@ -316,25 +308,22 @@ def _recorder(problem, y: list, q: float, r_Y: float, gx: GeometryParams):
     ends = np.cumsum([y_i.size for y_i in y]).tolist()
     bounds = list(zip([0, *ends[:-1]], ends))
     n_blocks = problem.n_blocks
-    truth = problem.x_truth
-    if truth is not None:
-        truth_v = truth.values
-        truth_r_norm = _lr_norm_raw(truth_v.ravel(), gx.r)
+    truth_v = problem.x_truth.values
+    truth_r_norm = _lr_norm_raw(truth_v.ravel(), gx.r)
 
     def record(x: np.ndarray, k, mu, batch, resid, rel) -> IterationRecord:
         """Record of the raw iterate x; ``resid`` is the sampled block's
         residual at the pre-step iterate (None on the k = 0 record and for
-        Landweber) and ``rel`` the relative error of x (None without ground
-        truth).  ``psi`` is the full objective and ``residual`` the
-        outer-l^q product norm of the residual."""
+        Landweber) and ``rel`` the relative error of x.  ``psi`` is the full
+        objective and ``residual`` the outer-l^q product norm of the
+        residual."""
         resid_all = problem.stacked_forward(x) - y_all
         _require_finite(resid_all)
         norms = np.array([_lr_norm_raw(resid_all[lo:hi], r_Y) for lo, hi in bounds])
         total = np.sum(norms**q)
         psi_pre = None if resid is None else \
             _lr_norm_raw(resid.ravel(), r_Y) ** q / q
-        breg = None if truth is None else \
-            _bregman_raw(x, truth_v, truth_r_norm, gx)
+        breg = _bregman_raw(x, truth_v, truth_r_norm, gx)
         return IterationRecord(k=k, mu=mu, batch_index=batch,
                                psi=float(total) / (q * n_blocks),
                                residual=float(total ** (1.0 / q)),
@@ -378,7 +367,6 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         )
     gx = config.geometry_x()
     gy = config.geometry_y()
-    truth = problem.x_truth
 
     if x0 is None:
         x0 = GridVector(np.zeros(problem.domain_shape))
@@ -394,17 +382,12 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
     # raw arrays from here on; rel is the relative error of the current x
     x, xi = x0.values, xi0.values
     y = [yi.values for yi in y_obs]
-    rel = None
-    if truth is not None:
-        truth_v, truth_norm = truth.values, _truth_norm(truth)
-        rel = _relative_error_raw(x, truth_v, truth_norm)
+    truth_v = problem.x_truth.values
+    truth_norm = _lr_norm_raw(truth_v.ravel(), 2.0)
+    rel = _relative_error_raw(x, truth_v, truth_norm)
     record = _recorder(problem, y, config.q, config.r_Y, gx)
     history = [record(x, 0, None, None, None, rel)]
-    if truth is not None:
-        best_kind, best_metric = "rel_l2_error", rel
-    else:
-        best_kind, best_metric = "residual", history[0].residual
-    best_x, best_k = x, 0
+    best_metric, best_x, best_k = rel, x, 0
     snapshots = [(0, x0, xi0)] if collect_snapshots else []
     diverged = False
     diverged_at = None
@@ -432,24 +415,20 @@ def _run_iteration_loop(problem, y_obs, config: SolverConfig, x0,
         x = _duality_map_raw(xi, gx.r_star, gx.p_star, peak)
         _require_finite(x)
 
-        if truth is not None:
-            rel = _relative_error_raw(x, truth_v, truth_norm)
-            if rel < best_metric:
-                best_metric, best_x, best_k = rel, x, k
+        rel = _relative_error_raw(x, truth_v, truth_norm)
+        if rel < best_metric:
+            best_metric, best_x, best_k = rel, x, k
 
         is_record = (config.record_every is not None
                      and k % config.record_every == 0) or k == total
         if is_record:
             history.append(record(x, k, mu, i, resid, rel))
-            if truth is None and history[-1].residual < best_metric:
-                best_metric, best_x, best_k = history[-1].residual, x, k
             if collect_snapshots:
                 snapshots.append((k, GridVector(x), DualVector(xi)))
 
     return SGDRun(history=history, final_x=GridVector(x),
                   final_dual=DualVector(xi), best_x=GridVector(best_x),
-                  best_k=best_k, best_metric=best_metric,
-                  best_metric_kind=best_kind, diverged=diverged,
+                  best_k=best_k, best_metric=best_metric, diverged=diverged,
                   diverged_at=diverged_at, iters_per_epoch=iters_per_epoch,
                   n_iterations=history[-1].k, snapshots=snapshots)
 
@@ -471,9 +450,8 @@ def run_sgd(problem, y_obs, config: SolverConfig, x0=None,
     """Run the dual-coordinate SGD iteration with uniform block sampling.
 
     Deterministic given the config seed.  One epoch is N block draws
-    (N = number of blocks).  The best iterate is tracked every iteration by
-    relative l^2 error when the ground truth is known, and at record points
-    by the residual product norm otherwise.
+    (N = number of blocks).  The best iterate, the one of least relative
+    l^2 error to the problem's ground truth, is tracked every iteration.
     """
     N = problem.n_blocks
     return _run_iteration_loop(problem, y_obs, config, x0,
@@ -639,7 +617,7 @@ def format_value(value) -> str:
 def history_to_csv(records, path, iters_per_epoch: int) -> None:
     """Write `epoch,iter,mu,batch,psi,residual,rel_l2_err,bregman` rows.
 
-    Missing truth-dependent fields become empty cells.  Floats use shortest
+    The k = 0 record's step fields become empty cells.  Floats use shortest
     round-trip formatting, so identical histories serialize byte-identically.
     """
     lines = ["epoch,iter,mu,batch,psi,residual,rel_l2_err,bregman"]

@@ -273,6 +273,13 @@ class TestCmdRun:
         ("[solver]\n", "[solver]\ndecay = -0.5\n"),
         # a_priori stopping reads [solver] gamma_budget, whose default is 0
         ("[solver]\n", "[solver]\nstopping = a_priori\n"),
+        # ... and a positive noise level, which noise-free data lack
+        ("epsilon = 1e-2\nseed = 4\n\n[solver]\n",
+         "epsilon = 0.0\nseed = 4\n\n[solver]\nstopping = a_priori\n"
+         "gamma_budget = 0.5\n"),
+        ("kind = gaussian\nepsilon = 1e-2\nseed = 4\n\n[solver]\n",
+         "kind = none\nseed = 4\n\n[solver]\nstopping = a_priori\n"
+         "gamma_budget = 0.5\n"),
         ("[solver]\n", "[rates]\ngamma_budget = -1\n\n[solver]\n"),
         ("ball_radius = 0.1", "ball_radius = 0.0"),
         ("ball_radius = 0.1", "ball_radius = -1.0"),
@@ -286,6 +293,23 @@ class TestCmdRun:
                      "--quiet"]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("old, new", [
+        ("n_blobs = 3", "n_blobs = 0"),
+        ("amplitude = 1.0", "amplitude = 0.0"),
+    ])
+    def test_zero_ground_truth_fails_before_out_exists(self, tmp_path, capsys,
+                                                       monkeypatch, old, new):
+        # it fails as the problem is built, before the constant estimators
+        monkeypatch.setattr("bsgd.cli.estimate_tcc_gamma", _must_not_run)
+        monkeypatch.setattr("bsgd.cli.estimate_lipschitz_Lmax", _must_not_run)
+        path = tmp_path / "zero.ini"
+        path.write_text(SCHLIEREN_INI.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert "error: ground truth must be nonzero" in capsys.readouterr().err
 
     def test_negative_seed_flag_fails_before_out_exists(self, schlieren_cfg,
                                                         tmp_path, capsys):
@@ -383,10 +407,12 @@ class TestCmdRun:
         path = tmp_path / "a_priori.ini"
         path.write_text(BENCHMARK_INI.replace(
             "[solver]\n", A_PRIORI_SECTIONS.replace("kind = gaussian", "kind = none")))
-        assert main(["run", "--config", str(path), "--out",
-                     str(tmp_path / "out"), "--quiet"]) == 1
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
         assert "a_priori stopping needs a positive noise level" in \
             capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdSweep:
@@ -558,6 +584,20 @@ class TestCmdSweep:
                      "--axis", "space_exponent", "--values", values,
                      "--quiet"]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_noise_level_with_a_priori_fails_before_any_cell(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bsgd.cli.execute_run", _must_not_run)
+        path = tmp_path / "a_priori.ini"
+        path.write_text(SCHLIEREN_INI.replace(
+            "[solver]\n", "[solver]\nstopping = a_priori\ngamma_budget = 0.5\n"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--axis", "noise_level", "--values", "1e-2,0",
+                     "--quiet"]) == 1
+        assert "a_priori stopping needs a positive noise level" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_batch_size_fails_before_out_exists(self, schlieren_cfg,

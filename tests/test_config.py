@@ -118,6 +118,13 @@ def test_half_set_or_negative_gauge_powers_rejected(space):
     ("[estimates]\nseed = -1\n", r"\[estimates\] seed must be >= 0"),
     ("[solver]\ndecay = -0.5\n", r"\[solver\] decay must be >= 0"),
     ("[solver]\nstopping = a_priori\n", r"\[solver\] gamma_budget must be > 0, got 0.0"),
+    # a_priori stopping reads the noise level, which noise-free data lack
+    ("[solver]\nmu0 = 0.5\nstopping = a_priori\ngamma_budget = 0.5\n",
+     r"a_priori stopping needs a positive noise level: \[solver\] stopping = "
+     r"a_priori with \[noise\] kind = none has none"),
+    ("[noise]\nkind = gaussian\n[solver]\nmu0 = 0.5\nstopping = a_priori\n"
+     "gamma_budget = 0.5\n",
+     r"\[noise\] kind = gaussian with epsilon = 0 has none"),
     ("[rates]\ngamma_budget = -1\n", r"\[rates\] gamma_budget must be > 0"),
     ("[estimates]\nball_radius = 0.0\n", r"\[estimates\] ball_radius must be > 0"),
     ("[estimates]\nball_radius = -1.0\n", r"\[estimates\] ball_radius must be > 0"),

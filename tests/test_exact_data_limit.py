@@ -26,10 +26,10 @@ from bsgd.solver import SolverConfig, run_sgd
 class LinearProblem(ForwardProblem):
     """F(x) = A x, split into row blocks."""
 
-    def __init__(self, A, y, n_blocks):
+    def __init__(self, A, x_truth, n_blocks):
         self.A = A
         self.rows = np.array_split(np.arange(A.shape[0]), n_blocks)
-        super().__init__(self.rows, [GridVector(y[r]) for r in self.rows])
+        super().__init__(self.rows, GridVector(x_truth))
 
     @property
     def domain_shape(self):
@@ -50,7 +50,7 @@ class SquaredLinearProblem(ForwardProblem):
     def __init__(self, A, x_truth, n_blocks):
         self.A = A
         self.rows = np.array_split(np.arange(A.shape[0]), n_blocks)
-        super().__init__(self.rows, x_truth=GridVector(x_truth))
+        super().__init__(self.rows, GridVector(x_truth))
 
     @property
     def domain_shape(self):
@@ -111,11 +111,12 @@ def test_exact_data_limit_is_the_nearest_solution(r_x):
     x_true[gen.choice(60, 6, replace=False)] = gen.standard_normal(6)
     x0 = gen.standard_normal(60)
     y = A @ x_true
-    problem = LinearProblem(A, y, 6)
+    problem = LinearProblem(A, x_true, 6)
 
     cfg = SolverConfig(mode="practice", r_X=r_x, r_Y=2.0, mu0=0.5,
                        max_epochs=500, record_every=None)
-    run = run_sgd(problem, problem.y_exact, cfg, x0=x0)
+    # the data are the rows of y itself, not the blocks applied to x_true
+    run = run_sgd(problem, [GridVector(y[r]) for r in problem.rows], cfg, x0=x0)
     assert not run.diverged
 
     x_hilbert = x0 + np.linalg.pinv(A) @ (y - A @ x0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsgd.config import parse_config
-from bsgd.phantoms import make_phantom
+from bsgd.phantoms import _paint_disks, make_phantom
 
 
 def test_zero_blobs_zero_image():
@@ -26,22 +26,20 @@ def test_sparse_by_construction():
     assert 0.0 < fill < 0.2
 
 
-def test_two_inclusions_on_unit_background_area_ratio():
-    # two radius-0.2 disks at (0, +-0.75) on a unit background: painted
-    # fraction matches the analytic disk/square area ratio within 2%
+def test_two_inclusions_area_ratio():
+    # two radius-0.2 disks at (0, +-0.75): painted fraction matches the
+    # analytic disk/square area ratio within 2%
     rows = cols = 200
-    phantom = make_phantom((rows, cols), 2, 3.0, seed=0,
-                           background=1.0,
-                           centers=[(0.0, 0.75), (0.0, -0.75)], radii=0.2)
-    painted = np.count_nonzero(phantom.values != 1.0) / phantom.size
+    phantom = _paint_disks((rows, cols), [(0.0, 0.75), (0.0, -0.75)],
+                           [0.2, 0.2], 3.0)
+    painted = np.count_nonzero(phantom.values) / phantom.size
     analytic = 2.0 * math.pi * 0.2**2 / 4.0
     assert painted == pytest.approx(analytic, rel=0.02)
-    assert set(np.unique(phantom.values)) == {1.0, 4.0}
+    assert set(np.unique(phantom.values)) == {0.0, 3.0}
 
 
 def test_blob_clipped_at_bounds():
-    phantom = make_phantom((40, 40), 1, 1.0, seed=0,
-                           centers=[(0.99, 0.0)], radii=0.3)
+    phantom = _paint_disks((40, 40), [(0.99, 0.0)], [0.3], 1.0)
     # the disk extends past x = 1; everything inside the frame is painted
     assert np.count_nonzero(phantom.values) > 0
     painted = np.count_nonzero(phantom.values) / phantom.size
@@ -51,16 +49,9 @@ def test_blob_clipped_at_bounds():
 
 def test_overfull_phantom_rejected():
     with pytest.raises(ValueError, match="fills"):
-        make_phantom((32, 32), 1, 1.0, seed=0,
-                     centers=[(0.0, 0.0)], radii=0.9)
+        _paint_disks((32, 32), [(0.0, 0.0)], [0.9], 1.0)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         parse_config("[phantom]\nkind = checkerboard\n")
-
-
-def test_explicit_centers_need_radii():
-    with pytest.raises(ValueError, match="radii"):
-        make_phantom((8, 8), 1, 1.0, seed=0,
-                     centers=[(0.0, 0.0)])

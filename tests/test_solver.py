@@ -27,7 +27,6 @@ from bsgd.solver import (
     _mean_gradient,
     _recorder,
     _relative_error_raw,
-    _truth_norm,
     a_priori_stop_index,
     check_step_admissibility,
     history_to_csv,
@@ -239,7 +238,8 @@ class TestRelativeError:
 
     @staticmethod
     def relative_error(x, truth):
-        return _relative_error_raw(x.values, truth.values, _truth_norm(truth))
+        return _relative_error_raw(x.values, truth.values,
+                                   float(np.linalg.norm(truth.values)))
 
     def test_trivial_values(self):
         truth = GridVector([1.0, 2.0, 2.0])
@@ -248,8 +248,10 @@ class TestRelativeError:
         assert self.relative_error(2.0 * truth, truth) == pytest.approx(1.0)
 
     def test_zero_truth_rejected(self):
-        with pytest.raises(ValueError):
-            self.relative_error(GridVector([1.0]), GridVector([0.0]))
+        # the error divides by the truth's norm, so no problem takes a zero
+        # truth
+        with pytest.raises(ValueError, match="ground truth must be nonzero"):
+            BenchmarkProblem(np.ones(1), 0.0, [[0]], GridVector([0.0]))
 
 
 class TestRunSgd:
@@ -324,7 +326,9 @@ class TestRunSgd:
     def test_best_iterate_tracked_by_relative_error(self, hilbert_benchmark):
         p = hilbert_benchmark
         run = run_sgd(p, p.y_exact, hilbert_config(mu0=0.5, max_epochs=30))
-        assert run.best_metric_kind == "rel_l2_error"
+        # every iteration is recorded: the best is the history's least error
+        assert run.best_metric == min(rec.rel_l2_error for rec in run.history)
+        assert run.history[run.best_k].rel_l2_error == run.best_metric
         assert run.best_metric <= run.history[0].rel_l2_error
 
     def test_noisy_perturbation_bound_per_step(self, hilbert_benchmark):
@@ -413,17 +417,6 @@ class TestHistoryCsv:
         assert rows[1][2] == ""  # no step produced the k = 0 iterate
         assert float(rows[2][4]) == run.history[1].psi
 
-    def test_truth_free_columns_empty(self, tmp_path):
-        base = build_benchmark(12, 0.9, 1.1, 0.0, n_blocks=3, seed=2)
-        problem = BenchmarkProblem(base.diag, 0.0, base.batches, base.y_exact)
-        problem.L_max, problem.gamma = base.L_max, 0.0
-        run = run_sgd(problem, base.y_exact, hilbert_config(max_epochs=2))
-        path = tmp_path / "history.csv"
-        history_to_csv(run.history, path, run.iters_per_epoch)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert all(r[6] == "" and r[7] == "" for r in rows[1:])
-
     def test_byte_identical_rewrites(self, hilbert_benchmark, tmp_path):
         p = hilbert_benchmark
         run = run_sgd(p, p.y_exact, hilbert_config(max_epochs=2, seed=5))
@@ -496,9 +489,9 @@ class TestNonFiniteAndDivergence:
     """A non-finite residual or primal iterate raises; a finite dual step
     above the guard ends the run on the divergence path."""
 
-    def _spiked(self, problem, coord, value):
-        """Exact data with one entry moved to ``value``; returns it and its block."""
-        y = [v.values.copy() for v in problem.y_exact]
+    def _spiked(self, problem, data, coord, value):
+        """``data`` with one entry moved to ``value``; returns it and its block."""
+        y = [v.values.copy() for v in data]
         for i, idx in enumerate(problem.batches):
             if coord in idx:
                 y[i][idx.index(coord)] = value
@@ -515,9 +508,8 @@ class TestNonFiniteAndDivergence:
         # r_X = 1.02: x = |xi|^50 overflows once |xi| > 1.5e6, far below the
         # 1e12 guard; the spike pushes xi there on the first draw of its block
         base = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        problem = BenchmarkProblem(base.diag, 0.0, base.batches,
-                                   [GridVector(np.zeros(5))] * 4)
-        y, block = self._spiked(problem, 7, 1e7)
+        problem = BenchmarkProblem(base.diag, 0.0, base.batches, base.x_truth)
+        y, block = self._spiked(problem, [GridVector(np.zeros(5))] * 4, 7, 1e7)
         seed = self._late_seed(problem.n_blocks, block)
         cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
                            max_epochs=1, seed=seed, record_every=1)
@@ -531,9 +523,8 @@ class TestNonFiniteAndDivergence:
         # beta > 0: the spike moves xi_j to ~2e3, far inside the guard, and
         # x_j = xi_j^50 ~ 1e165 is finite, but its square in F overflows
         base = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        problem = BenchmarkProblem(base.diag, 0.05, base.batches,
-                                   [GridVector(np.zeros(5))] * 4)
-        y, block = self._spiked(problem, 7, 4.0e3)
+        problem = BenchmarkProblem(base.diag, 0.05, base.batches, base.x_truth)
+        y, block = self._spiked(problem, [GridVector(np.zeros(5))] * 4, 7, 4.0e3)
         seed = self._late_seed(problem.n_blocks, block)
         cfg = SolverConfig(mode="practice", r_X=1.02, r_Y=2.0, mu0=0.5,
                            max_epochs=1, seed=seed, record_every=None)
@@ -545,7 +536,7 @@ class TestNonFiniteAndDivergence:
     @pytest.mark.parametrize("record_every", [1, None])
     def test_finite_step_above_guard_diverges(self, record_every):
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
-        y, block = self._spiked(problem, 12, 1e13)
+        y, block = self._spiked(problem, problem.y_exact, 12, 1e13)
         cfg = hilbert_config(max_epochs=10, seed=9, record_every=record_every)
         k = first_draw_of_block(9, problem.n_blocks, block)
         assert k > 1
@@ -581,11 +572,11 @@ def _oracle_make_record(problem, x, y_obs, config, k, mu, batch, psi_pre,
                         truth, gx):
     psi, residual = _oracle_full_diagnostics(problem, x, y_obs, config.q,
                                              config.r_Y)
-    rel = _oracle_relative_error(x, truth) if truth is not None else None
-    breg = bregman_distance(x, truth, gx) if truth is not None else None
     return IterationRecord(k=k, mu=mu, batch_index=batch, psi=psi,
-                           residual=residual, rel_l2_error=rel,
-                           bregman_to_truth=breg, psi_batch_pre=psi_pre)
+                           residual=residual,
+                           rel_l2_error=_oracle_relative_error(x, truth),
+                           bregman_to_truth=bregman_distance(x, truth, gx),
+                           psi_batch_pre=psi_pre)
 
 
 def _oracle_stochastic_gradient(problem, x, y_obs, i, q, r_Y):
@@ -623,13 +614,7 @@ def _oracle_loop(problem, y_obs, config, x0, sample_block, iters_per_epoch,
     else:
         total = config.max_epochs * iters_per_epoch
 
-    if truth is not None:
-        best_kind = "rel_l2_error"
-        best_metric = _oracle_relative_error(x, truth)
-    else:
-        best_kind = "residual"
-        _, best_metric = _oracle_full_diagnostics(problem, x, y_obs, config.q,
-                                                  config.r_Y)
+    best_metric = _oracle_relative_error(x, truth)
     best_x, best_k = x, 0
     history = [_oracle_make_record(problem, x, y_obs, config, 0, None, None,
                                    None, truth, gx)]
@@ -658,26 +643,20 @@ def _oracle_loop(problem, y_obs, config, x0, sample_block, iters_per_epoch,
         xi = DualVector(new_vals)
         x = inverse_duality_map(xi, gx)
 
-        if truth is not None:
-            metric = _oracle_relative_error(x, truth)
-            if metric < best_metric:
-                best_metric, best_x, best_k = metric, x, k
+        metric = _oracle_relative_error(x, truth)
+        if metric < best_metric:
+            best_metric, best_x, best_k = metric, x, k
 
         is_record = (config.record_every is not None
                      and k % config.record_every == 0) or k == total
         if is_record:
             history.append(_oracle_make_record(problem, x, y_obs, config, k, mu,
                                                i, psi_pre, truth, gx))
-            if truth is None:
-                metric = history[-1].residual
-                if metric < best_metric:
-                    best_metric, best_x, best_k = metric, x, k
             if collect_snapshots:
                 snapshots.append((k, x, xi))
 
     return SGDRun(history=history, final_x=x, final_dual=xi, best_x=best_x,
-                  best_k=best_k, best_metric=best_metric,
-                  best_metric_kind=best_kind, diverged=diverged,
+                  best_k=best_k, best_metric=best_metric, diverged=diverged,
                   diverged_at=diverged_at, iters_per_epoch=iters_per_epoch,
                   n_iterations=history[-1].k, snapshots=snapshots)
 
@@ -707,7 +686,7 @@ def assert_runs_bitwise_equal(new, old):
         [_record_key(r) for r in old.history]
     for name in ("final_x", "final_dual", "best_x"):
         assert _vector_bytes(getattr(new, name)) == _vector_bytes(getattr(old, name)), name
-    for name in ("best_k", "best_metric_kind", "diverged", "diverged_at",
+    for name in ("best_k", "diverged", "diverged_at",
                  "iters_per_epoch", "n_iterations"):
         assert getattr(new, name) == getattr(old, name), name
     assert repr(new.best_metric) == repr(old.best_metric)
@@ -762,17 +741,6 @@ class TestRawLoopMatchesWrapperOracle:
         cfg = hilbert_config(mu0=0.4, seed=8, stopping=stop, record_every=None)
         run = self._check("sgd", p, y, cfg, x0=None, snapshots=False)
         assert [rec.k for rec in run.history] == [0, run.n_iterations]
-
-    @pytest.mark.parametrize("algorithm", ["sgd", "landweber"])
-    def test_without_ground_truth(self, algorithm):
-        base = build_benchmark(12, 0.9, 1.1, 0.05, n_blocks=3, seed=2)
-        problem = BenchmarkProblem(base.diag, base.beta, base.batches,
-                                   base.y_exact)
-        problem.L_max, problem.gamma = base.L_max, base.gamma
-        y = add_gaussian(base.y_exact, 0.05, seed=4)
-        cfg = hilbert_config(mu0=0.5, max_epochs=15, seed=3, record_every=2)
-        run = self._check(algorithm, problem, y, cfg, x0=GridVector(np.zeros(12)))
-        assert run.best_metric_kind == "residual" and run.best_k > 0
 
     def test_divergence_path(self):
         problem = build_benchmark(20, 0.9, 1.1, 0.0, n_blocks=4, seed=6)
