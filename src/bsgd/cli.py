@@ -3,11 +3,7 @@
 All outputs land under ``--out``: history.csv, best.bsgd, final.bsgd,
 manifest.txt (plus geometry.txt for tomography runs and summary.csv for
 sweeps).  The manifest pins every resolved parameter and seed, so feeding
-it back as the config reproduces the run bit for bit.  Sweep cells run one
-after another on the calling thread, in ``--values`` order.  There is no
-thread pool on purpose: the cells' short numpy and sparse calls hand the
-interpreter lock back and forth, so two worker threads made the 4-cell
-desk sweep nearly twice as slow as one (2-core Xeon).
+it back as the config reproduces the run bit for bit.
 
 A sweep's Schlieren cells share one build (``_SharedSetup``): while the
 config fields it reads stay the same (``_setup_inputs``), a cell takes the
@@ -17,6 +13,22 @@ its own problem over the shared system, so its exact data, and every
 output byte, are those of a run built on its own.  A sweep value that
 does not parse or that repeats, and a ``[phantom] path`` that cannot be
 read, fail before ``--out`` is made.
+
+Sweep cells run on n workers, one per usable CPU and at most one per cell
+(``_worker_count``).  The first cell's shared build is made first; then
+n - 1 workers are forked from the calling process, which is worker 0, and
+worker w runs cells w, w + n, ... in order.  They are processes, not
+threads: the cells' short numpy and sparse calls hand the interpreter lock
+back and forth, and two worker threads made the 4-cell desk sweep nearly
+twice as slow as one (2-core Xeon).  Forked after the build, a worker pays
+neither the import nor the build again; a ``batch_size`` sweep, whose
+cells share no build, holds one Radon system per worker.  Each worker
+holds back its cells' ``bsgd`` log records, and the calling process
+replays them in ``--values`` order once every worker has ended, so the
+outputs and stderr do not depend on n.  A worker stops at its first
+failing cell; the sweep then raises the failure of the lowest failing
+cell and writes no summary, and cells after that one may already have
+written their outputs.
 """
 
 from __future__ import annotations
@@ -24,8 +36,11 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
+import pickle
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,13 +177,14 @@ def execute_run(cfg: RunConfig, out_dir, quiet: bool = False, *,
     sweep passes its cells one ``shared`` setup."""
     started = time.monotonic()
     problem = _build_problem(cfg, shared)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     y_obs = apply_noise(problem.y_exact, cfg.noise_kind, cfg.epsilon, cfg.kappa,
                         cfg.noise_seed)
     deltas, delta = noise_level(problem.y_exact, y_obs, cfg.r_y)
 
+    # a drawn noise level of 0 fails a priori stopping before --out is made
     solver_cfg = _solver_config(cfg, delta, problem.n_blocks)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     # the noise in the outer-l^q product norm that history's residual takes
     q = solver_cfg.q
     noise_product_norm = float(np.sum(np.array(deltas) ** q) ** (1.0 / q))
@@ -251,6 +267,114 @@ def _apply_axis(cfg: RunConfig, axis: str, token: str) -> RunConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
+def _worker_count(n_cells: int) -> int:
+    """One sweep worker per usable CPU, at most one per cell; 1 where the
+    platform cannot fork or report the CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_cells, len(os.sched_getaffinity(0)))
+
+
+class _HeldRecords(logging.Handler):
+    """Keeps log records, formatted into their messages so they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _run_worker(runs, w: int, n: int, shared: _SharedSetup) -> dict:
+    """Run cells w, w + n, ... of ``runs`` in order, up to the first that
+    fails, holding back each cell's ``bsgd`` log records.  Returns
+    ``{"results": {i: result}, "records": {i: [record]}, "failure":
+    (i, exception) or None}``."""
+    log = logging.getLogger("bsgd")
+    saved = log.handlers, log.propagate
+    held = _HeldRecords()
+    log.handlers, log.propagate = [held], False
+    report = {"results": {}, "records": {}, "failure": None}
+    try:
+        for i in range(w, len(runs), n):
+            held.records = report["records"][i] = []
+            cfg, out = runs[i]
+            try:
+                report["results"][i] = execute_run(cfg, out, quiet=True,
+                                                   shared=shared)
+            except Exception as exc:  # noqa: BLE001 - reported in cell order
+                report["failure"] = (i, exc)
+                break
+    finally:
+        log.handlers, log.propagate = saved
+    return report
+
+
+def _fork_worker(runs, w: int, n: int, shared: _SharedSetup):
+    """Fork worker w; return its pid and the read end of the pipe on which
+    it sends its report.  The child leaves through ``os._exit``, so no
+    ``finally``, atexit hook or buffered output it inherited runs in it."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns at any fork of a process with threads, and
+        # OpenBLAS keeps a pool; OpenBLAS stops that pool in its own atfork
+        # handler, and the child runs only bsgd code before os._exit.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
+                                "multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            report = _run_worker(runs, w, n, shared)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(report, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_cells(runs, shared: _SharedSetup) -> list:
+    """``execute_run`` on each (config, out dir) of ``runs`` on
+    ``_worker_count`` workers, with the calling process as worker 0.  Once
+    every worker has ended, replays the cells' log records in ``runs``
+    order and raises the failure of the lowest failing cell, or returns
+    the results in ``runs`` order."""
+    n = _worker_count(len(runs))
+    children, blobs, statuses = [], [], []
+    try:
+        for w in range(1, n):
+            children.append(_fork_worker(runs, w, n, shared))
+        reports = [_run_worker(runs, 0, n, shared)]
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for w, (blob, status) in enumerate(zip(blobs, statuses), start=1):
+        try:
+            reports.append(pickle.loads(blob))
+        except Exception:  # noqa: BLE001 - an empty or cut report
+            code = os.waitstatus_to_exitcode(status)
+            reports.append({"results": {}, "records": {}, "failure": (w, RuntimeError(
+                f"sweep worker {w} sent no readable report (exit status {code})"))})
+
+    failures = [r["failure"] for r in reports if r["failure"] is not None]
+    failed, exc = min(failures, key=lambda f: f[0]) if failures else (None, None)
+    records = {i: cell for r in reports for i, cell in r["records"].items()}
+    for i in range(len(runs) if failed is None else failed + 1):
+        for record in records.get(i, ()):
+            logging.getLogger(record.name).handle(record)
+    if exc is not None:
+        raise exc
+    results = {i: res for r in reports for i, res in r["results"].items()}
+    return [results[i] for i in range(len(runs))]
+
+
 def cmd_sweep(config_path, axis: str, values, out_dir, *,
               quiet: bool = False) -> int:
     cfg = parse_config(config_path)
@@ -264,9 +388,11 @@ def cmd_sweep(config_path, axis: str, values, out_dir, *,
     cells = [(tok, _apply_axis(cfg, axis, tok)) for tok in tokens]
     out = Path(out_dir)
     shared = _SharedSetup(cell_cfg for _, cell_cfg in cells)
-    results = [execute_run(cell_cfg, out / f"{axis}={tok}", quiet=True,
-                           shared=shared)
-               for tok, cell_cfg in cells]
+    if cfg.experiment == "schlieren":
+        # the workers fork after this build; each cell remakes its problem
+        shared.problem(cells[0][1])
+    results = _run_cells([(cell_cfg, out / f"{axis}={tok}")
+                          for tok, cell_cfg in cells], shared)
 
     lines = ["axis,value,best_error,best_iteration,delta,metric"]
     for (tok, _), res in zip(cells, results):

@@ -414,6 +414,21 @@ class TestCmdRun:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_priori_run_with_no_flipped_entry_fails_before_out_exists(
+            self, tmp_path, capsys):
+        # a kappa this small flips no entry: the drawn noise level is 0
+        path = tmp_path / "a_priori.ini"
+        path.write_text(SCHLIEREN_INI.replace(
+            "kind = gaussian\nepsilon = 1e-2", "kind = salt_pepper\nkappa = 1e-9"
+        ).replace("[solver]\n", "[solver]\nstopping = a_priori\n"
+                  "gamma_budget = 0.5\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "a_priori stopping needs a positive noise level" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdSweep:
     def test_noise_sweep_summary(self, schlieren_cfg, tmp_path):
@@ -613,6 +628,117 @@ class TestCmdSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(schlieren_cfg), "--out",
                   str(tmp_path / "s"), "--axis", "bogus", "--values", "1"])
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _sweep(path, out, values, *options):
+    return main([*options, "sweep", "--config", str(path), "--out", str(out),
+                 "--axis", "space_exponent", "--values", values, "--quiet"])
+
+
+class TestSweepWorkers:
+    """Sweep cells run on one forked worker per usable CPU (here 1 or 2, set
+    through ``os.sched_getaffinity``), and nothing they write depends on it."""
+
+    # each cell logs its own line: two margins and one unchecked schedule
+    WARNING_INI = SCHLIEREN_INI.replace("mu0 = 5e-3", "mu0 = 3.5")
+    WARNING_VALUES = "2:2,1.5:2,2:3"
+    # only the 1.1:1.1 cell diverges
+    DIVERGING_INI = SCHLIEREN_INI.replace("mu0 = 5e-3", "mu0 = 1")
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, capsys,
+                                                       monkeypatch):
+        path = tmp_path / "warn.ini"
+        path.write_text(self.WARNING_INI)
+        run = bsgd.cli.execute_run
+        pids = {}
+
+        def recorded(cfg, out_dir, *args, **kwargs):
+            (tmp_path / f"pid-{Path(out_dir).parent.name}-{Path(out_dir).name}"
+             ).write_text(str(os.getpid()))
+            return run(cfg, out_dir, *args, **kwargs)
+
+        monkeypatch.setattr(bsgd.cli, "execute_run", recorded)
+        tokens = self.WARNING_VALUES.split(",")
+        # each value on its own: the lines a cell logs, in --values order
+        want_err = ""
+        for tok in tokens:
+            _usable_cpus(monkeypatch, 1)
+            assert _sweep(path, tmp_path / f"alone{tok}", tok,
+                          "--log-level", "debug") == 0
+            want_err += capsys.readouterr().err
+        assert len(set(want_err.splitlines())) == 3
+        errs = {}
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            assert _sweep(path, tmp_path / f"cpus{cpus}", self.WARNING_VALUES,
+                          "--log-level", "debug") == 0
+            errs[cpus] = capsys.readouterr().err
+            self._no_child_left()
+            pids[cpus] = [int((tmp_path / f"pid-cpus{cpus}-space_exponent={tok}"
+                               ).read_text()) for tok in tokens]
+        assert errs[1] == errs[2] == want_err
+        # one CPU: all cells in this process; two: the middle one in a child
+        assert pids[1] == [os.getpid()] * 3
+        assert pids[2][0] == pids[2][2] == os.getpid() != pids[2][1]
+        one, two = tmp_path / "cpus1", tmp_path / "cpus2"
+        assert (one / "summary.csv").read_bytes() == \
+            (two / "summary.csv").read_bytes()
+        for tok in tokens:
+            for name in ("history.csv", "final.bsgd", "best.bsgd",
+                         "geometry.txt"):
+                cell = f"space_exponent={tok}"
+                assert (one / cell / name).read_bytes() == \
+                    (two / cell / name).read_bytes(), (tok, name)
+
+    @pytest.mark.parametrize("values, failing", [
+        ("2:2,1.1:1.1,1.5:1.5", "1.1:1.1"),  # a child's cell fails
+        ("2:2,1.5:1.5,1.1:1.1", "1.1:1.1"),  # a cell of this process fails
+    ])
+    def test_a_failing_cell_fails_the_sweep(self, tmp_path, capsys,
+                                            monkeypatch, values, failing):
+        path = tmp_path / "diverging.ini"
+        path.write_text(self.DIVERGING_INI)
+        _usable_cpus(monkeypatch, 1)
+        assert _sweep(path, tmp_path / "alone", failing) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: iterate diverged at iteration ")
+        errs = {}
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert _sweep(path, out, values) == 1
+            errs[cpus] = capsys.readouterr().err
+            assert errs[cpus].splitlines()[-1] == error
+            assert not (out / "summary.csv").exists()
+            self._no_child_left()
+        assert errs[1] == errs[2]
+
+    def test_a_worker_that_dies_fails_the_sweep(self, schlieren_cfg, tmp_path,
+                                                capsys, monkeypatch):
+        run, parent = bsgd.cli.execute_run, os.getpid()
+
+        def dies_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(bsgd.cli, "execute_run", dies_in_a_child)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "sweep"
+        assert _sweep(schlieren_cfg, out, "2:2,1.5:1.5") == 1
+        assert "error: sweep worker 1 sent no readable report (exit status 3)" \
+            in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+        self._no_child_left()
 
 
 class TestCmdRates:
